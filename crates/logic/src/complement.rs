@@ -53,24 +53,17 @@ pub fn complement(cover: &Cover) -> Cover {
 
 /// Merge pairs differing only in the split literal (x·c + x'·c = c).
 fn merge_split(cover: &mut Cover, split: usize) {
-    let cubes = cover.cubes().to_vec();
+    let cubes = cover.cubes();
     let mut used = vec![false; cubes.len()];
-    let mut merged = Vec::new();
+    let mut merged = Vec::with_capacity(cubes.len());
     for i in 0..cubes.len() {
         if used[i] {
             continue;
         }
         let mut ci = cubes[i].clone();
-        if ci.literal(split).is_some() {
+        if let Some(pol) = ci.literal(split) {
             for (j, cj) in cubes.iter().enumerate().skip(i + 1) {
-                if used[j] {
-                    continue;
-                }
-                let mut a = ci.clone();
-                let mut b = cj.clone();
-                a.set_literal(split, None);
-                b.set_literal(split, None);
-                if a == b && ci.literal(split) != cj.literal(split) {
+                if !used[j] && cj.literal(split) != Some(pol) && ci.eq_except(cj, split) {
                     used[j] = true;
                     ci.set_literal(split, None);
                     break;
@@ -85,7 +78,7 @@ fn merge_split(cover: &mut Cover, split: usize) {
 /// De Morgan complement of a single cube: one unit cube per literal.
 fn complement_cube(num_vars: usize, cube: &Cube) -> Cover {
     let mut out = Cover::empty(num_vars);
-    for (v, pol) in cube.literals() {
+    for (v, pol) in cube.literal_iter() {
         out.push(Cube::from_literals(num_vars, &[(v, !pol)]));
     }
     out

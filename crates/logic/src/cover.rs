@@ -111,21 +111,22 @@ impl Cover {
     /// generalised cofactor): rows disjoint from `cube` are dropped, the
     /// rest have `cube`'s literals raised to don't-care.
     pub fn cofactor(&self, cube: &Cube) -> Cover {
-        let mut out = Vec::new();
-        for c in &self.cubes {
-            if !c.intersects(cube) {
-                continue;
-            }
-            let mut row = c.clone();
-            for (v, _pol) in cube.literals() {
-                row.set_literal(v, None);
-            }
-            out.push(row);
-        }
-        Cover {
-            num_vars: self.num_vars,
-            cubes: out,
-        }
+        Cover::cofactor_rows(self.num_vars, &self.cubes, cube)
+    }
+
+    /// [`Cover::cofactor`] of the sum of `rows`, read straight from the
+    /// rows without first collecting them into a cover.
+    pub(crate) fn cofactor_rows<'a>(
+        num_vars: usize,
+        rows: impl IntoIterator<Item = &'a Cube>,
+        cube: &Cube,
+    ) -> Cover {
+        let cubes = rows
+            .into_iter()
+            .filter(|c| c.intersects(cube))
+            .map(|c| c.raised_by(cube))
+            .collect();
+        Cover { num_vars, cubes }
     }
 
     /// Cofactor by a single literal.
@@ -200,7 +201,7 @@ impl Cover {
         let mut pos = vec![0usize; n];
         let mut neg = vec![0usize; n];
         for c in &self.cubes {
-            for (v, pol) in c.literals() {
+            for (v, pol) in c.literal_iter() {
                 if pol {
                     pos[v] += 1;
                 } else {

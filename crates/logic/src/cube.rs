@@ -1,6 +1,8 @@
 //! Product terms in positional-cube notation.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A product term over `n` boolean variables.
 ///
@@ -18,33 +20,112 @@ use std::fmt;
 /// assert_eq!(c.literal(2), Some(false));
 /// assert_eq!(c.literal_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct Cube {
     num_vars: usize,
     /// Two bits per variable, 32 variables per word.
-    words: Vec<u64>,
+    words: Words,
+}
+
+/// The packed slots of a [`Cube`].
+///
+/// Universes of up to [`INLINE_VARS`] variables keep their words inline,
+/// so building, cloning and combining such cubes never allocates; this
+/// covers every state-graph universe, since state codes are `u64`. Wider
+/// universes (PLA input) keep them on the heap.
+///
+/// Word invariants: every slot past `num_vars` — the tail of the last word
+/// and any unused inline word — is `00`; a literal slot has exactly one bit
+/// set; and a `00` slot inside the universe appears only in a raw
+/// [`Cube::intersection`], marking the cube empty.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
 }
 
 const VARS_PER_WORD: usize = 32;
+const INLINE_WORDS: usize = 2;
+const INLINE_VARS: usize = INLINE_WORDS * VARS_PER_WORD;
+/// The low ("allows 0") bit of every slot of a word.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Word index and bit shift of a variable's slot.
+fn slot(var: usize) -> (usize, u32) {
+    (var / VARS_PER_WORD, (2 * (var % VARS_PER_WORD)) as u32)
+}
+
+/// The low bit of every literal slot (`10` or `01`) of a word.
+fn literal_lows(word: u64) -> u64 {
+    (word ^ word >> 1) & LOW_BITS
+}
+
+/// The low bit of every `00` slot of a word among the slots `lows`.
+fn empty_lows(word: u64, lows: u64) -> u64 {
+    !(word | word >> 1) & lows
+}
 
 impl Cube {
     /// The universal cube (every variable don't-care) over `num_vars`.
     pub fn full(num_vars: usize) -> Self {
-        let words = num_vars.div_ceil(VARS_PER_WORD);
-        let mut cube = Cube {
-            num_vars,
-            words: vec![u64::MAX; words],
+        let len = num_vars.div_ceil(VARS_PER_WORD);
+        let words = if num_vars <= INLINE_VARS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; len].into_boxed_slice())
         };
-        cube.mask_tail();
+        let mut cube = Cube { num_vars, words };
+        for i in 0..len {
+            let lows = cube.slot_lows(i);
+            cube.words_mut()[i] = lows | lows << 1;
+        }
         cube
     }
 
-    fn mask_tail(&mut self) {
-        let used = self.num_vars % VARS_PER_WORD;
-        if used != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (2 * used)) - 1;
+    /// The words holding the universe's slots.
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(words) => &words[..self.num_vars.div_ceil(VARS_PER_WORD)],
+            Words::Heap(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(words) => &mut words[..self.num_vars.div_ceil(VARS_PER_WORD)],
+            Words::Heap(words) => words,
+        }
+    }
+
+    /// The low bit of every slot of word `i` that holds a variable.
+    fn slot_lows(&self, i: usize) -> u64 {
+        let vars = self.num_vars - i * VARS_PER_WORD;
+        if vars >= VARS_PER_WORD {
+            LOW_BITS
+        } else {
+            LOW_BITS & ((1 << (2 * vars)) - 1)
+        }
+    }
+
+    /// Combines two cubes word by word; `op(0, 0)` must be 0 so the tail
+    /// stays `00`.
+    fn zip_with(&self, other: &Cube, op: impl Fn(u64, u64) -> u64) -> Cube {
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        let words = match (&self.words, &other.words) {
+            (Words::Inline(a), Words::Inline(b)) => {
+                Words::Inline(std::array::from_fn(|i| op(a[i], b[i])))
             }
+            _ => Words::Heap(
+                self.words()
+                    .iter()
+                    .zip(other.words())
+                    .map(|(&a, &b)| op(a, b))
+                    .collect(),
+            ),
+        };
+        Cube {
+            num_vars: self.num_vars,
+            words,
         }
     }
 
@@ -76,10 +157,6 @@ impl Cube {
         self.num_vars
     }
 
-    fn slot(&self, var: usize) -> (usize, u32) {
-        (var / VARS_PER_WORD, (2 * (var % VARS_PER_WORD)) as u32)
-    }
-
     /// The literal on `var`: `Some(true)` positive, `Some(false)` negative,
     /// `None` don't-care.
     ///
@@ -88,8 +165,8 @@ impl Cube {
     /// Panics if `var` is out of range.
     pub fn literal(&self, var: usize) -> Option<bool> {
         assert!(var < self.num_vars, "variable {var} out of range");
-        let (w, s) = self.slot(var);
-        match (self.words[w] >> s) & 0b11 {
+        let (w, s) = slot(var);
+        match (self.words()[w] >> s) & 0b11 {
             0b11 => None,
             0b10 => Some(true),
             0b01 => Some(false),
@@ -104,105 +181,97 @@ impl Cube {
     /// Panics if `var` is out of range.
     pub fn set_literal(&mut self, var: usize, literal: Option<bool>) {
         assert!(var < self.num_vars, "variable {var} out of range");
-        let (w, s) = self.slot(var);
+        let (w, s) = slot(var);
         let bits: u64 = match literal {
             None => 0b11,
             Some(true) => 0b10,
             Some(false) => 0b01,
         };
-        self.words[w] = (self.words[w] & !(0b11 << s)) | (bits << s);
+        let word = &mut self.words_mut()[w];
+        *word = (*word & !(0b11 << s)) | (bits << s);
     }
 
     /// Whether some variable has the empty state (the cube denotes no
     /// minterm). Only intersections produce empty cubes.
     pub fn is_empty(&self) -> bool {
-        // A slot is empty iff both bits are 0. Detect any 00 pair.
-        for (i, &w) in self.words.iter().enumerate() {
-            let vars_here =
-                if i + 1 == self.words.len() && !self.num_vars.is_multiple_of(VARS_PER_WORD) {
-                    self.num_vars % VARS_PER_WORD
-                } else {
-                    VARS_PER_WORD
-                };
-            let lo = w & 0x5555_5555_5555_5555;
-            let hi = (w >> 1) & 0x5555_5555_5555_5555;
-            let nonempty = lo | hi; // slot has some bit
-            let mask = if vars_here == VARS_PER_WORD {
-                0x5555_5555_5555_5555
-            } else {
-                ((1u64 << (2 * vars_here)) - 1) & 0x5555_5555_5555_5555
-            };
-            if nonempty & mask != mask {
-                return true;
-            }
-        }
-        false
+        self.words()
+            .iter()
+            .enumerate()
+            .any(|(i, &w)| empty_lows(w, self.slot_lows(i)) != 0)
     }
 
     /// Number of literals (non-don't-care variables).
     pub fn literal_count(&self) -> usize {
-        (0..self.num_vars)
-            .filter(|&v| self.literal(v).is_some())
-            .count()
+        self.words()
+            .iter()
+            .map(|&w| literal_lows(w).count_ones() as usize)
+            .sum()
     }
 
     /// Bitwise intersection; empty if the cubes conflict on some variable.
     pub fn intersection(&self, other: &Cube) -> Cube {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| a & b)
-            .collect();
-        Cube {
-            num_vars: self.num_vars,
-            words,
-        }
+        self.zip_with(other, |a, b| a & b)
     }
 
     /// Whether the two cubes share at least one minterm.
     pub fn intersects(&self, other: &Cube) -> bool {
-        !self.intersection(other).is_empty()
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .enumerate()
+            .all(|(i, (&a, &b))| empty_lows(a & b, self.slot_lows(i)) == 0)
     }
 
     /// Whether `self` contains `other` (every minterm of `other` is in
     /// `self`).
     pub fn contains(&self, other: &Cube) -> bool {
         debug_assert_eq!(self.num_vars, other.num_vars);
-        self.words
+        self.words()
             .iter()
-            .zip(&other.words)
+            .zip(other.words())
             .all(|(a, b)| a & b == *b)
     }
 
     /// Number of variables where the cubes have disjoint (conflicting)
     /// literal requirements.
     pub fn distance(&self, other: &Cube) -> usize {
-        let inter = self.intersection(other);
-        let mut count = 0usize;
-        for v in 0..self.num_vars {
-            let (w, s) = inter.slot(v);
-            if (inter.words[w] >> s) & 0b11 == 0 {
-                count += 1;
-            }
-        }
-        count
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .enumerate()
+            .map(|(i, (&a, &b))| empty_lows(a & b, self.slot_lows(i)).count_ones() as usize)
+            .sum()
     }
 
     /// The smallest cube containing both inputs (bitwise OR).
     pub fn supercube(&self, other: &Cube) -> Cube {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| a | b)
-            .collect();
-        Cube {
-            num_vars: self.num_vars,
-            words,
-        }
+        self.zip_with(other, |a, b| a | b)
+    }
+
+    /// `self` with every literal of `by` raised to don't-care: one OR per
+    /// word with `by`'s literal-slot mask. This is a cofactor row.
+    pub(crate) fn raised_by(&self, by: &Cube) -> Cube {
+        self.zip_with(by, |w, b| {
+            let lows = literal_lows(b);
+            w | lows | lows << 1
+        })
+    }
+
+    /// Whether the cubes agree on every variable except `var`.
+    pub(crate) fn eq_except(&self, other: &Cube, var: usize) -> bool {
+        let (at, s) = slot(var);
+        self.num_vars == other.num_vars
+            && self
+                .words()
+                .iter()
+                .zip(other.words())
+                .enumerate()
+                .all(|(i, (&a, &b))| {
+                    let ignored = if i == at { 0b11 << s } else { 0 };
+                    (a ^ b) & !ignored == 0
+                })
     }
 
     /// Whether the cube contains the given minterm.
@@ -216,9 +285,63 @@ impl Cube {
 
     /// Variables carrying a literal, with polarity.
     pub fn literals(&self) -> Vec<(usize, bool)> {
-        (0..self.num_vars)
-            .filter_map(|v| self.literal(v).map(|pol| (v, pol)))
-            .collect()
+        self.literal_iter().collect()
+    }
+
+    /// [`Cube::literals`] without the `Vec`: scans the set bits of the
+    /// literal-slot masks, in variable order.
+    pub(crate) fn literal_iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.words().iter().enumerate().flat_map(|(i, &w)| {
+            let mut lows = literal_lows(w);
+            std::iter::from_fn(move || {
+                if lows == 0 {
+                    return None;
+                }
+                let s = lows.trailing_zeros();
+                lows &= lows - 1;
+                Some((i * VARS_PER_WORD + s as usize / 2, w >> (s + 1) & 1 == 1))
+            })
+        })
+    }
+}
+
+/// Equality, order and hash are those of `(num_vars, words)`, the word
+/// slice compared lexicographically; `minimize_multi` sorts by this order.
+impl PartialEq for Cube {
+    fn eq(&self, other: &Cube) -> bool {
+        self.num_vars == other.num_vars && self.words() == other.words()
+    }
+}
+
+impl Eq for Cube {}
+
+impl Ord for Cube {
+    fn cmp(&self, other: &Cube) -> Ordering {
+        self.num_vars
+            .cmp(&other.num_vars)
+            .then_with(|| self.words().cmp(other.words()))
+    }
+}
+
+impl PartialOrd for Cube {
+    fn partial_cmp(&self, other: &Cube) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Cube {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.num_vars.hash(state);
+        self.words().hash(state);
+    }
+}
+
+impl fmt::Debug for Cube {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cube")
+            .field("num_vars", &self.num_vars)
+            .field("words", &self.words())
+            .finish()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The espresso minimisation loop: EXPAND, IRREDUNDANT, REDUCE.
 
-use crate::{complement, Cover, Cube};
+use crate::{complement, is_tautology, Cover, Cube};
 
 /// Result of [`minimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub fn expand(cover: &Cover, off: &Cover) -> Cover {
         }
         // Order candidate raises: fewest OFF-set conflicts first.
         let mut lits = cube.literals();
-        lits.sort_by_key(|&(v, pol)| {
+        lits.sort_by_cached_key(|&(v, pol)| {
             off.cubes()
                 .iter()
                 .filter(|oc| oc.literal(v) == Some(!pol))
@@ -66,31 +66,28 @@ pub fn expand(cover: &Cover, off: &Cover) -> Cover {
 /// surviving cover leans on large primes.
 pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
     let n = cover.num_vars();
-    let mut cubes = cover.cubes().to_vec();
+    let cubes = cover.cubes();
     // Most-specific first: they are the most likely to be redundant.
     let mut order: Vec<usize> = (0..cubes.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(cubes[i].literal_count()));
 
     let mut removed = vec![false; cubes.len()];
     for &i in &order {
-        let rest = Cover::from_cubes(
-            n,
-            cubes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i && !removed[j])
-                .map(|(_, c)| c.clone())
-                .chain(dc.cubes().iter().cloned()),
-        );
-        if rest.covers_cube(&cubes[i]) {
+        let rest = cubes
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i && !removed[j])
+            .map(|(_, c)| c)
+            .chain(dc.cubes());
+        if is_tautology(&Cover::cofactor_rows(n, rest, &cubes[i])) {
             removed[i] = true;
         }
     }
     let survivors = cubes
-        .drain(..)
-        .enumerate()
-        .filter(|&(i, _)| !removed[i])
-        .map(|(_, c)| c);
+        .iter()
+        .zip(&removed)
+        .filter(|&(_, &gone)| !gone)
+        .map(|(c, _)| c.clone());
     Cover::from_cubes(n, survivors)
 }
 
@@ -107,18 +104,14 @@ pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
     cubes.sort_by_key(Cube::literal_count);
 
     let mut reduced: Vec<Option<Cube>> = cubes.iter().cloned().map(Some).collect();
-    for i in 0..cubes.len() {
-        let c = cubes[i].clone();
-        let rest = Cover::from_cubes(
-            n,
-            reduced
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .filter_map(|(_, x)| x.clone())
-                .chain(dc.cubes().iter().cloned()),
-        );
-        let comp = complement(&rest.cofactor(&c));
+    for (i, c) in cubes.iter().enumerate() {
+        let rest = reduced
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .filter_map(|(_, x)| x.as_ref())
+            .chain(dc.cubes());
+        let comp = complement(&Cover::cofactor_rows(n, rest, c));
         reduced[i] = match comp.cubes() {
             // The rest covers everything under c: c can vanish entirely.
             [] => None,

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::{complement, Cover, Cube};
+use crate::{complement, is_tautology, Cover, Cube};
 
 /// One shared product term: an input cube feeding the outputs in `outputs`
 /// (bit `o` set = term is part of function `o`).
@@ -143,16 +143,13 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
             .collect();
         order.sort_by_key(|&i| std::cmp::Reverse(cubes[i].cube.literal_count()));
         for &i in &order {
-            let rest = Cover::from_cubes(
-                n,
-                cubes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, mc)| j != i && mc.outputs >> o & 1 == 1)
-                    .map(|(_, mc)| mc.cube.clone())
-                    .chain(dc[o].cubes().iter().cloned()),
-            );
-            if rest.covers_cube(&cubes[i].cube) {
+            let rest = cubes
+                .iter()
+                .enumerate()
+                .filter(|&(j, mc)| j != i && mc.outputs >> o & 1 == 1)
+                .map(|(_, mc)| &mc.cube)
+                .chain(dc[o].cubes());
+            if is_tautology(&Cover::cofactor_rows(n, rest, &cubes[i].cube)) {
                 cubes[i].outputs &= !(1 << o);
             }
         }

@@ -30,7 +30,7 @@ pub fn is_tautology(cover: &Cover) -> bool {
     let mut pos = vec![false; n];
     let mut neg = vec![false; n];
     for c in cover.cubes() {
-        for (v, pol) in c.literals() {
+        for (v, pol) in c.literal_iter() {
             if pol {
                 pos[v] = true;
             } else {
