@@ -34,8 +34,8 @@ pub fn write_pla(cover: &Cover) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`LogicError::ParsePla`] on malformed headers, rows of the
-/// wrong width, or unknown characters.
+/// Returns [`LogicError::ParsePla`] on malformed or repeated headers, rows
+/// of the wrong width, or unknown characters.
 pub fn parse_pla(input: &str) -> Result<(Cover, Cover), LogicError> {
     let mut num_inputs: Option<usize> = None;
     let mut on: Vec<Cube> = Vec::new();
@@ -55,6 +55,9 @@ pub fn parse_pla(input: &str) -> Result<(Cover, Cover), LogicError> {
                 // .ilb: input labels, ignored.
                 let _ = rest;
                 continue;
+            }
+            if num_inputs.is_some() {
+                return Err(err("repeated .i"));
             }
             num_inputs = Some(rest.trim().parse().map_err(|_| err("bad .i count"))?);
         } else if let Some(rest) = line.strip_prefix(".o") {
@@ -143,6 +146,17 @@ mod tests {
         assert!(parse_pla(".i 2\n.o 1\n1 1\n").is_err()); // wrong width
         assert!(parse_pla(".i 2\n.o 1\n1x 1\n").is_err()); // bad char
         assert!(parse_pla("11 1\n").is_err()); // row before .i
+    }
+
+    #[test]
+    fn rejects_a_repeated_input_count() {
+        assert_eq!(
+            parse_pla(".i 2\n.o 1\n10 1\n.i 3\n.e\n"),
+            Err(LogicError::ParsePla {
+                line: 4,
+                message: "repeated .i".into(),
+            })
+        );
     }
 
     #[test]
