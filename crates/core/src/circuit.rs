@@ -2,12 +2,12 @@
 //! against the specification and hazard analysis/removal (the paper's
 //! Section 3.5 post-processing).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use modsyn_logic::{complement, expand, Cover, Cube};
 use modsyn_sg::{EdgeLabel, StateGraph};
 
-use crate::logic_fn::SignalFunction;
+use crate::logic_fn::{unreachable_codes, SignalFunction};
 use crate::SynthesisError;
 
 /// A gate-level view of the synthesised controller: one SOP next-state
@@ -199,17 +199,7 @@ pub fn remove_static_hazards(
 ) -> Vec<SignalFunction> {
     let transitions = graph_transitions(graph);
     let n = graph.signals().len();
-
-    // Reachable-code don't-care complement is shared across functions.
-    let mut reach_codes: Vec<u64> = (0..graph.state_count()).map(|s| graph.code(s)).collect();
-    reach_codes.sort_unstable();
-    reach_codes.dedup();
-    let rows: Vec<Vec<bool>> = reach_codes
-        .iter()
-        .map(|&c| (0..n).map(|k| c >> k & 1 == 1).collect())
-        .collect();
-    let reachable = Cover::from_minterms(n, rows.iter().map(Vec::as_slice));
-    let dc = complement(&reachable);
+    let dc = unreachable_codes(graph);
 
     functions
         .iter()
@@ -220,12 +210,13 @@ pub fn remove_static_hazards(
                 return f.clone();
             }
             let off = complement(&cover.union(&dc));
-            let mut added: HashMap<Cube, ()> = HashMap::new();
-            for (a, b) in &report.hazardous {
-                let joint = Cube::from_minterm(a).supercube(&Cube::from_minterm(b));
-                added.entry(joint).or_insert(());
-            }
-            let mut extra = Cover::from_cubes(n, added.into_keys());
+            // Ordered, so the raise order and hence the repair repeat.
+            let added: BTreeSet<Cube> = report
+                .hazardous
+                .iter()
+                .map(|(a, b)| Cube::from_minterm(a).supercube(&Cube::from_minterm(b)))
+                .collect();
+            let mut extra = Cover::from_cubes(n, added);
             // Raise the consensus cubes to primes for a tighter result.
             extra = expand(&extra, &off);
             for cube in extra.cubes() {
@@ -313,6 +304,15 @@ mod tests {
             // Identical on every reachable state (verified), and the cover
             // only grew or stayed equal in cube count.
             assert!(fixed.sop.cover().cube_count() >= orig.sop.cover().cube_count());
+        }
+    }
+
+    #[test]
+    fn hazard_removal_repeats_exactly() {
+        let (graph, functions) = synthesised("wrdata");
+        let first = remove_static_hazards(&graph, &functions);
+        for _ in 0..8 {
+            assert_eq!(remove_static_hazards(&graph, &functions), first);
         }
     }
 

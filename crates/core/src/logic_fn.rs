@@ -6,7 +6,7 @@
 //! prime-irredundant cover comes from the espresso loop and its literal
 //! count is the paper's area metric.
 
-use modsyn_logic::{complement, minimize_exact, minimize_traced, Cover, ExactLimits, Sop};
+use modsyn_logic::{complement, minimize_exact, minimize_traced, Cover, Cube, ExactLimits, Sop};
 use modsyn_obs::Tracer;
 use modsyn_par::{par_map, unwrap_or_resume};
 use modsyn_sg::StateGraph;
@@ -100,22 +100,7 @@ pub fn derive_logic_jobs_traced(
     }
     let n = graph.signals().len();
     let names: Vec<String> = graph.signals().iter().map(|s| s.name.clone()).collect();
-
-    // Reachable codes, deduplicated (USC pairs share minterms).
-    let mut reachable: Vec<u64> = (0..graph.state_count()).map(|s| graph.code(s)).collect();
-    reachable.sort_unstable();
-    reachable.dedup();
-    let code_to_values = |code: u64| -> Vec<bool> { (0..n).map(|k| code >> k & 1 == 1).collect() };
-    let reachable_cover = Cover::from_minterms(
-        n,
-        reachable
-            .iter()
-            .map(|&c| code_to_values(c))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(Vec::as_slice),
-    );
-    let dc = complement(&reachable_cover);
+    let dc = unreachable_codes(graph);
 
     let targets: Vec<usize> = (0..n)
         .filter(|&k| graph.signals()[k].kind.is_non_input())
@@ -123,16 +108,7 @@ pub fn derive_logic_jobs_traced(
     let names_ref = &names;
     let dc_ref = &dc;
     let functions: Vec<SignalFunction> = par_map(jobs, &targets, |_, &k| {
-        let mut on_codes: Vec<u64> = Vec::new();
-        for s in 0..graph.state_count() {
-            if graph.implied_value(s, k) {
-                on_codes.push(graph.code(s));
-            }
-        }
-        on_codes.sort_unstable();
-        on_codes.dedup();
-        let on_minterms: Vec<Vec<bool>> = on_codes.iter().map(|&c| code_to_values(c)).collect();
-        let on = Cover::from_minterms(n, on_minterms.iter().map(Vec::as_slice));
+        let on = code_cover(graph, |s| graph.implied_value(s, k));
         let signal_span = tracer.span(&format!("logic:{}", names_ref[k]));
         let result = match mode {
             MinimizeMode::Heuristic => minimize_traced(&on, dc_ref, tracer),
@@ -154,6 +130,34 @@ pub fn derive_logic_jobs_traced(
     .collect();
     tracer.gauge("total_literals", total_literals(&functions) as f64);
     Ok(functions)
+}
+
+/// The cover of the distinct codes of the states `keep` selects: one
+/// minterm cube per code, in ascending code order.
+fn code_cover(graph: &StateGraph, keep: impl Fn(usize) -> bool) -> Cover {
+    let n = graph.signals().len();
+    let mut codes: Vec<u64> = (0..graph.state_count())
+        .filter(|&s| keep(s))
+        .map(|s| graph.code(s))
+        .collect();
+    codes.sort_unstable();
+    codes.dedup();
+    Cover::from_cubes(
+        n,
+        codes.into_iter().map(|code| {
+            let mut cube = Cube::full(n);
+            for k in 0..n {
+                cube.set_literal(k, Some(code >> k & 1 == 1));
+            }
+            cube
+        }),
+    )
+}
+
+/// The don't-care set of a graph's logic: every code no reachable state
+/// carries.
+pub(crate) fn unreachable_codes(graph: &StateGraph) -> Cover {
+    complement(&code_cover(graph, |_| true))
 }
 
 /// Total literal count over all functions — Table 1's "2level Area
@@ -180,31 +184,17 @@ pub fn derive_logic_shared(
             remaining_conflicts: analysis.csc_pairs.len(),
         });
     }
-    let n = graph.signals().len();
-    let code_to_values = |code: u64| -> Vec<bool> { (0..n).map(|k| code >> k & 1 == 1).collect() };
-    let mut reachable: Vec<u64> = (0..graph.state_count()).map(|s| graph.code(s)).collect();
-    reachable.sort_unstable();
-    reachable.dedup();
-    let rows: Vec<Vec<bool>> = reachable.iter().map(|&c| code_to_values(c)).collect();
-    let dc_shared = complement(&Cover::from_minterms(n, rows.iter().map(Vec::as_slice)));
-
+    let dc_shared = unreachable_codes(graph);
     let mut ons: Vec<Cover> = Vec::new();
     let mut dcs: Vec<Cover> = Vec::new();
     let mut names: Vec<String> = Vec::new();
-    for k in 0..n {
-        if !graph.signals()[k].kind.is_non_input() {
+    for (k, signal) in graph.signals().iter().enumerate() {
+        if !signal.kind.is_non_input() {
             continue;
         }
-        let mut on_codes: Vec<u64> = (0..graph.state_count())
-            .filter(|&s| graph.implied_value(s, k))
-            .map(|s| graph.code(s))
-            .collect();
-        on_codes.sort_unstable();
-        on_codes.dedup();
-        let on_rows: Vec<Vec<bool>> = on_codes.iter().map(|&c| code_to_values(c)).collect();
-        ons.push(Cover::from_minterms(n, on_rows.iter().map(Vec::as_slice)));
+        ons.push(code_cover(graph, |s| graph.implied_value(s, k)));
         dcs.push(dc_shared.clone());
-        names.push(graph.signals()[k].name.clone());
+        names.push(signal.name.clone());
     }
     Ok((modsyn_logic::minimize_multi(&ons, &dcs), names))
 }
