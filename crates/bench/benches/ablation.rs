@@ -15,9 +15,7 @@ fn bench_input_set_derivation(c: &mut Criterion) {
         let output = (0..sg.signals().len())
             .find(|&s| sg.signals()[s].kind.is_non_input())
             .expect("has outputs");
-        group.bench_function(name, |b| {
-            b.iter(|| determine_input_set(&sg, output).expect("derives input set"))
-        });
+        group.bench_function(name, |b| b.iter(|| determine_input_set(&sg, output)));
     }
     group.finish();
 }

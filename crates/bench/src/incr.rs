@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use modsyn::{
-    certify_report, determine_input_set, synthesize, Method, StoreLink, StoreSession, SynthStore,
-    SynthesisOptions, SynthesisReport,
+    certify_report, determine_input_set, synthesize, InputSet, Method, StoreLink, StoreSession,
+    SynthStore, SynthesisOptions, SynthesisReport,
 };
 use modsyn_obs::Json;
 use modsyn_sat::SolverOptions;
@@ -89,32 +89,27 @@ fn table1_options() -> SynthesisOptions {
 
 /// The exact rendering of the module the modular flow would solve *first*
 /// on `stg`, or `None` when no module has locally-resolvable conflicts
-/// (residual-only rows). Mirrors the selection in `modular_resolve`:
-/// minimum conflict count over the outputs in signal order, first wins.
+/// (residual-only rows). Ranks as `modular_resolve` does, on
+/// [`InputSet::conflicts`]: minimum over the outputs in signal order, first
+/// wins, and only the winner's quotient is built.
 ///
 /// Two STGs that agree on this text agree on the first module solve's
 /// content key (same scope, same zero name offset, same solver options),
 /// so a warm incremental run is guaranteed at least one store hit.
 fn first_module_text(stg: &Stg, options: &SynthesisOptions) -> Option<String> {
     let graph = derive(stg, &options.derive).ok()?;
-    let mut best: Option<(String, usize)> = None;
+    let mut best: Option<InputSet> = None;
     for output in 0..graph.signals().len() {
         if !graph.signals()[output].kind.is_non_input() {
             continue;
         }
-        let set = determine_input_set(&graph, output).ok()?;
-        let quotient = graph.hide_signals(&set.hidden).ok()?;
-        let analysis = quotient.graph.csc_analysis();
-        let conflicts =
-            analysis.csc_pairs.len() - quotient.graph.unresolvable_csc_pairs(&analysis).len();
-        if conflicts == 0 {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(_, c)| conflicts < *c) {
-            best = Some((graph_key_text(&quotient.graph), conflicts));
+        let set = determine_input_set(&graph, output);
+        if set.conflicts > 0 && best.as_ref().is_none_or(|b| set.conflicts < b.conflicts) {
+            best = Some(set);
         }
     }
-    best.map(|(text, _)| text)
+    let quotient = graph.hide_signals(&best?.hidden).ok()?;
+    Some(graph_key_text(&quotient.graph))
 }
 
 /// The deterministic rename fallback for `stg`: digest moves, behaviour

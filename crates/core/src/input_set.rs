@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use modsyn_sg::{EdgeLabel, SgError, StateGraph};
+use modsyn_sg::{EdgeLabel, HidingScorer, StateGraph};
 
 /// The outcome of input-set derivation for one output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +17,9 @@ pub struct InputSet {
     pub kept: Vec<usize>,
     /// Indices of the hidden signals.
     pub hidden: Vec<usize>,
+    /// Structurally resolvable CSC conflicts of the modular graph that
+    /// hiding `hidden` builds — the count the greedy loop last accepted.
+    pub conflicts: usize,
 }
 
 /// Signals whose transitions *trigger* a transition of `output`: firing `s`
@@ -45,11 +48,8 @@ pub fn immediate_inputs(graph: &StateGraph, output: usize) -> BTreeSet<usize> {
 /// hidden; the removal is kept iff the modular graph's CSC conflict count
 /// and state-signal lower bound both do not increase. Previously inserted
 /// state signals (internal signals) take part in the same greedy loop.
-///
-/// # Errors
-///
-/// Propagates [`SgError`] from quotient construction.
-pub fn determine_input_set(graph: &StateGraph, output: usize) -> Result<InputSet, SgError> {
+/// Trials are scored by [`HidingScorer`], so no quotient graph is built.
+pub fn determine_input_set(graph: &StateGraph, output: usize) -> InputSet {
     determine_input_set_traced(graph, output, &modsyn_obs::Tracer::disabled())
 }
 
@@ -57,15 +57,11 @@ pub fn determine_input_set(graph: &StateGraph, output: usize) -> Result<InputSet
 /// hiding trials are tallied as `input_set.kept_trials` /
 /// `input_set.rejected_trials` (counters only, no span — this runs once per
 /// output per modular iteration and the tree would drown in it).
-///
-/// # Errors
-///
-/// As [`determine_input_set`].
 pub fn determine_input_set_traced(
     graph: &StateGraph,
     output: usize,
     tracer: &modsyn_obs::Tracer,
-) -> Result<InputSet, SgError> {
+) -> InputSet {
     let immediate = immediate_inputs(graph, output);
     let mut hidden: Vec<usize> = Vec::new();
 
@@ -73,27 +69,19 @@ pub fn determine_input_set_traced(
     // lower bound must not grow. Conflicts that become structurally
     // unresolvable inside the module (their non-input room was hidden) are
     // not counted — the module defers them to other outputs.
-    let analyse = |hidden: &[usize]| -> Result<(usize, usize), SgError> {
-        let q = graph.hide_signals_traced(hidden, tracer)?;
-        let a = q.graph.csc_analysis();
-        let resolvable = a.csc_pairs.len() - q.graph.unresolvable_csc_pairs(&a).len();
-        Ok((resolvable, a.lower_bound))
-    };
-
-    let (mut n_csc, mut lower_bound) = analyse(&hidden)?;
+    let mut scorer = HidingScorer::new(graph);
+    let mut score = scorer.score();
 
     for s in 0..graph.signals().len() {
         if s == output || immediate.contains(&s) {
             continue;
         }
-        let mut trial = hidden.clone();
-        trial.push(s);
-        let (csc_new, lb_new) = analyse(&trial)?;
-        if csc_new <= n_csc && lb_new <= lower_bound {
+        let trial = scorer.score_hiding(s);
+        if trial.conflicts <= score.conflicts && trial.lower_bound <= score.lower_bound {
             // The signal is not required for this output's logic.
-            hidden = trial;
-            n_csc = csc_new;
-            lower_bound = lb_new;
+            scorer.hide(s);
+            hidden.push(s);
+            score = trial;
             tracer.counter("input_set.kept_trials", 1);
         } else {
             tracer.counter("input_set.rejected_trials", 1);
@@ -103,7 +91,11 @@ pub fn determine_input_set_traced(
     let kept = (0..graph.signals().len())
         .filter(|s| !hidden.contains(s))
         .collect();
-    Ok(InputSet { kept, hidden })
+    InputSet {
+        kept,
+        hidden,
+        conflicts: score.conflicts,
+    }
 }
 
 #[cfg(test)]
@@ -131,7 +123,7 @@ mod tests {
             if !sg.signals()[output].kind.is_non_input() {
                 continue;
             }
-            let set = determine_input_set(&sg, output).unwrap();
+            let set = determine_input_set(&sg, output);
             assert!(set.kept.contains(&output));
         }
     }
@@ -140,7 +132,7 @@ mod tests {
     fn kept_and_hidden_partition_the_signals() {
         let sg = derive(&benchmarks::mmu1(), &DeriveOptions::default()).unwrap();
         let output = sg.signal_index("ack").unwrap();
-        let set = determine_input_set(&sg, output).unwrap();
+        let set = determine_input_set(&sg, output);
         let mut all: Vec<usize> = set.kept.iter().chain(&set.hidden).copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..sg.signals().len()).collect::<Vec<_>>());
@@ -152,7 +144,7 @@ mod tests {
         // smaller than the complete graph.
         let sg = derive(&benchmarks::mmu0(), &DeriveOptions::default()).unwrap();
         let output = sg.signal_index("p1").unwrap();
-        let set = determine_input_set(&sg, output).unwrap();
+        let set = determine_input_set(&sg, output);
         assert!(!set.hidden.is_empty(), "expected some signal to be hidden");
         let q = sg.hide_signals(&set.hidden).unwrap();
         assert!(
@@ -171,12 +163,28 @@ mod tests {
             if !sg.signals()[output].kind.is_non_input() {
                 continue;
             }
-            let set = determine_input_set(&sg, output).unwrap();
+            let set = determine_input_set(&sg, output);
             let q = sg.hide_signals(&set.hidden).unwrap();
             assert!(
                 q.graph.csc_analysis().csc_pairs.len() <= baseline,
                 "output {output}"
             );
+        }
+    }
+
+    #[test]
+    fn conflict_count_matches_the_rebuilt_module() {
+        let sg = derive(&benchmarks::mmu0(), &DeriveOptions::default()).unwrap();
+        for output in 0..sg.signals().len() {
+            if !sg.signals()[output].kind.is_non_input() {
+                continue;
+            }
+            let set = determine_input_set(&sg, output);
+            let q = sg.hide_signals(&set.hidden).unwrap();
+            let analysis = q.graph.csc_analysis();
+            let resolvable =
+                analysis.csc_pairs.len() - q.graph.unresolvable_csc_pairs(&analysis).len();
+            assert_eq!(set.conflicts, resolvable, "output {output}");
         }
     }
 }

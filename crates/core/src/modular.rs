@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use modsyn_obs::Tracer;
 use modsyn_par::{par_map, unwrap_or_resume};
-use modsyn_sg::{insert_state_signals, Quat, Quotient, StateGraph, StateSignalAssignment};
+use modsyn_sg::{insert_state_signals, Quat, StateGraph, StateSignalAssignment};
 use modsyn_store::{module_key, ModuleEntry, Provenance, StoredFormula};
 
 use crate::input_set::{determine_input_set_traced, InputSet};
@@ -74,10 +74,10 @@ pub fn modular_resolve(
 /// [`modular_resolve`] deriving each iteration's per-output candidate
 /// modules on up to `jobs` worker threads.
 ///
-/// The candidate derivations (input-set computation, signal hiding,
-/// quotient CSC analysis) are independent per output, so they run as an
-/// ordered [`par_map`]; the ranking, the single best-module SAT solve and
-/// the propagation stay sequential and identical to [`modular_resolve`].
+/// The input-set searches are independent per output, so they run as an
+/// ordered [`par_map`]; the ranking, the chosen module's quotient, its SAT
+/// solve and the propagation stay sequential and identical to
+/// [`modular_resolve`].
 /// The outcome is therefore **byte-for-byte the same** for every `jobs`
 /// value — parallelism changes wall-clock only. `jobs <= 1` runs inline.
 ///
@@ -91,24 +91,6 @@ pub fn modular_resolve_jobs(
     jobs: usize,
 ) -> Result<ModularOutcome, SynthesisError> {
     modular_resolve_jobs_traced(initial, options, jobs, &Tracer::disabled())
-}
-
-/// One output's candidate module: input set, quotient graph, and its
-/// locally-resolvable conflict count (`None` when nothing is locally
-/// resolvable, so the module need not be solved).
-type Candidate = Option<(InputSet, Quotient, usize)>;
-
-fn derive_candidate(
-    graph: &StateGraph,
-    output: usize,
-    tracer: &Tracer,
-) -> Result<Candidate, SynthesisError> {
-    let set = determine_input_set_traced(graph, output, tracer)?;
-    let quotient = graph.hide_signals(&set.hidden)?;
-    let analysis = quotient.graph.csc_analysis();
-    let conflicts =
-        analysis.csc_pairs.len() - quotient.graph.unresolvable_csc_pairs(&analysis).len();
-    Ok((conflicts > 0).then_some((set, quotient, conflicts)))
 }
 
 fn stat_to_stored(f: &FormulaStat) -> StoredFormula {
@@ -310,37 +292,44 @@ pub fn modular_resolve_jobs_traced(
             break;
         }
         // Pick the unsolved module with the fewest locally-resolvable
-        // conflicts. The per-output derivations are independent, so they
-        // fan out over `jobs` threads; the ordered reduction below makes
-        // the chosen module identical for every `jobs` value.
+        // conflicts; a module with none need not be solved. The per-output
+        // input-set searches are independent, so they fan out over `jobs`
+        // threads; the ordered reduction below makes the chosen module
+        // identical for every `jobs` value.
         let select = tracer.span("select");
         let graph_ref = &graph;
         let derived = par_map(jobs, &outputs, |_, &output| {
-            derive_candidate(graph_ref, output, tracer)
+            determine_input_set_traced(graph_ref, output, tracer)
         });
-        let mut best: Option<(usize, InputSet, Quotient, usize)> = None;
+        let mut best: Option<(usize, InputSet)> = None;
         let mut candidates = 0u64;
         for (&output, result) in outputs.iter().zip(derived) {
-            let Some((set, quotient, conflicts)) = unwrap_or_resume(result)? else {
+            let set = unwrap_or_resume(result);
+            if set.conflicts == 0 {
                 continue;
-            };
+            }
             candidates += 1;
-            if best.as_ref().is_none_or(|&(_, _, _, c)| conflicts < c) {
-                best = Some((output, set, quotient, conflicts));
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| set.conflicts < b.conflicts)
+            {
+                best = Some((output, set));
             }
         }
         tracer.counter("candidates", candidates);
-        drop(select);
-        let Some((output, set, quotient, conflicts)) = best else {
+        let Some((output, set)) = best else {
             break; // residual conflicts are invisible to every module
         };
+        // Only the chosen module's quotient is built.
+        let quotient = graph.hide_signals(&set.hidden)?;
+        drop(select);
 
         let output_name = graph.signals()[output].name.clone();
         let module_span = tracer.span(&format!("module:{output_name}"));
         tracer.note("output", &output_name);
         tracer.gauge("kept_signals", set.kept.len() as f64);
         tracer.gauge("module_states", quotient.graph.state_count() as f64);
-        tracer.gauge("conflicts", conflicts as f64);
+        tracer.gauge("conflicts", set.conflicts as f64);
         let solution = solve_module_via_store(
             &quotient.graph,
             options,
@@ -382,7 +371,7 @@ pub fn modular_resolve_jobs_traced(
             output: output_name,
             kept_signals: set.kept.len(),
             module_states: quotient.graph.state_count(),
-            module_conflicts: conflicts,
+            module_conflicts: set.conflicts,
             inserted: solution.assignments.len(),
         });
         if solution.assignments.is_empty() {

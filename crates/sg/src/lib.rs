@@ -10,7 +10,8 @@
 //! * [`CscAnalysis`] — USC/CSC conflict detection, `Max_csc` and the
 //!   state-signal lower bound,
 //! * [`StateGraph::hide_signals`] — ε-labelling and state merging, the
-//!   modular-state-graph construction of Section 3.3,
+//!   modular-state-graph construction of Section 3.3, and
+//!   [`HidingScorer`], which scores hiding trials without building it,
 //! * [`insert_state_signals`] — state splitting that realises a 4-valued
 //!   state-signal assignment ({0, 1, Up, Down}) as real transitions,
 //! * semi-modularity checking.
@@ -48,5 +49,5 @@ pub use dot::to_dot;
 pub use error::SgError;
 pub use expand::{insert_state_signals, Quat, StateSignalAssignment};
 pub use graph::{Edge, EdgeLabel, SignalMeta, StateGraph};
-pub use quotient::Quotient;
+pub use quotient::{HidingScore, HidingScorer, Quotient};
 pub use semimod::SemiModularityReport;

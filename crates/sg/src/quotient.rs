@@ -2,7 +2,9 @@
 //!
 //! Hiding a signal labels all its transitions ε and merges ε-connected
 //! states (paper Section 3.3, "similar to the conversion of a finite
-//! automaton with ε transitions to one without").
+//! automaton with ε transitions to one without"). [`StateGraph::hide_signals`]
+//! builds the merged graph; [`HidingScorer`] computes only the two figures
+//! the input-set search compares, on the state partition the merge induces.
 
 use std::collections::HashMap;
 
@@ -22,6 +24,7 @@ pub struct Quotient {
     pub signal_map: Vec<Option<usize>>,
 }
 
+#[derive(Debug, Clone)]
 struct UnionFind {
     parent: Vec<usize>,
 }
@@ -51,6 +54,12 @@ impl UnionFind {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
+        }
+    }
+
+    fn union_all(&mut self, pairs: &[(usize, usize)]) {
+        for &(a, b) in pairs {
+            self.union(a, b);
         }
     }
 }
@@ -159,27 +168,230 @@ impl StateGraph {
             signal_map,
         })
     }
+}
 
-    /// [`StateGraph::hide_signals`] with lightweight observability counters.
-    ///
-    /// Deliberately records counters only (no span): input-set search calls
-    /// this in a hot greedy loop, and per-call spans would dominate the
-    /// trace. Counters aggregate across calls: `sg.hide.calls`,
-    /// `sg.hide.merged_states` (states eliminated by ε-merging).
-    pub fn hide_signals_traced(
-        &self,
-        hidden: &[usize],
-        tracer: &modsyn_obs::Tracer,
-    ) -> Result<Quotient, SgError> {
-        let quotient = self.hide_signals(hidden)?;
-        if tracer.is_enabled() {
-            tracer.counter("sg.hide.calls", 1);
-            tracer.counter(
-                "sg.hide.merged_states",
-                (self.state_count() - quotient.graph.state_count()) as u64,
-            );
+/// The two figures the input-set search compares between hiding trials
+/// (paper Figure 2), for the modular graph of one hidden signal set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HidingScore {
+    /// CSC pairs of the modular graph that are structurally resolvable
+    /// ([`StateGraph::csc_pair_structurally_resolvable`]).
+    pub conflicts: usize,
+    /// The modular graph's state-signal lower bound, `ceil(log2 Max_csc)`
+    /// ([`crate::CscAnalysis::lower_bound`]).
+    pub lower_bound: usize,
+}
+
+/// Scores signal-hiding trials on a state partition instead of a quotient
+/// graph.
+///
+/// The scorer keeps the union-find partition that hiding the current
+/// signal set induces on the states, with the graph's ε edges merged from
+/// the start. A trial copies the partition and merges only the trial
+/// signal's edges, which are bucketed by signal once per graph. The score
+/// is then read off the classes: each class's code and non-input
+/// excitation with the hidden signals masked out, and reachability over
+/// the class edges of the kept inputs. These are the numbers
+/// [`StateGraph::hide_signals`] followed by [`StateGraph::csc_analysis`]
+/// and [`StateGraph::unresolvable_csc_pairs`] give on the quotient, without
+/// building it.
+///
+/// ```
+/// use modsyn_sg::{derive, DeriveOptions, HidingScorer};
+/// use modsyn_stg::benchmarks;
+///
+/// # fn main() -> Result<(), modsyn_sg::SgError> {
+/// let sg = derive(&benchmarks::vbe_ex1(), &DeriveOptions::default())?;
+/// let trial = HidingScorer::new(&sg).score_hiding(0);
+/// let q = sg.hide_signals(&[0])?;
+/// let a = q.graph.csc_analysis();
+/// let resolvable = a.csc_pairs.len() - q.graph.unresolvable_csc_pairs(&a).len();
+/// assert_eq!((trial.conflicts, trial.lower_bound), (resolvable, a.lower_bound));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct HidingScorer<'g> {
+    graph: &'g StateGraph,
+    /// Edge endpoints by label signal, in edge order.
+    edges_by_signal: Vec<Vec<(usize, usize)>>,
+    /// [`StateGraph::non_input_excitation`] of every state.
+    excitation: Vec<u64>,
+    /// Bit per input signal.
+    inputs: u64,
+    /// States merged by the ε edges and the hidden signals' edges.
+    partition: UnionFind,
+    /// Bit per hidden signal.
+    hidden: u64,
+}
+
+impl<'g> HidingScorer<'g> {
+    /// A scorer for `graph` with no signal hidden yet.
+    pub fn new(graph: &'g StateGraph) -> Self {
+        let mut edges_by_signal = vec![Vec::new(); graph.signals().len()];
+        let mut partition = UnionFind::new(graph.state_count());
+        for e in graph.edges() {
+            match e.label {
+                EdgeLabel::Epsilon => partition.union(e.from, e.to),
+                EdgeLabel::Signal { signal, .. } => edges_by_signal[signal].push((e.from, e.to)),
+            }
         }
-        Ok(quotient)
+        let inputs = graph
+            .signals()
+            .iter()
+            .enumerate()
+            .filter(|(_, meta)| !meta.kind.is_non_input())
+            .fold(0, |mask, (i, _)| mask | 1 << i);
+        HidingScorer {
+            graph,
+            edges_by_signal,
+            excitation: (0..graph.state_count())
+                .map(|s| graph.non_input_excitation(s))
+                .collect(),
+            inputs,
+            partition,
+            hidden: 0,
+        }
+    }
+
+    /// Hides `signal` for every later score.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is out of range.
+    pub fn hide(&mut self, signal: usize) {
+        self.partition.union_all(&self.edges_by_signal[signal]);
+        self.hidden |= 1 << signal;
+    }
+
+    /// The score of the signals hidden so far.
+    pub fn score(&self) -> HidingScore {
+        self.score_partition(self.partition.clone(), self.hidden)
+    }
+
+    /// The score of hiding `signal` on top of the signals hidden so far;
+    /// the scorer itself is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is out of range.
+    pub fn score_hiding(&self, signal: usize) -> HidingScore {
+        let mut partition = self.partition.clone();
+        partition.union_all(&self.edges_by_signal[signal]);
+        self.score_partition(partition, self.hidden | 1 << signal)
+    }
+
+    fn score_partition(&self, mut partition: UnionFind, hidden: u64) -> HidingScore {
+        let kept = self.graph.full_mask() & !hidden;
+        let n = self.graph.state_count();
+
+        // Number the classes in order of their first state; like a quotient
+        // state, a class takes the code of its first state.
+        let mut class_of_root = vec![usize::MAX; n];
+        let mut codes: Vec<u64> = Vec::new();
+        let mut excitation: Vec<u64> = Vec::new();
+        let state_class: Vec<usize> = (0..n)
+            .map(|s| {
+                let root = partition.find(s);
+                if class_of_root[root] == usize::MAX {
+                    class_of_root[root] = codes.len();
+                    codes.push(self.graph.code(s) & kept);
+                    excitation.push(0);
+                }
+                let class = class_of_root[root];
+                excitation[class] |= self.excitation[s] & kept;
+                class
+            })
+            .collect();
+        let classes = codes.len();
+
+        // Group the classes by code, and each group by excitation. A group
+        // with several excitations holds CSC pairs; Max_csc is the largest
+        // number of excitations in one group.
+        let mut order: Vec<usize> = (0..classes).collect();
+        order.sort_unstable_by_key(|&c| (codes[c], excitation[c]));
+        let mut max_csc = 1;
+        let mut conflicting: Vec<Vec<&[usize]>> = Vec::new();
+        for group in order.chunk_by(|&a, &b| codes[a] == codes[b]) {
+            let runs: Vec<&[usize]> = group
+                .chunk_by(|&a, &b| excitation[a] == excitation[b])
+                .collect();
+            max_csc = max_csc.max(runs.len());
+            if runs.len() > 1 {
+                conflicting.push(runs);
+            }
+        }
+        let lower_bound = usize::BITS as usize - (max_csc - 1).leading_zeros() as usize;
+        if conflicting.is_empty() {
+            return HidingScore {
+                conflicts: 0,
+                lower_bound,
+            };
+        }
+
+        // Class edges of the kept input signals, as adjacency ranges.
+        let input_edges = || {
+            (0..self.edges_by_signal.len())
+                .filter(|&sig| (kept & self.inputs) >> sig & 1 == 1)
+                .flat_map(|sig| &self.edges_by_signal[sig])
+                .map(|&(from, to)| (state_class[from], state_class[to]))
+        };
+        let mut start = vec![0usize; classes + 1];
+        for (from, _) in input_edges() {
+            start[from + 1] += 1;
+        }
+        for c in 0..classes {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start.clone();
+        let mut targets = vec![0usize; start[classes]];
+        for (from, to) in input_edges() {
+            targets[fill[from]] = to;
+            fill[from] += 1;
+        }
+
+        // One reachability bitset per class that appears in a CSC pair.
+        let words = classes.div_ceil(64);
+        let mut row = vec![usize::MAX; classes];
+        let mut reach: Vec<u64> = Vec::new();
+        let mut stack: Vec<usize> = Vec::new();
+        for &c in conflicting.iter().flatten().copied().flatten() {
+            row[c] = reach.len() / words;
+            let base = reach.len();
+            reach.resize(base + words, 0);
+            let set = &mut reach[base..];
+            set[c / 64] |= 1 << (c % 64);
+            stack.push(c);
+            while let Some(x) = stack.pop() {
+                for &y in &targets[start[x]..start[x + 1]] {
+                    if set[y / 64] >> (y % 64) & 1 == 0 {
+                        set[y / 64] |= 1 << (y % 64);
+                        stack.push(y);
+                    }
+                }
+            }
+        }
+        let reaches = |a: usize, b: usize| reach[row[a] * words + b / 64] >> (b % 64) & 1 == 1;
+
+        // A pair is resolvable unless either class reaches the other
+        // through input edges alone.
+        let mut conflicts = 0;
+        for runs in &conflicting {
+            for (i, run) in runs.iter().enumerate() {
+                for other in &runs[i + 1..] {
+                    for &a in *run {
+                        conflicts += other
+                            .iter()
+                            .filter(|&&b| !reaches(a, b) && !reaches(b, a))
+                            .count();
+                    }
+                }
+            }
+        }
+        HidingScore {
+            conflicts,
+            lower_bound,
+        }
     }
 }
 
