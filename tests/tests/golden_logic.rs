@@ -2,12 +2,14 @@
 //!
 //! Pins an FNV-1a digest of every synthesised SOP (`name = sop` lines, in
 //! function order) for the 19 small Table-1 rows under the modular method
-//! and for a few xs/small corpus cases under the corpus contract. Any
-//! change to a cube kernel, an espresso step, an iteration order or a
-//! tie-break that alters a single cover shows here, even when the literal
-//! count happens to stay the same.
+//! and for a few xs/small corpus cases under the corpus contract, and of
+//! the shared-PLA cover (`derive_logic_shared`: every term's cube and
+//! output mask, in term order) of the same 19 rows. Any change to a cube
+//! kernel, an espresso step, an iteration order or a tie-break that alters
+//! a single cover shows here, even when the literal count happens to stay
+//! the same.
 
-use modsyn::{synthesize, Engine, Method, SignalFunction, SynthesisOptions};
+use modsyn::{derive_logic_shared, synthesize, Engine, Method, SignalFunction, SynthesisOptions};
 use modsyn_bench::small_rows;
 use modsyn_corpus::corpus_case;
 use modsyn_sat::SolverOptions;
@@ -32,6 +34,19 @@ fn digest_of(stg: &Stg, options: &SynthesisOptions) -> u64 {
     digest(&report.functions)
 }
 
+/// Digest of the shared-PLA cover of the synthesised graph: the output
+/// names, then one `cube mask` line per term.
+fn shared_digest_of(stg: &Stg, options: &SynthesisOptions) -> u64 {
+    let report = synthesize(stg, options).expect("pinned case synthesises");
+    let (shared, names) = derive_logic_shared(&report.graph).expect("graph satisfies CSC");
+    let mut text = names.join(" ");
+    text.push('\n');
+    for term in shared.cubes() {
+        text.push_str(&format!("{} {:x}\n", term.cube, term.outputs));
+    }
+    fnv1a(text.as_bytes())
+}
+
 /// Digests of the small Table-1 rows, modular method, default options.
 const TABLE1_SMALL: [(&str, u64); 19] = [
     ("sbuf-ram-write", 0xca04_4716_d105_b82a),
@@ -53,6 +68,30 @@ const TABLE1_SMALL: [(&str, u64); 19] = [
     ("nousc-ser", 0xc8ec_90d9_d6f8_9096),
     ("sendr-done", 0xc5c9_e696_e9ed_03cd),
     ("vbe-ex1", 0xc1ff_150a_0943_6279),
+];
+
+/// Shared-PLA digests of the small Table-1 rows, modular method, default
+/// options.
+const TABLE1_SMALL_SHARED: [(&str, u64); 19] = [
+    ("sbuf-ram-write", 0x641c_23a2_b8f7_162d),
+    ("vbe4a", 0x1614_8e41_539a_eb1d),
+    ("nak-pa", 0x8b7f_e7c6_7404_af93),
+    ("pe-rcv-ifc-fc", 0xe6fa_e112_d164_50cd),
+    ("ram-read-sbuf", 0xe85e_0fca_f1be_9a07),
+    ("alex-nonfc", 0xa16b_9a99_65a8_e582),
+    ("sbuf-send-pkt2", 0x6cda_4568_0155_b0b8),
+    ("sbuf-send-ctl", 0xb2d6_01a8_8f69_b954),
+    ("atod", 0x788c_5970_4fee_ac6b),
+    ("pa", 0x5abb_757b_8362_8f27),
+    ("alloc-outbound", 0xa1bd_e265_0b99_1060),
+    ("wrdata", 0xa618_f159_7de1_3c4e),
+    ("fifo", 0x23f8_6cbc_e4af_f926),
+    ("sbuf-read-ctl", 0xe4cf_52e5_a0ce_ff15),
+    ("nouse", 0xcd13_0672_7d83_cb71),
+    ("vbe-ex2", 0xfe51_2f03_6285_2ab5),
+    ("nousc-ser", 0x38d9_0b97_1b87_8b10),
+    ("sendr-done", 0xa4d6_393a_0fff_7f5b),
+    ("vbe-ex1", 0xef32_82ba_e4d6_2527),
 ];
 
 /// Digests of xs/small-tier corpus-stream cases (seed 7 is an
@@ -81,6 +120,21 @@ fn table1_small_rows_keep_their_covers() {
         })
         .collect();
     assert_eq!(got, TABLE1_SMALL, "cover digests moved");
+}
+
+#[test]
+fn table1_small_rows_keep_their_shared_pla_covers() {
+    let rows = small_rows();
+    assert_eq!(rows.len(), TABLE1_SMALL_SHARED.len());
+    let options = SynthesisOptions::for_method(Method::Modular);
+    let got: Vec<(&str, u64)> = rows
+        .iter()
+        .map(|row| {
+            let stg = benchmarks::by_name(row.name).expect("known benchmark");
+            (row.name, shared_digest_of(&stg, &options))
+        })
+        .collect();
+    assert_eq!(got, TABLE1_SMALL_SHARED, "shared-PLA digests moved");
 }
 
 #[test]
