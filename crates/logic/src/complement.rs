@@ -1,12 +1,14 @@
 //! Cover complementation by Shannon expansion.
 
+use crate::unate::RowStack;
 use crate::{Cover, Cube};
 
 /// Computes a cover of the complement `f'`.
 ///
-/// Recursive Shannon expansion about the most binate variable, with
-/// single-cube complement (De Morgan) at the leaves. The result is not
-/// minimal but is exact.
+/// Recursive Shannon expansion about the most binate variable, merging
+/// `x·c + x'·c` into `c` on the way up, with single-cube complement (De
+/// Morgan) at the leaves. The result is not minimal but is exact. The
+/// recursion runs on the row-stack engine of `unate.rs`.
 ///
 /// ```
 /// use modsyn_logic::{complement, Cover, Cube};
@@ -18,70 +20,7 @@ use crate::{Cover, Cube};
 /// ```
 pub fn complement(cover: &Cover) -> Cover {
     let n = cover.num_vars();
-    if cover.is_empty() {
-        return Cover::one(n);
-    }
-    if cover.cubes().iter().any(|c| c.literal_count() == 0) {
-        return Cover::empty(n);
-    }
-    if cover.cube_count() == 1 {
-        return complement_cube(n, &cover.cubes()[0]);
-    }
-
-    // If unate, De Morgan over rows would explode; Shannon still works and
-    // most_binate falls back to the most frequent variable.
-    let split = cover
-        .most_binate_variable()
-        .expect("nonempty cover with literals");
-    let pos_co = complement(&cover.cofactor_literal(split, true));
-    let neg_co = complement(&cover.cofactor_literal(split, false));
-
-    let mut out = Cover::empty(n);
-    for c in pos_co.cubes() {
-        let mut c = c.clone();
-        c.set_literal(split, Some(true));
-        out.push(c);
-    }
-    for c in neg_co.cubes() {
-        let mut c = c.clone();
-        c.set_literal(split, Some(false));
-        out.push(c);
-    }
-    merge_split(&mut out, split);
-    out
-}
-
-/// Merge pairs differing only in the split literal (x·c + x'·c = c).
-fn merge_split(cover: &mut Cover, split: usize) {
-    let cubes = cover.cubes();
-    let mut used = vec![false; cubes.len()];
-    let mut merged = Vec::with_capacity(cubes.len());
-    for i in 0..cubes.len() {
-        if used[i] {
-            continue;
-        }
-        let mut ci = cubes[i].clone();
-        if let Some(pol) = ci.literal(split) {
-            for (j, cj) in cubes.iter().enumerate().skip(i + 1) {
-                if !used[j] && cj.literal(split) != Some(pol) && ci.eq_except(cj, split) {
-                    used[j] = true;
-                    ci.set_literal(split, None);
-                    break;
-                }
-            }
-        }
-        merged.push(ci);
-    }
-    *cover = Cover::from_cubes(cover.num_vars(), merged);
-}
-
-/// De Morgan complement of a single cube: one unit cube per literal.
-fn complement_cube(num_vars: usize, cube: &Cube) -> Cover {
-    let mut out = Cover::empty(num_vars);
-    for (v, pol) in cube.literal_iter() {
-        out.push(Cube::from_literals(num_vars, &[(v, !pol)]));
-    }
-    out
+    RowStack::new(n).complement(cover.cubes(), &Cube::full(n))
 }
 
 #[cfg(test)]

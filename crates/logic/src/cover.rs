@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::{is_tautology, Cube};
+use crate::unate::{PolarityCounts, RowStack};
+use crate::Cube;
 
 /// A sum of product terms over a fixed variable universe.
 ///
@@ -111,22 +112,16 @@ impl Cover {
     /// generalised cofactor): rows disjoint from `cube` are dropped, the
     /// rest have `cube`'s literals raised to don't-care.
     pub fn cofactor(&self, cube: &Cube) -> Cover {
-        Cover::cofactor_rows(self.num_vars, &self.cubes, cube)
-    }
-
-    /// [`Cover::cofactor`] of the sum of `rows`, read straight from the
-    /// rows without first collecting them into a cover.
-    pub(crate) fn cofactor_rows<'a>(
-        num_vars: usize,
-        rows: impl IntoIterator<Item = &'a Cube>,
-        cube: &Cube,
-    ) -> Cover {
-        let cubes = rows
-            .into_iter()
+        let cubes = self
+            .cubes
+            .iter()
             .filter(|c| c.intersects(cube))
             .map(|c| c.raised_by(cube))
             .collect();
-        Cover { num_vars, cubes }
+        Cover {
+            num_vars: self.num_vars,
+            cubes,
+        }
     }
 
     /// Cofactor by a single literal.
@@ -136,13 +131,21 @@ impl Cover {
 
     /// Whether the cover contains every minterm of `cube` (single-cube
     /// containment via the tautology of the cofactor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cube`'s universe does not match the cover's.
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        is_tautology(&self.cofactor(cube))
+        RowStack::new(self.num_vars).tautology(&self.cubes, cube)
     }
 
     /// Union of two covers over the same universe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
     pub fn union(&self, other: &Cover) -> Cover {
-        debug_assert_eq!(self.num_vars, other.num_vars);
+        assert_eq!(self.num_vars, other.num_vars, "cube universe mismatch");
         let mut cubes = self.cubes.clone();
         cubes.extend(other.cubes.iter().cloned());
         Cover {
@@ -152,8 +155,12 @@ impl Cover {
     }
 
     /// Pairwise intersection of two covers (product of sums of products).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
     pub fn intersect(&self, other: &Cover) -> Cover {
-        debug_assert_eq!(self.num_vars, other.num_vars);
+        assert_eq!(self.num_vars, other.num_vars, "cube universe mismatch");
         let mut cubes = Vec::new();
         for a in &self.cubes {
             for b in &other.cubes {
@@ -195,38 +202,16 @@ impl Cover {
 
     /// Picks the most binate variable (appears in both polarities, maximum
     /// occurrence count); falls back to the most frequent literal variable.
-    /// `None` if no cube carries a literal.
+    /// `None` if no cube carries a literal. This is the split rule of
+    /// [`complement`](fn@crate::complement) and
+    /// [`is_tautology`](crate::is_tautology).
     pub fn most_binate_variable(&self) -> Option<usize> {
-        let n = self.num_vars;
-        let mut pos = vec![0usize; n];
-        let mut neg = vec![0usize; n];
+        let mut counts = PolarityCounts::default();
+        counts.reset(self.num_vars);
         for c in &self.cubes {
-            for (v, pol) in c.literal_iter() {
-                if pol {
-                    pos[v] += 1;
-                } else {
-                    neg[v] += 1;
-                }
-            }
+            counts.add(c.words());
         }
-        let mut best: Option<(usize, usize, usize)> = None; // (binate_min, total, var)
-        for v in 0..n {
-            let total = pos[v] + neg[v];
-            if total == 0 {
-                continue;
-            }
-            let binate_min = pos[v].min(neg[v]);
-            let key = (binate_min, total, v);
-            match best {
-                None => best = Some(key),
-                Some((bm, t, _)) => {
-                    if binate_min > bm || (binate_min == bm && total > t) {
-                        best = Some(key);
-                    }
-                }
-            }
-        }
-        best.map(|(_, _, v)| v)
+        counts.split().map(|(var, _)| var)
     }
 
     /// Exhaustive semantic equality check (2^n evaluation). Intended for
@@ -341,6 +326,24 @@ mod tests {
         f.drop_contained();
         assert_eq!(f.cube_count(), 1);
         assert_eq!(f.cubes()[0].literal_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cube universe mismatch")]
+    fn union_rejects_another_universe() {
+        let _ = Cover::one(2).union(&Cover::one(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "cube universe mismatch")]
+    fn intersect_rejects_another_universe() {
+        let _ = Cover::one(2).intersect(&Cover::one(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "cube universe mismatch")]
+    fn covers_cube_rejects_another_universe() {
+        let _ = Cover::one(2).covers_cube(&Cube::full(3));
     }
 
     #[test]

@@ -44,19 +44,19 @@ enum Words {
     Heap(Box<[u64]>),
 }
 
-const VARS_PER_WORD: usize = 32;
+pub(crate) const VARS_PER_WORD: usize = 32;
 const INLINE_WORDS: usize = 2;
 const INLINE_VARS: usize = INLINE_WORDS * VARS_PER_WORD;
 /// The low ("allows 0") bit of every slot of a word.
-const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+pub(crate) const LOW_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Word index and bit shift of a variable's slot.
-fn slot(var: usize) -> (usize, u32) {
+pub(crate) fn slot(var: usize) -> (usize, u32) {
     (var / VARS_PER_WORD, (2 * (var % VARS_PER_WORD)) as u32)
 }
 
 /// The low bit of every literal slot (`10` or `01`) of a word.
-fn literal_lows(word: u64) -> u64 {
+pub(crate) fn literal_lows(word: u64) -> u64 {
     (word ^ word >> 1) & LOW_BITS
 }
 
@@ -82,8 +82,16 @@ impl Cube {
         cube
     }
 
+    /// The cube over `num_vars` whose slot words are `words`, which must
+    /// keep the word invariants.
+    pub(crate) fn from_words(num_vars: usize, words: &[u64]) -> Cube {
+        let mut cube = Cube::full(num_vars);
+        cube.words_mut().copy_from_slice(words);
+        cube
+    }
+
     /// The words holding the universe's slots.
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline(words) => &words[..self.num_vars.div_ceil(VARS_PER_WORD)],
             Words::Heap(words) => words,
@@ -257,21 +265,6 @@ impl Cube {
             let lows = literal_lows(b);
             w | lows | lows << 1
         })
-    }
-
-    /// Whether the cubes agree on every variable except `var`.
-    pub(crate) fn eq_except(&self, other: &Cube, var: usize) -> bool {
-        let (at, s) = slot(var);
-        self.num_vars == other.num_vars
-            && self
-                .words()
-                .iter()
-                .zip(other.words())
-                .enumerate()
-                .all(|(i, (&a, &b))| {
-                    let ignored = if i == at { 0b11 << s } else { 0 };
-                    (a ^ b) & !ignored == 0
-                })
     }
 
     /// Whether the cube contains the given minterm.

@@ -1,6 +1,7 @@
 //! The espresso minimisation loop: EXPAND, IRREDUNDANT, REDUCE.
 
-use crate::{complement, is_tautology, Cover, Cube};
+use crate::unate::RowStack;
+use crate::{complement, Cover, Cube};
 
 /// Result of [`minimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +73,7 @@ pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
     order.sort_by_key(|&i| std::cmp::Reverse(cubes[i].literal_count()));
 
     let mut removed = vec![false; cubes.len()];
+    let mut stack = RowStack::new(n);
     for &i in &order {
         let rest = cubes
             .iter()
@@ -79,7 +81,7 @@ pub fn irredundant(cover: &Cover, dc: &Cover) -> Cover {
             .filter(|&(j, _)| j != i && !removed[j])
             .map(|(_, c)| c)
             .chain(dc.cubes());
-        if is_tautology(&Cover::cofactor_rows(n, rest, &cubes[i])) {
+        if stack.tautology(rest, &cubes[i]) {
             removed[i] = true;
         }
     }
@@ -104,6 +106,7 @@ pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
     cubes.sort_by_key(Cube::literal_count);
 
     let mut reduced: Vec<Option<Cube>> = cubes.iter().cloned().map(Some).collect();
+    let mut stack = RowStack::new(n);
     for (i, c) in cubes.iter().enumerate() {
         let rest = reduced
             .iter()
@@ -111,7 +114,7 @@ pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
             .filter(|&(j, _)| j != i)
             .filter_map(|(_, x)| x.as_ref())
             .chain(dc.cubes());
-        let comp = complement(&Cover::cofactor_rows(n, rest, c));
+        let comp = stack.complement(rest, c);
         reduced[i] = match comp.cubes() {
             // The rest covers everything under c: c can vanish entirely.
             [] => None,
@@ -134,20 +137,23 @@ pub fn reduce(cover: &Cover, dc: &Cover) -> Cover {
 /// Panics (debug assertions) if the result fails verification: it must cover
 /// every ON-set cube and stay disjoint from the OFF-set.
 pub fn minimize(on: &Cover, dc: &Cover) -> MinimizeResult {
-    let n = on.num_vars();
-    assert_eq!(dc.num_vars(), n, "on/dc universe mismatch");
-    let off = complement(&on.union(dc));
+    assert_eq!(dc.num_vars(), on.num_vars(), "on/dc universe mismatch");
+    minimize_with_off(on, dc, &complement(&on.union(dc)))
+}
 
+/// [`minimize`] with the OFF-set `off = complement(on ∪ dc)` already
+/// built, for callers that need it themselves.
+pub(crate) fn minimize_with_off(on: &Cover, dc: &Cover, off: &Cover) -> MinimizeResult {
     let mut f = on.clone();
     f.drop_contained();
-    f = expand(&f, &off);
+    f = expand(&f, off);
     f = irredundant(&f, dc);
 
     let mut iterations = 1usize;
     loop {
         let cost = (f.cube_count(), f.literal_count());
         let reduced = reduce(&f, dc);
-        let expanded = expand(&reduced, &off);
+        let expanded = expand(&reduced, off);
         let candidate = irredundant(&expanded, dc);
         let new_cost = (candidate.cube_count(), candidate.literal_count());
         iterations += 1;
@@ -162,7 +168,13 @@ pub fn minimize(on: &Cover, dc: &Cover) -> MinimizeResult {
     }
 
     debug_assert!(
-        on.cubes().iter().all(|c| f.union(dc).covers_cube(c)),
+        {
+            let within = f.union(dc);
+            let mut stack = RowStack::new(on.num_vars());
+            on.cubes()
+                .iter()
+                .all(|c| stack.tautology(within.cubes(), c))
+        },
         "minimised cover lost part of the ON-set"
     );
     debug_assert!(

@@ -40,6 +40,7 @@ mod multi;
 mod pla;
 mod sop;
 mod tautology;
+mod unate;
 
 pub use complement::complement;
 pub use cover::Cover;

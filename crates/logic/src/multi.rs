@@ -10,7 +10,9 @@
 
 use std::collections::HashMap;
 
-use crate::{complement, is_tautology, Cover, Cube};
+use crate::espresso::minimize_with_off;
+use crate::unate::RowStack;
+use crate::{complement, Cover, Cube};
 
 /// One shared product term: an input cube feeding the outputs in `outputs`
 /// (bit `o` set = term is part of function `o`).
@@ -91,7 +93,7 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
     // Seed: per-output minimised covers, then merge equal input cubes.
     let mut seed: HashMap<Cube, u64> = HashMap::new();
     for (o, cover) in on.iter().enumerate() {
-        let single = crate::minimize(cover, &dc[o]);
+        let single = minimize_with_off(cover, &dc[o], &offs[o]);
         for cube in single.cover.cubes() {
             *seed.entry(cube.clone()).or_insert(0) |= 1 << o;
         }
@@ -135,6 +137,7 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
 
     // Irredundant phase, per output: drop connections whose contribution
     // is covered by the other connected terms plus the don't-cares.
+    let mut stack = RowStack::new(n);
     #[allow(clippy::needless_range_loop)] // `o` also masks `cubes[i].outputs`
     for o in 0..m {
         // Process most-specific terms first, as in the single-output loop.
@@ -149,7 +152,7 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
                 .filter(|&(j, mc)| j != i && mc.outputs >> o & 1 == 1)
                 .map(|(_, mc)| &mc.cube)
                 .chain(dc[o].cubes());
-            if is_tautology(&Cover::cofactor_rows(n, rest, &cubes[i].cube)) {
+            if stack.tautology(rest, &cubes[i].cube) {
                 cubes[i].outputs &= !(1 << o);
             }
         }
@@ -163,7 +166,12 @@ pub fn minimize_multi(on: &[Cover], dc: &[Cover]) -> MultiCover {
     };
     debug_assert!((0..m).all(|o| {
         let f = result.function(o);
-        on[o].cubes().iter().all(|c| f.union(&dc[o]).covers_cube(c))
+        let within = f.union(&dc[o]);
+        let mut stack = RowStack::new(n);
+        on[o]
+            .cubes()
+            .iter()
+            .all(|c| stack.tautology(within.cubes(), c))
             && f.cubes()
                 .iter()
                 .all(|c| !offs[o].cubes().iter().any(|oc| oc.intersects(c)))

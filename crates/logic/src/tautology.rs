@@ -1,11 +1,13 @@
 //! Tautology checking via the unate-recursive paradigm.
 
+use crate::unate::RowStack;
 use crate::{Cover, Cube};
 
 /// Whether the cover represents the constant-1 function.
 ///
 /// Uses the classic unate-recursive scheme: quick unate checks at each node,
-/// Shannon expansion about the most binate variable otherwise.
+/// Shannon expansion about the most binate variable otherwise. The
+/// recursion runs on the row-stack engine of `unate.rs`.
 ///
 /// ```
 /// use modsyn_logic::{is_tautology, Cover, Cube};
@@ -16,41 +18,8 @@ use crate::{Cover, Cube};
 /// assert!(is_tautology(&f));
 /// ```
 pub fn is_tautology(cover: &Cover) -> bool {
-    // Fast paths.
-    if cover.cubes().iter().any(|c| c.literal_count() == 0) {
-        return true;
-    }
-    if cover.is_empty() {
-        return false;
-    }
-
-    // Unate test: if every variable appears in only one polarity, the cover
-    // is a tautology iff it contains the universal cube — already checked.
     let n = cover.num_vars();
-    let mut pos = vec![false; n];
-    let mut neg = vec![false; n];
-    for c in cover.cubes() {
-        for (v, pol) in c.literal_iter() {
-            if pol {
-                pos[v] = true;
-            } else {
-                neg[v] = true;
-            }
-        }
-    }
-    if (0..n).all(|v| !(pos[v] && neg[v])) {
-        return false;
-    }
-
-    let split = cover
-        .most_binate_variable()
-        .expect("non-unate cover has a binate variable");
-    let t = cover.cofactor(&Cube::from_literals(n, &[(split, true)]));
-    if !is_tautology(&t) {
-        return false;
-    }
-    let e = cover.cofactor(&Cube::from_literals(n, &[(split, false)]));
-    is_tautology(&e)
+    RowStack::new(n).tautology(cover.cubes(), &Cube::full(n))
 }
 
 #[cfg(test)]

@@ -1,9 +1,17 @@
-//! Differential test of the cube kernels against a per-variable model.
+//! Differential test of the cube kernels against a per-variable model, and
+//! of COMPLEMENT and TAUTOLOGY against the classic recursions.
 //!
 //! Every kernel works on packed words; the model is one `Option<bool>` per
 //! variable (`None` = don't-care). Universe sizes straddle the 32-variable
 //! word boundary, the inline/heap boundary at 64 variables and the masking
 //! of a partly used last word.
+//!
+//! COMPLEMENT and TAUTOLOGY run on the library's row-stack engine. The
+//! [`reference`] module keeps the recursions it replaced, written against
+//! the public `Cube` and `Cover` API only, and the engine must return the
+//! same cube list, in the same order, and the same tautology answer:
+//! EXPAND's raise order reads the OFF-set's cube list, so the covers depend
+//! on that order.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -235,5 +243,292 @@ fn complement_and_tautology_match_brute_force() {
             all &= on;
         }
         assert_eq!(is_tautology(&f), all, "tautology of\n{f}");
+    }
+}
+
+/// The classic unate-recursive COMPLEMENT and TAUTOLOGY: a fresh cofactor
+/// cover per node, the split and merge rules written out per variable.
+mod reference {
+    use modsyn_logic::{Cover, Cube};
+
+    /// The variable with the largest `min(pos, neg)` literal count, then
+    /// the largest total, then the lowest index; `None` without literals.
+    pub fn most_binate_variable(cover: &Cover) -> Option<usize> {
+        let n = cover.num_vars();
+        let mut pos = vec![0usize; n];
+        let mut neg = vec![0usize; n];
+        for c in cover.cubes() {
+            for (v, pol) in c.literals() {
+                if pol {
+                    pos[v] += 1;
+                } else {
+                    neg[v] += 1;
+                }
+            }
+        }
+        let mut best: Option<(usize, usize, usize)> = None; // (binate, total, var)
+        for v in 0..n {
+            let total = pos[v] + neg[v];
+            if total == 0 {
+                continue;
+            }
+            let binate = pos[v].min(neg[v]);
+            match best {
+                Some((b, t, _)) if binate < b || (binate == b && total <= t) => {}
+                _ => best = Some((binate, total, v)),
+            }
+        }
+        best.map(|(_, _, v)| v)
+    }
+
+    fn cofactor_literal(cover: &Cover, var: usize, polarity: bool) -> Cover {
+        let rows = cover
+            .cubes()
+            .iter()
+            .filter(|c| c.literal(var) != Some(!polarity))
+            .map(|c| {
+                let mut c = c.clone();
+                c.set_literal(var, None);
+                c
+            });
+        Cover::from_cubes(cover.num_vars(), rows)
+    }
+
+    fn eq_except(a: &Cube, b: &Cube, var: usize) -> bool {
+        (0..a.num_vars()).all(|v| v == var || a.literal(v) == b.literal(v))
+    }
+
+    /// Merges pairs that differ only in the split literal: each cube in
+    /// turn takes the first later, unused cube of the other polarity.
+    fn merge_split(cubes: Vec<Cube>, split: usize) -> Vec<Cube> {
+        let mut used = vec![false; cubes.len()];
+        let mut merged = Vec::with_capacity(cubes.len());
+        for i in 0..cubes.len() {
+            if used[i] {
+                continue;
+            }
+            let mut ci = cubes[i].clone();
+            if let Some(pol) = ci.literal(split) {
+                for j in i + 1..cubes.len() {
+                    if !used[j]
+                        && cubes[j].literal(split) != Some(pol)
+                        && eq_except(&ci, &cubes[j], split)
+                    {
+                        used[j] = true;
+                        ci.set_literal(split, None);
+                        break;
+                    }
+                }
+            }
+            merged.push(ci);
+        }
+        merged
+    }
+
+    pub fn complement(cover: &Cover) -> Cover {
+        let n = cover.num_vars();
+        if cover.is_empty() {
+            return Cover::one(n);
+        }
+        if cover.cubes().iter().any(|c| c.literal_count() == 0) {
+            return Cover::empty(n);
+        }
+        if cover.cube_count() == 1 {
+            let units = cover.cubes()[0]
+                .literals()
+                .into_iter()
+                .map(|(v, pol)| Cube::from_literals(n, &[(v, !pol)]));
+            return Cover::from_cubes(n, units);
+        }
+        let split = most_binate_variable(cover).expect("rows carry literals");
+        let mut out = Vec::new();
+        for polarity in [true, false] {
+            for c in complement(&cofactor_literal(cover, split, polarity)).cubes() {
+                let mut c = c.clone();
+                c.set_literal(split, Some(polarity));
+                out.push(c);
+            }
+        }
+        Cover::from_cubes(n, merge_split(out, split))
+    }
+
+    pub fn is_tautology(cover: &Cover) -> bool {
+        if cover.cubes().iter().any(|c| c.literal_count() == 0) {
+            return true;
+        }
+        if cover.is_empty() {
+            return false;
+        }
+        let n = cover.num_vars();
+        let mut pos = vec![false; n];
+        let mut neg = vec![false; n];
+        for c in cover.cubes() {
+            for (v, pol) in c.literals() {
+                if pol {
+                    pos[v] = true;
+                } else {
+                    neg[v] = true;
+                }
+            }
+        }
+        if (0..n).all(|v| !(pos[v] && neg[v])) {
+            return false;
+        }
+        let split = most_binate_variable(cover).expect("binate rows carry literals");
+        is_tautology(&cofactor_literal(cover, split, true))
+            && is_tautology(&cofactor_literal(cover, split, false))
+    }
+}
+
+/// Asserts that the engine agrees with the reference on `f`: the same
+/// complement cube list, tautology answer and split variable, and the
+/// same containment answer for each of `probes`.
+fn check_against_reference(f: &Cover, probes: &[Cube]) {
+    let got = complement(f);
+    let want = reference::complement(f);
+    assert_eq!(got.cubes(), want.cubes(), "complement of\n{f}");
+    assert_eq!(
+        is_tautology(f),
+        reference::is_tautology(f),
+        "tautology of\n{f}"
+    );
+    assert_eq!(
+        f.most_binate_variable(),
+        reference::most_binate_variable(f),
+        "split of\n{f}"
+    );
+    for c in probes {
+        assert_eq!(
+            f.covers_cube(c),
+            reference::is_tautology(&f.cofactor(c)),
+            "{c} in\n{f}"
+        );
+    }
+}
+
+/// A random cube with `fewest..=most` literal draws (a variable may be
+/// drawn twice), so wide universes keep small complements.
+fn sparse_cube(rng: &mut Rng, n: usize, fewest: u64, most: u64) -> Cube {
+    let mut cube = Cube::full(n);
+    for _ in 0..fewest + rng.below(most - fewest + 1) {
+        let v = rng.below(n as u64) as usize;
+        cube.set_literal(v, Some(rng.below(2) == 1));
+    }
+    cube
+}
+
+#[test]
+fn complement_and_tautology_match_the_reference_at_every_size() {
+    let mut rng = Rng(0x5851_f42d_4c95_7f2d);
+    for n in SIZES {
+        for round in 0..40 {
+            let mut rows: Vec<Cube> = (0..rng.below(6))
+                .map(|_| sparse_cube(&mut rng, n, 1, 4))
+                .collect();
+            let probes: Vec<Cube> = (0..3).map(|_| sparse_cube(&mut rng, n, 0, 2)).collect();
+            let f = Cover::from_cubes(n, rows.clone());
+            check_against_reference(&f, &probes);
+            // A cover with its complement is a tautology; without its
+            // last row it usually is not.
+            rows.extend(complement(&f).cubes().iter().cloned());
+            if round % 2 == 1 {
+                rows.pop();
+            }
+            check_against_reference(&Cover::from_cubes(n, rows), &probes);
+        }
+    }
+}
+
+#[test]
+fn split_counts_past_a_byte_lane_match_the_reference() {
+    // 600 rows: variable `a` in every row (300 of each polarity), `b` in
+    // every third row (100 of each), and two literals from an eight-variable
+    // pool (about 75 of each polarity per variable). `a` is the split; a
+    // byte-lane counter that wrapped at 256 would read 44 and pick `b`.
+    let mut rng = Rng(0x2f6b_1c5d_9a3e_8b71);
+    for (n, a, b) in [(40, 37, 5), (70, 66, 33)] {
+        let pool: Vec<usize> = (0..8).map(|k| 8 + 3 * k).collect();
+        let rows: Vec<Cube> = (0..600)
+            .map(|r| {
+                let mut cube = Cube::full(n);
+                cube.set_literal(a, Some(r % 2 == 0));
+                if r % 3 == 0 {
+                    cube.set_literal(b, Some(r % 6 == 0));
+                }
+                for _ in 0..2 {
+                    let v = pool[rng.below(8) as usize];
+                    cube.set_literal(v, Some(rng.below(2) == 1));
+                }
+                cube
+            })
+            .collect();
+        let f = Cover::from_cubes(n, rows);
+        assert_eq!(f.most_binate_variable(), Some(a));
+        let probes = [Cube::from_literals(n, &[(b, true)]), Cube::full(n)];
+        check_against_reference(&f, &probes);
+    }
+}
+
+#[test]
+fn minterm_covers_match_the_reference() {
+    // Shaped like `derive_logic`: the reachable codes as minterms, the DC
+    // set their complement, ON a subset of the codes, and the OFF-set the
+    // complement of ON plus DC.
+    let mut rng = Rng(0x94d0_49bb_1331_11eb);
+    for (n, states) in [(4, 9), (7, 40), (10, 60), (14, 90), (20, 120), (30, 150)] {
+        let mut codes: Vec<u64> = (0..states).map(|_| rng.below(1 << n)).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        let minterm = |code: &u64| {
+            let values: Vec<bool> = (0..n).map(|v| code >> v & 1 == 1).collect();
+            Cube::from_minterm(&values)
+        };
+        let reachable = Cover::from_cubes(n, codes.iter().map(minterm));
+        check_against_reference(&reachable, &[]);
+        let dc = complement(&reachable);
+        let on = Cover::from_cubes(n, codes.iter().filter(|_| rng.below(2) == 1).map(minterm));
+        let probes: Vec<Cube> = on.cubes().iter().take(4).cloned().collect();
+        check_against_reference(&on.union(&dc), &probes);
+        check_against_reference(&dc, &probes);
+    }
+}
+
+#[test]
+fn edge_cases_match_the_reference() {
+    for n in [0, 1, 5, 33, 70] {
+        let universal = Cube::full(n);
+        let whole = std::slice::from_ref(&universal);
+        check_against_reference(&Cover::empty(n), whole);
+        check_against_reference(&Cover::one(n), whole);
+        check_against_reference(
+            &Cover::from_cubes(n, [universal.clone(), universal.clone()]),
+            whole,
+        );
+        assert_eq!(complement(&Cover::empty(n)).cubes(), whole);
+        assert!(complement(&Cover::one(n)).is_empty());
+        assert!(!is_tautology(&Cover::empty(n)));
+        assert!(is_tautology(&Cover::one(n)));
+        if n == 0 {
+            continue;
+        }
+        // A universal row among others, first or last.
+        let row = Cube::from_literals(n, &[(0, true), (n - 1, false)]);
+        for rows in [
+            vec![universal.clone(), row.clone()],
+            vec![row.clone(), universal.clone()],
+        ] {
+            let f = Cover::from_cubes(n, rows);
+            check_against_reference(&f, std::slice::from_ref(&row));
+            assert!(complement(&f).is_empty());
+        }
+        // One row: its De Morgan complement, in literal order.
+        let lits: Vec<(usize, bool)> = (0..n).step_by(2).map(|v| (v, v % 4 == 0)).collect();
+        let f = Cover::from_cubes(n, [Cube::from_literals(n, &lits)]);
+        check_against_reference(&f, whole);
+        let units: Vec<Cube> = lits
+            .iter()
+            .map(|&(v, pol)| Cube::from_literals(n, &[(v, !pol)]))
+            .collect();
+        assert_eq!(complement(&f).cubes(), units.as_slice());
     }
 }
