@@ -40,7 +40,7 @@ pub mod site {
     /// Service handler: the response is delayed by the rule's delay
     /// (slow peer).
     pub const SVC_SLOW_PEER: &str = "svc.slow-peer";
-    /// Response cache: the targeted shard is wiped before an insert
+    /// Synthesis store: every resident entry is evicted before an insert
     /// (eviction storm).
     pub const CACHE_EVICT_STORM: &str = "cache.evict-storm";
     /// Durable store journal: only half of the frame reaches the file

@@ -6,8 +6,8 @@
 //! score order. Two properties fall out:
 //!
 //! * **Stability** — the same digest always prefers the same replica, so
-//!   each replica's response cache and synthesis store warm up on *its*
-//!   slice of the corpus instead of every replica paying for everything.
+//!   each replica's synthesis store warms up on *its* slice of the corpus
+//!   instead of every replica paying for everything.
 //! * **Minimal disruption** — when a replica dies, only the digests it
 //!   owned move (to their second choice); the rest of the fleet's warm
 //!   state is untouched. When it comes back, they move back.

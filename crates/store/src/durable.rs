@@ -10,26 +10,29 @@
 //! ```
 //!
 //! **Writes** go journal-first: [`DurableStore::append`] frames the
-//! mutation into `store.wal` (fsync'd on the [`DurableConfig::fsync_every`]
+//! entry into `store.wal` (fsync'd on the [`DurableConfig::fsync_every`]
 //! cadence) before the caller applies it in memory. Every
 //! [`DurableConfig::checkpoint_every`] frames (and on graceful drain) a
-//! **checkpoint** folds the state into a fresh snapshot written atomically
-//! — temp file, fsync, rename — rotates the old snapshot to the previous
-//! generation, and compacts the journal down to the frames the snapshot
-//! does not yet cover.
+//! **checkpoint** writes the store's live entries to a fresh snapshot
+//! atomically — temp file, fsync, rename — rotates the old snapshot to the
+//! previous generation, and compacts the journal down to the frames the
+//! snapshot does not yet cover. Evicted entries are simply absent from the
+//! snapshot; eviction itself is never journaled.
 //!
 //! **Recovery** ([`DurableStore::open`]) is the reverse: load the newest
 //! snapshot generation that parses (walking back to `snap.prev.json`, or
 //! to empty, instead of refusing to start — corruption is a logged event,
 //! never a bind failure), then replay the journal suffix above the
-//! snapshot's watermark, truncating any torn tail. The typed
-//! [`RecoveryReport`] says exactly what happened; the daemon surfaces it
-//! in `/metrics` and the flight recorder.
+//! snapshot's watermark, truncating any torn tail. A directory written by
+//! an older format version recovers the same way, as a cold start. The
+//! typed [`RecoveryReport`] says exactly what happened; the daemon
+//! surfaces it in `/metrics` and the flight recorder.
 //!
 //! ## Invariants
 //!
 //! * A snapshot generation covers every journal frame `seq <=` its
-//!   `wal_seq` watermark — the checkpoint computes the watermark from the
+//!   `wal_seq` watermark (holding its entry, or not because the byte
+//!   bound evicted it) — the checkpoint computes the watermark from the
 //!   *applied* (not merely appended) frontier while holding the journal
 //!   lock, so compaction can never discard a frame the snapshot missed.
 //! * Recovery yields a **consistent, certified** state that is possibly
@@ -47,7 +50,7 @@ use std::sync::Arc;
 use modsyn_fault::{site, FaultHook, Faults};
 
 use crate::snapshot::{snapshot_doc, snapshot_from_json, SnapshotData};
-use crate::store::Snapshot;
+use crate::store::SynthStore;
 use crate::wal::{scan_wal, StoreMutation, Wal};
 
 /// Current-generation snapshot file name.
@@ -180,14 +183,14 @@ impl DurableStore {
         report.frames_truncated = scan.frames_truncated;
         report.checksum_failures = scan.checksum_failures;
         report.bytes_truncated = scan.bytes_truncated;
-        for (seq, mutation) in &frames {
-            if *seq <= data.wal_seq {
+        for (seq, mutation) in frames {
+            if seq <= data.wal_seq {
                 report.frames_skipped += 1;
                 continue;
             }
-            mutation.apply_to(&mut data);
+            data.entries.push(mutation);
             report.frames_replayed += 1;
-            report.wal_seq = report.wal_seq.max(*seq);
+            report.wal_seq = report.wal_seq.max(seq);
         }
 
         let next_seq = report.wal_seq.max(scan.last_seq) + 1;
@@ -212,15 +215,15 @@ impl DurableStore {
         &self.config
     }
 
-    /// Journals one mutation (write-ahead) and returns its sequence
-    /// number; the caller applies the mutation in memory and then calls
-    /// [`DurableStore::applied`].
+    /// Journals one encoded entry ([`StoreMutation::payload`]) write-ahead
+    /// and returns its sequence number; the caller applies the entry in
+    /// memory and then calls [`DurableStore::applied`].
     ///
     /// # Errors
     ///
     /// Journal write failures.
-    pub fn append(&self, mutation: &StoreMutation) -> std::io::Result<u64> {
-        self.wal.append(mutation)
+    pub fn append(&self, payload: &[u8]) -> std::io::Result<u64> {
+        self.wal.append(payload)
     }
 
     /// Marks `seq` as applied in memory: the checkpoint watermark may now
@@ -229,11 +232,12 @@ impl DurableStore {
         self.applied.fetch_max(seq, Ordering::AcqRel);
     }
 
-    /// Journals, applies via `apply`, and marks applied — the common
-    /// shape. Journal failures are swallowed after the first sync loss
+    /// Journals `mutation`, applies it via `apply`, and marks it applied
+    /// ([`SynthStore::insert`] does the same with its already-encoded
+    /// payload). Journal failures are swallowed after the first sync loss
     /// (durability degrades; serving must not).
     pub fn record(&self, mutation: &StoreMutation, apply: impl FnOnce()) {
-        let seq = self.append(mutation).ok();
+        let seq = self.append(&mutation.payload()).ok();
         apply();
         if let Some(seq) = seq {
             self.applied(seq);
@@ -245,34 +249,31 @@ impl DurableStore {
         self.wal.since_checkpoint() >= self.config.checkpoint_every
     }
 
-    /// Takes a checkpoint: `state` must produce the live snapshot (store +
-    /// response bodies) and is invoked with the journal locked, so the
-    /// snapshot provably covers every applied frame. The current snapshot
-    /// generation rotates to `snap.prev.json`, the new one lands
-    /// atomically, and the journal is compacted to the uncovered suffix.
+    /// Takes a checkpoint of `store`'s live entries. They are copied with
+    /// the journal locked, so the snapshot provably covers every applied
+    /// frame; the store's own lock is held only for that copy, never for
+    /// the write. The current snapshot generation rotates to
+    /// `snap.prev.json`, the new one lands atomically, and the journal is
+    /// compacted to the uncovered suffix.
     ///
     /// # Errors
     ///
     /// Snapshot write or journal rewrite failures.
-    pub fn checkpoint(
-        &self,
-        state: impl FnOnce() -> (Snapshot, Vec<(u128, String)>),
-    ) -> std::io::Result<()> {
+    pub fn checkpoint(&self, store: &SynthStore) -> std::io::Result<()> {
         self.wal.checkpoint_with(|_last| {
             // The journal lock is held: no appends interleave, so the
             // applied frontier sampled here is a true watermark — every
-            // frame at or below it went through memory before the snapshot
-            // closure runs. (Frames above it may *also* be in the snapshot;
+            // frame at or below it went through memory before the entries
+            // are copied. (Frames above it may *also* be in the snapshot;
             // replaying them is an idempotent upsert.)
             let covered = self.applied.load(Ordering::Acquire);
-            let (snap, responses) = state();
-            let doc = snapshot_doc(&snap, &responses, covered);
+            let doc = snapshot_doc(&store.entries(), covered);
             let snap_path = self.config.dir.join(SNAP_FILE);
             let prev_path = self.config.dir.join(SNAP_PREV_FILE);
             if snap_path.exists() {
                 std::fs::rename(&snap_path, &prev_path)?;
             }
-            write_atomic(&snap_path, doc.pretty().as_bytes())?;
+            write_atomic(&snap_path, doc.to_string().as_bytes())?;
             Ok(covered)
         })?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -284,14 +285,11 @@ impl DurableStore {
     /// # Errors
     ///
     /// As [`DurableStore::checkpoint`].
-    pub fn maybe_checkpoint(
-        &self,
-        state: impl FnOnce() -> (Snapshot, Vec<(u128, String)>),
-    ) -> std::io::Result<bool> {
+    pub fn maybe_checkpoint(&self, store: &SynthStore) -> std::io::Result<bool> {
         if !self.checkpoint_due() {
             return Ok(false);
         }
-        self.checkpoint(state)?;
+        self.checkpoint(store)?;
         Ok(true)
     }
 
@@ -336,7 +334,6 @@ fn load_snapshot(path: &Path) -> Result<SnapshotData, String> {
 mod tests {
     use super::*;
     use crate::provenance::{ModuleEntry, StoredFormula};
-    use crate::store::SynthStore;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -362,7 +359,7 @@ mod tests {
     fn module(n: usize) -> StoreMutation {
         StoreMutation::Module {
             key: n as u64,
-            entry: entry(n),
+            entry: std::sync::Arc::new(entry(n)),
         }
     }
 
@@ -381,7 +378,7 @@ mod tests {
         let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
         assert_eq!(report.frames_replayed, 3);
         assert_eq!(report.frames_truncated, 0);
-        assert_eq!(data.modules.len(), 3);
+        assert_eq!(data.entries, (1..=3).map(module).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -391,28 +388,24 @@ mod tests {
         let config = DurableConfig::new(&dir);
         let store = SynthStore::new();
         let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-        for n in 1..=4u64 {
-            let m = module(n as usize);
-            d.record(&m, || {
-                if let StoreMutation::Module { key, entry } = &m {
-                    store.put_module(*key, entry.clone());
-                }
-            });
+        for n in 1..=4 {
+            let m = module(n);
+            d.record(&m, || store.insert(m.clone()));
         }
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap();
+        d.checkpoint(&store).unwrap();
         assert!(dir.join(SNAP_FILE).exists());
         assert!(!dir.join(SNAP_PREV_FILE).exists(), "first generation");
         // Second checkpoint rotates the first into the previous slot.
         store.put_module(99, entry(99));
         d.record(&module(99), || {});
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap();
+        d.checkpoint(&store).unwrap();
         assert!(dir.join(SNAP_PREV_FILE).exists());
 
         let (_d2, data, report) = DurableStore::open(config, Faults::none()).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 0);
         assert_eq!(report.frames_replayed, 0, "journal fully compacted");
-        assert_eq!(data.modules.len(), 5);
+        assert_eq!(data.entries, store.entries());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -423,9 +416,9 @@ mod tests {
         let store = SynthStore::new();
         let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         d.record(&module(1), || store.put_module(1, entry(1)));
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap();
+        d.checkpoint(&store).unwrap();
         d.record(&module(2), || store.put_module(2, entry(2)));
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap();
+        d.checkpoint(&store).unwrap();
         drop(d);
         // Corrupt the current generation mid-file.
         let snap = dir.join(SNAP_FILE);
@@ -437,7 +430,7 @@ mod tests {
         let (_d, data, report) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 1, "previous generation used");
-        assert_eq!(data.modules.len(), 1, "older but consistent state");
+        assert_eq!(data.entries, vec![module(1)], "older but consistent state");
 
         // Both generations corrupt: cold start, still no error.
         std::fs::write(dir.join(SNAP_FILE), b"{").unwrap();
@@ -445,7 +438,36 @@ mod tests {
         let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
         assert!(!report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 2);
-        assert!(data.modules.is_empty());
+        assert!(data.entries.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_older_format_directory_recovers_as_a_cold_start() {
+        let dir = temp_dir("upgrade");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(SNAP_FILE),
+            br#"{"version":1,"seq":0,"wal_seq":3,"modules":[],"records":[],"responses":[]}"#,
+        )
+        .unwrap();
+        let mut old_journal = b"modsyn-wal/1\n".to_vec();
+        old_journal.extend_from_slice(&crate::encode_frame(1, &module(1))[..]);
+        std::fs::write(dir.join(WAL_FILE), &old_journal).unwrap();
+
+        let config = DurableConfig::new(&dir);
+        let (d, data, report) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        assert!(!report.snapshot_loaded);
+        assert_eq!(report.snapshot_fallbacks, 1);
+        assert_eq!(report.frames_truncated, 1, "the old journal is discarded");
+        assert_eq!(report.bytes_truncated, old_journal.len() as u64);
+        assert!(data.entries.is_empty());
+        // The journal restarts in the current format.
+        d.record(&module(2), || {});
+        drop(d);
+        let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        assert_eq!(report.frames_replayed, 1);
+        assert_eq!(data.entries, vec![module(2)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -457,7 +479,7 @@ mod tests {
         let store = SynthStore::new();
         let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         d.record(&module(1), || store.put_module(1, entry(1)));
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap();
+        d.checkpoint(&store).unwrap();
         drop(d);
         let faults = FaultPlan::new("test", 7)
             .rule(FaultRule::at(site::STORE_SNAPSHOT_CORRUPT).times(1))
@@ -465,7 +487,7 @@ mod tests {
         let (_d, data, report) = DurableStore::open(config, faults.clone()).unwrap();
         assert_eq!(report.snapshot_fallbacks, 1);
         assert!(!report.snapshot_loaded, "no previous generation yet");
-        assert!(data.modules.is_empty());
+        assert!(data.entries.is_empty());
         assert_eq!(faults.injected_at(site::STORE_SNAPSHOT_CORRUPT), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -490,7 +512,7 @@ mod tests {
         assert_eq!(report.frames_replayed, 1);
         assert_eq!(report.frames_truncated, 1);
         assert!(report.bytes_truncated > 0);
-        assert_eq!(data.modules.len(), 1);
+        assert_eq!(data.entries, vec![module(1)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

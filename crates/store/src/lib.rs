@@ -7,17 +7,22 @@
 //! option — so that re-synthesising a lightly edited STG only pays for the
 //! modules the edit actually touched.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
-//! * **The store** ([`SynthStore`]) — two content-addressed namespaces
-//!   (module solves and whole-run synthesis records) built on persistent,
-//!   structurally-shared [`ChunkedMap`]s. Snapshots are O(chunks) to take,
-//!   immutable, and diffable ([`Snapshot::diff`]), giving the daemon a
-//!   cheap timeline of how the store evolved.
+//! * **The store** ([`SynthStore`]) — one content-addressed map holding
+//!   module solves (keyed by [`module_key`]) and certified responses with
+//!   their provenance (keyed by [`record_key`]: STG digest and method),
+//!   under one byte bound and one least-recently-used eviction order.
+//!   Each entry is charged the length of its journal payload, so the
+//!   bound tracks what persistence writes.
+//! * **Persistence** ([`DurableStore`]) — a checksummed write-ahead
+//!   journal ([`Wal`]) plus atomic snapshot generations of the live
+//!   entries, recovered after a crash or a drain alike.
 //! * **Provenance** ([`Provenance`]) — every inserted state signal records
 //!   which module forced it, which CSC conflict pairs it resolves, and the
 //!   clause-family breakdown of the winning formula, so `GET /explain` and
-//!   `modsyn --explain` can answer "why does `csc0` exist?".
+//!   `modsyn --explain` can answer "why does `csc0` exist?". A response
+//!   entry carries its own copy, so evicting a module never orphans it.
 //! * **Edits** ([`pulse_edit`], [`rename_edit`]) — seeded single-edit STG
 //!   perturbations used by the incremental benchmarks and smoke tests.
 //!
@@ -32,7 +37,6 @@
 //! solver sees an indistinguishable problem, so replaying the cached
 //! solution is exactly what a fresh solve would have produced.
 
-pub mod chunk;
 pub mod durable;
 pub mod edit;
 pub mod provenance;
@@ -40,20 +44,15 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use chunk::{ChunkedMap, MapDiff, CHUNK_COUNT};
 pub use durable::{
     write_atomic, DurableConfig, DurableStore, RecoveryReport, SNAP_FILE, SNAP_PREV_FILE, WAL_FILE,
 };
 pub use edit::{pulse_edit, rebuild, rename_edit};
 pub use provenance::{ClauseFamilies, ModuleEntry, Provenance, StoredFormula, SynthRecord};
 pub use snapshot::{
-    restore_into, snapshot_doc, snapshot_from_json, snapshot_to_json, SnapshotData,
-    SNAPSHOT_VERSION,
+    restore_into, snapshot_doc, snapshot_from_json, SnapshotData, SNAPSHOT_VERSION,
 };
-pub use store::{
-    graph_key_text, module_key, Snapshot, SnapshotMeta, StoreDiff, StoreLink, StoreSession,
-    SynthStore,
-};
+pub use store::{graph_key_text, module_key, record_key, StoreLink, StoreSession, SynthStore};
 pub use wal::{encode_frame, scan_bytes, scan_wal, StoreMutation, Wal, WalScan, WAL_HEADER};
 
 // Re-exported so store consumers can derive digests without a direct

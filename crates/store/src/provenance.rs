@@ -82,8 +82,9 @@ pub struct ModuleEntry {
     pub provenance: Vec<Provenance>,
 }
 
-/// One cached synthesis outcome, keyed by the STG's content digest — the
-/// index behind `GET /explain?digest=…`.
+/// One certified synthesis response, keyed by the STG's content digest and
+/// method ([`crate::record_key`]): the body the service answers hits with,
+/// plus the provenance behind `GET /explain?digest=…`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthRecord {
     /// Benchmark (STG model) name.
@@ -92,4 +93,6 @@ pub struct SynthRecord {
     pub inserted: Vec<String>,
     /// Provenance of every inserted signal.
     pub provenance: Vec<Provenance>,
+    /// The certified response body, verbatim.
+    pub body: String,
 }

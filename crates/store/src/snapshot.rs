@@ -1,89 +1,52 @@
-//! Durable snapshot (de)serialization.
+//! Snapshot (de)serialization: the checkpoint generations of the durable
+//! store.
 //!
-//! `modsynd --store-snapshot PATH` persists the store on graceful drain and
-//! reloads it at start, so a restarted daemon answers its warm traffic from
-//! the first request. The format is a single deterministic JSON document:
-//! both namespaces key-sorted, module keys and digests as hex strings, and
-//! `Quat` assignment values packed as one character each (`0`, `1`, `u`,
-//! `d`). The daemon's response-cache bodies ride along so even the
-//! byte-level HTTP cache survives a restart.
+//! A snapshot is one deterministic JSON document: the format version, the
+//! journal watermark it covers, and every live entry least recently used
+//! first, each encoded exactly as its journal frame payload
+//! ([`StoreMutation::to_json`]): module keys as 16 hex digits, response
+//! keys as 32, and `Quat` assignment values packed as one character each
+//! (`0`, `1`, `u`, `d`). Restoring the entries in order rebuilds the
+//! store's recency order, and re-applies its byte bound.
 
 use modsyn_obs::Json;
 use modsyn_sat::SolverStats;
 use modsyn_sg::{Quat, StateSignalAssignment};
 
 use crate::provenance::{ClauseFamilies, ModuleEntry, Provenance, StoredFormula, SynthRecord};
-use crate::store::{Snapshot, SynthStore};
+use crate::store::SynthStore;
+use crate::wal::StoreMutation;
 
-/// Snapshot format version; bump on breaking layout changes.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot format version; bump on breaking layout changes. A generation
+/// of another version does not load, so recovery falls back past it.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
-/// Everything a snapshot document holds, decoded.
+/// Recovered store state, decoded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotData {
-    /// Module solves, keyed by content key.
-    pub modules: Vec<(u64, ModuleEntry)>,
-    /// Synthesis records, keyed by STG digest.
-    pub records: Vec<(u64, SynthRecord)>,
-    /// Serving-layer response-cache entries `(cache key, body)`; empty when
-    /// the snapshot was taken outside the daemon.
-    pub responses: Vec<(u128, String)>,
-    /// Highest journal sequence number this snapshot covers (0 when the
-    /// snapshot was written outside the write-ahead-journal machinery).
-    /// Recovery replays only journal frames *above* this point.
+    /// Entries in restore order: a snapshot's, least recently used first,
+    /// then the journal suffix replayed over it.
+    pub entries: Vec<StoreMutation>,
+    /// Highest journal sequence number this state covers. Recovery
+    /// replays only journal frames *above* a snapshot's watermark.
     pub wal_seq: u64,
 }
 
-/// Renders a snapshot (plus optional serving-layer response bodies) to the
-/// durable JSON document.
-pub fn snapshot_to_json(snap: &Snapshot, responses: &[(u128, String)]) -> Json {
-    snapshot_doc(snap, responses, 0)
-}
-
-/// [`snapshot_to_json`] with an explicit journal watermark: the document
-/// records that every journal frame with `seq <= wal_seq` is already folded
-/// into the snapshot, so recovery replays only the suffix.
-pub fn snapshot_doc(snap: &Snapshot, responses: &[(u128, String)], wal_seq: u64) -> Json {
+/// Renders entries to a snapshot document recording that every journal
+/// frame with `seq <= wal_seq` is folded in, so recovery replays only the
+/// suffix.
+pub fn snapshot_doc(entries: &[StoreMutation], wal_seq: u64) -> Json {
     Json::obj([
         ("version", Json::from(SNAPSHOT_VERSION)),
-        ("seq", Json::from(snap.seq)),
         ("wal_seq", Json::from(wal_seq)),
         (
-            "modules",
-            Json::Arr(
-                snap.modules()
-                    .iter()
-                    .map(|(k, e)| module_to_json(*k, e.as_ref()))
-                    .collect(),
-            ),
-        ),
-        (
-            "records",
-            Json::Arr(
-                snap.records()
-                    .iter()
-                    .map(|(d, r)| record_to_json(*d, r.as_ref()))
-                    .collect(),
-            ),
-        ),
-        (
-            "responses",
-            Json::Arr(
-                responses
-                    .iter()
-                    .map(|(k, body)| {
-                        Json::obj([
-                            ("key", Json::Str(format!("{k:032x}"))),
-                            ("body", Json::Str(body.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "entries",
+            Json::Arr(entries.iter().map(StoreMutation::to_json).collect()),
         ),
     ])
 }
 
-/// Decodes a snapshot document produced by [`snapshot_to_json`].
+/// Decodes a snapshot document produced by [`snapshot_doc`].
 ///
 /// # Errors
 ///
@@ -96,40 +59,19 @@ pub fn snapshot_from_json(doc: &Json) -> Result<SnapshotData, String> {
             "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
         ));
     }
-    let mut data = SnapshotData {
-        // Absent in pre-journal documents; those cover no frames.
-        wal_seq: doc
-            .get("wal_seq")
-            .and_then(Json::as_f64)
-            .map_or(0, |v| v as u64),
-        ..SnapshotData::default()
-    };
-    for item in arr(doc, "modules")? {
-        let key = hex64(item, "key")?;
-        data.modules.push((key, module_from_json(item)?));
-    }
-    for item in arr(doc, "records")? {
-        let digest = hex64(item, "digest")?;
-        data.records.push((digest, record_from_json(item)?));
-    }
-    for item in arr(doc, "responses")? {
-        let key = str_field(item, "key")?;
-        let key =
-            u128::from_str_radix(key, 16).map_err(|_| format!("bad response cache key `{key}`"))?;
-        data.responses
-            .push((key, str_field(item, "body")?.to_string()));
-    }
-    Ok(data)
+    Ok(SnapshotData {
+        entries: arr(doc, "entries")?
+            .iter()
+            .map(StoreMutation::from_json)
+            .collect::<Result<_, _>>()?,
+        wal_seq: uint(doc, "wal_seq")?,
+    })
 }
 
-/// Loads decoded module and record entries into a live store (response
-/// entries are the serving layer's business).
+/// Loads recovered entries into a live store, in order, under its bound.
 pub fn restore_into(store: &SynthStore, data: &SnapshotData) {
-    for (key, entry) in &data.modules {
-        store.put_module(*key, entry.clone());
-    }
-    for (digest, record) in &data.records {
-        store.put_record(*digest, record.clone());
+    for entry in &data.entries {
+        store.insert(entry.clone());
     }
 }
 
@@ -168,9 +110,9 @@ pub(crate) fn module_from_json(doc: &Json) -> Result<ModuleEntry, String> {
     })
 }
 
-pub(crate) fn record_to_json(digest: u64, record: &SynthRecord) -> Json {
+pub(crate) fn record_to_json(key: u128, record: &SynthRecord) -> Json {
     Json::obj([
-        ("digest", Json::Str(format!("{digest:016x}"))),
+        ("key", Json::Str(format!("{key:032x}"))),
         ("benchmark", Json::Str(record.benchmark.clone())),
         (
             "inserted",
@@ -186,6 +128,7 @@ pub(crate) fn record_to_json(digest: u64, record: &SynthRecord) -> Json {
             "provenance",
             Json::Arr(record.provenance.iter().map(provenance_to_json).collect()),
         ),
+        ("body", Json::Str(record.body.clone())),
     ])
 }
 
@@ -204,6 +147,7 @@ pub(crate) fn record_from_json(doc: &Json) -> Result<SynthRecord, String> {
             .iter()
             .map(provenance_from_json)
             .collect::<Result<_, _>>()?,
+        body: str_field(doc, "body")?.to_string(),
     })
 }
 
@@ -387,6 +331,7 @@ pub(crate) fn hex64(doc: &Json, key: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_key;
     use modsyn_obs::parse_json;
 
     fn sample_store() -> SynthStore {
@@ -433,11 +378,12 @@ mod tests {
             },
         );
         store.put_record(
-            0x1234,
+            record_key(0x1234, 1),
             SynthRecord {
                 benchmark: "vbe-ex1".into(),
                 inserted: vec!["csc0".into()],
                 provenance: Vec::new(),
+                body: "{\"certified\":true}\n".into(),
             },
         );
         store
@@ -446,29 +392,24 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json_text() {
         let store = sample_store();
-        let snap = store.snapshot();
-        let responses = vec![(0xabc_u128, "{\"certified\":true}\n".to_string())];
-        let doc = snapshot_to_json(&snap, &responses);
-        let text = doc.pretty();
-        let parsed = parse_json(&text).unwrap();
-        let data = snapshot_from_json(&parsed).unwrap();
+        let text = snapshot_doc(&store.entries(), 7).to_string();
+        let data = snapshot_from_json(&parse_json(&text).unwrap()).unwrap();
 
-        assert_eq!(data.modules.len(), 1);
-        assert_eq!(data.records.len(), 1);
-        assert_eq!(data.responses, responses);
-        let entry = &data.modules[0].1;
-        assert_eq!(
-            *entry,
-            *store.get_module(0xdead_beef).unwrap(),
-            "module entry must survive the round trip bit-for-bit"
-        );
-        assert_eq!(data.records[0].1.benchmark, "vbe-ex1");
+        assert_eq!(data.wal_seq, 7);
+        assert_eq!(data.entries, store.entries(), "bit-for-bit, in order");
+        match &data.entries[1] {
+            StoreMutation::Record { key, record } => {
+                assert_eq!(*key, record_key(0x1234, 1));
+                assert_eq!(record.body, "{\"certified\":true}\n");
+            }
+            other => panic!("the record is the most recent entry: {other:?}"),
+        }
 
         // Restoring into a fresh store reproduces the same snapshot text.
         let fresh = SynthStore::new();
         restore_into(&fresh, &data);
-        let again = snapshot_to_json(&fresh.snapshot(), &responses).pretty();
-        assert_eq!(text, again);
+        assert_eq!(text, snapshot_doc(&fresh.entries(), 7).to_string());
+        assert_eq!(fresh.bytes(), store.bytes());
     }
 
     #[test]
@@ -476,7 +417,12 @@ mod tests {
         let doc = parse_json("{\"version\": 99}").unwrap();
         let err = snapshot_from_json(&doc).unwrap_err();
         assert!(err.contains("version 99"), "{err}");
-        let doc = parse_json("{\"version\": 1, \"modules\": [{}]}").unwrap();
+        let doc = parse_json("{\"version\": 1, \"wal_seq\": 0, \"entries\": []}").unwrap();
+        assert!(
+            snapshot_from_json(&doc).is_err(),
+            "older formats do not load"
+        );
+        let doc = parse_json("{\"version\": 2, \"wal_seq\": 0, \"entries\": [{}]}").unwrap();
         assert!(snapshot_from_json(&doc).is_err());
     }
 }

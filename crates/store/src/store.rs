@@ -1,26 +1,39 @@
-//! The synthesis store: content-addressed namespaces behind a mutex, with
-//! cheap structurally-shared snapshots and per-run session counters.
+//! The synthesis store: one byte-bounded, content-addressed map behind a
+//! mutex, with one LRU policy over module solves and certified responses,
+//! plus per-run session counters.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use modsyn_fault::{site, FaultHook, Faults};
 use modsyn_sg::{EdgeLabel, StateGraph};
 use modsyn_stg::fnv1a64;
 
-use crate::chunk::{ChunkedMap, MapDiff};
 use crate::durable::DurableStore;
 use crate::provenance::{ModuleEntry, SynthRecord};
 use crate::wal::StoreMutation;
 
-/// A content-addressed store for per-module SAT solutions and per-STG
-/// synthesis records.
+/// A content-addressed store for per-module SAT solutions and certified
+/// synthesis responses.
 ///
-/// Lookups and inserts go through a [`StoreSession`] (one per synthesis
-/// run), which tallies per-run hits and misses on top of the store-wide
-/// counters — the per-request dirty-module accounting of `POST /synth/incr`.
-#[derive(Debug, Default)]
+/// Both namespaces share one byte bound and one least-recently-used
+/// eviction order. Each entry is charged its compact encoded length — the
+/// payload its journal frame carries — so the bound tracks what
+/// persistence writes. Lookups and inserts take one mutex, poison-
+/// tolerantly, and never hold it across journal or snapshot I/O.
+///
+/// Module lookups and inserts from a synthesis run go through a
+/// [`StoreSession`], which tallies per-run hits and misses on top of the
+/// store-wide counters — the per-request dirty-module accounting of
+/// `POST /synth/incr`.
+#[derive(Debug)]
 pub struct SynthStore {
     inner: Mutex<Inner>,
+    max_bytes: usize,
+    /// Probed on every insert: an armed `cache.evict-storm` rule evicts
+    /// every resident entry first.
+    faults: Faults,
     /// Write-ahead journal attachment; when set, every insert is journaled
     /// *before* it lands in memory. Kept outside `Inner` (and appended to
     /// before `inner` is locked) so the journal→store lock order matches
@@ -29,168 +42,231 @@ pub struct SynthStore {
     hits: AtomicU64,
     misses: AtomicU64,
     dirty: AtomicU64,
-    seq: AtomicU64,
+    evictions: AtomicU64,
+}
+
+/// Which namespace an entry lives in, and under what key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Module(u64),
+    Record(u128),
+}
+
+#[derive(Debug)]
+struct Slot {
+    entry: StoreMutation,
+    bytes: usize,
+    stamp: u64,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    modules: ChunkedMap<ModuleEntry>,
-    records: ChunkedMap<SynthRecord>,
-    timeline: Vec<SnapshotMeta>,
+    slots: HashMap<Key, Slot>,
+    /// Recency stamp → key; the first entry is the eviction victim.
+    order: BTreeMap<u64, Key>,
+    bytes: usize,
+    clock: u64,
 }
 
-/// A point-in-time view of the store. Cloned chunk pointers, not payload:
-/// taking one is O(chunks), and it stays valid (and immutable) while the
-/// live store moves on.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Monotonic snapshot sequence number.
-    pub seq: u64,
-    pub(crate) modules: ChunkedMap<ModuleEntry>,
-    pub(crate) records: ChunkedMap<SynthRecord>,
-}
-
-/// Timeline entry recorded for every snapshot taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMeta {
-    /// Sequence number of the snapshot.
-    pub seq: u64,
-    /// Module entries at snapshot time.
-    pub modules: usize,
-    /// Synthesis records at snapshot time.
-    pub records: usize,
-}
-
-/// Namespaced difference between two snapshots.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreDiff {
-    /// Module-namespace changes.
-    pub modules: MapDiff,
-    /// Record-namespace changes.
-    pub records: MapDiff,
-}
-
-impl StoreDiff {
-    /// Whether the snapshots are identical.
-    pub fn is_empty(&self) -> bool {
-        self.modules.is_empty() && self.records.is_empty()
-    }
-}
-
-impl Snapshot {
-    /// Module entries, sorted by key.
-    pub fn modules(&self) -> Vec<(u64, Arc<ModuleEntry>)> {
-        self.modules.entries()
+impl Inner {
+    fn stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    /// Synthesis records, sorted by digest.
-    pub fn records(&self) -> Vec<(u64, Arc<SynthRecord>)> {
-        self.records.entries()
-    }
-
-    /// What changed from `self` to the (newer) snapshot `newer`.
-    pub fn diff(&self, newer: &Snapshot) -> StoreDiff {
-        StoreDiff {
-            modules: self.modules.diff(&newer.modules),
-            records: self.records.diff(&newer.records),
+    fn remove(&mut self, key: Key) {
+        if let Some(slot) = self.slots.remove(&key) {
+            self.order.remove(&slot.stamp);
+            self.bytes -= slot.bytes;
         }
+    }
+}
+
+impl Default for SynthStore {
+    fn default() -> Self {
+        SynthStore::with_capacity(usize::MAX)
     }
 }
 
 impl SynthStore {
-    /// An empty store.
+    /// An empty, unbounded store.
     pub fn new() -> Self {
         SynthStore::default()
     }
 
+    /// An empty store that keeps at most `max_bytes` of encoded entries.
+    pub fn with_capacity(max_bytes: usize) -> Self {
+        SynthStore {
+            inner: Mutex::new(Inner::default()),
+            max_bytes,
+            faults: Faults::none(),
+            durable: Mutex::new(None),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            dirty: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Attaches a fault-injection handle for the `cache.evict-storm` site.
+    /// A storm costs only re-solves: the store is an economy, never the
+    /// source of truth, so it stays invisible to correctness — but not to
+    /// the eviction counter, which is what chaos runs assert on.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Recovering a poisoned guard is sound: nothing that runs under the
+    /// lock can panic between the updates of `slots`, `order` and `bytes`.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks up `key`, marking it most recently used.
+    fn touch(&self, key: Key) -> Option<StoreMutation> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let stamp = inner.stamp();
+        let slot = inner.slots.get_mut(&key)?;
+        inner.order.remove(&slot.stamp);
+        inner.order.insert(stamp, key);
+        slot.stamp = stamp;
+        Some(slot.entry.clone())
+    }
+
     /// Looks up a module solve by content key (uncounted; sessions count).
     pub fn get_module(&self, key: u64) -> Option<Arc<ModuleEntry>> {
-        self.inner.lock().unwrap().modules.get(key)
+        match self.touch(Key::Module(key))? {
+            StoreMutation::Module { entry, .. } => Some(entry),
+            StoreMutation::Record { .. } => None,
+        }
     }
 
-    /// Inserts a module solve under its content key (journaled first when
-    /// a durable attachment is present).
+    /// Inserts a module solve under its content key.
     pub fn put_module(&self, key: u64, entry: ModuleEntry) {
-        if let Some(d) = self.durable() {
-            d.record(
-                &StoreMutation::Module {
-                    key,
-                    entry: entry.clone(),
-                },
-                || {
-                    self.inner.lock().unwrap().modules.insert(key, entry);
-                },
-            );
-        } else {
-            self.inner.lock().unwrap().modules.insert(key, entry);
+        self.insert(StoreMutation::Module {
+            key,
+            entry: Arc::new(entry),
+        });
+    }
+
+    /// Looks up a certified response by [`record_key`].
+    pub fn get_record(&self, key: u128) -> Option<Arc<SynthRecord>> {
+        match self.touch(Key::Record(key))? {
+            StoreMutation::Record { record, .. } => Some(record),
+            StoreMutation::Module { .. } => None,
         }
     }
 
-    /// Looks up a synthesis record by STG digest.
-    pub fn get_record(&self, digest: u64) -> Option<Arc<SynthRecord>> {
-        self.inner.lock().unwrap().records.get(digest)
+    /// Inserts a certified response under its [`record_key`].
+    pub fn put_record(&self, key: u128, record: SynthRecord) {
+        self.insert(StoreMutation::Record {
+            key,
+            record: Arc::new(record),
+        });
     }
 
-    /// Inserts a synthesis record under the STG digest (journaled first
-    /// when a durable attachment is present).
-    pub fn put_record(&self, digest: u64, record: SynthRecord) {
-        if let Some(d) = self.durable() {
-            d.record(
-                &StoreMutation::Record {
-                    digest,
-                    record: record.clone(),
-                },
-                || {
-                    self.inner.lock().unwrap().records.insert(digest, record);
+    /// Inserts (or replaces) one entry as the most recently used, evicting
+    /// the least recently used entries until the byte bound holds. With a
+    /// durable attachment the entry is journaled first; eviction writes no
+    /// frame. An entry larger than the whole bound is not stored at all.
+    pub fn insert(&self, entry: StoreMutation) {
+        let payload = entry.payload();
+        let bytes = payload.len();
+        if bytes > self.max_bytes {
+            return;
+        }
+        let durable = self.durable();
+        let seq = durable.as_ref().and_then(|d| d.append(&payload).ok());
+        let storm = self.faults.fire(site::CACHE_EVICT_STORM);
+        let key = match &entry {
+            StoreMutation::Module { key, .. } => Key::Module(*key),
+            StoreMutation::Record { key, .. } => Key::Record(*key),
+        };
+
+        let mut evicted = 0u64;
+        {
+            let mut inner = self.lock();
+            inner.remove(key);
+            if storm {
+                evicted += inner.slots.len() as u64;
+                inner.slots.clear();
+                inner.order.clear();
+                inner.bytes = 0;
+            }
+            while inner.bytes + bytes > self.max_bytes {
+                let Some(&victim) = inner.order.values().next() else {
+                    break;
+                };
+                inner.remove(victim);
+                evicted += 1;
+            }
+            let stamp = inner.stamp();
+            inner.order.insert(stamp, key);
+            inner.bytes += bytes;
+            inner.slots.insert(
+                key,
+                Slot {
+                    entry,
+                    bytes,
+                    stamp,
                 },
             );
-        } else {
-            self.inner.lock().unwrap().records.insert(digest, record);
         }
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
+        if let (Some(d), Some(seq)) = (durable, seq) {
+            d.applied(seq);
+        }
+    }
+
+    /// Every resident entry, least recently used first. The payloads are
+    /// shared `Arc`s cloned under the lock, so serialising them (a
+    /// checkpoint) never holds it; restoring them in this order rebuilds
+    /// the same recency order.
+    pub fn entries(&self) -> Vec<StoreMutation> {
+        let inner = self.lock();
+        inner
+            .order
+            .values()
+            .map(|key| inner.slots[key].entry.clone())
+            .collect()
     }
 
     /// Attaches the write-ahead journal. Do this *after* restoring
     /// recovered state, so the replay itself is not re-journaled.
     pub fn attach_durable(&self, durable: Arc<DurableStore>) {
-        *self.durable.lock().unwrap() = Some(durable);
+        *self.durable.lock().unwrap_or_else(PoisonError::into_inner) = Some(durable);
     }
 
     /// The durable attachment, if one was made.
     pub fn durable(&self) -> Option<Arc<DurableStore>> {
-        self.durable.lock().unwrap().clone()
+        self.durable
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// Number of cached module solves.
-    pub fn module_count(&self) -> usize {
-        self.inner.lock().unwrap().modules.len()
+    /// Number of resident entries, modules and responses together.
+    pub fn len(&self) -> usize {
+        self.lock().slots.len()
     }
 
-    /// Number of synthesis records.
-    pub fn record_count(&self) -> usize {
-        self.inner.lock().unwrap().records.len()
+    /// Whether the store holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Takes a structurally-shared snapshot and appends it to the timeline.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let snap = Snapshot {
-            seq,
-            modules: inner.modules.clone(),
-            records: inner.records.clone(),
-        };
-        let meta = SnapshotMeta {
-            seq,
-            modules: snap.modules.len(),
-            records: snap.records.len(),
-        };
-        inner.timeline.push(meta);
-        snap
+    /// Encoded bytes of the resident entries; never above the bound.
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes
     }
 
-    /// The metadata of every snapshot taken so far, in order.
-    pub fn timeline(&self) -> Vec<SnapshotMeta> {
-        self.inner.lock().unwrap().timeline.clone()
+    /// Entries evicted to keep the byte bound (storms included).
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Store-wide module-lookup hits.
@@ -320,6 +396,13 @@ impl std::fmt::Debug for StoreLink {
     }
 }
 
+/// The key of a certified response: the STG content digest in the high
+/// 64 bits and the method tag in the low ones, so every (digest, method)
+/// pair keys a distinct entry.
+pub fn record_key(digest: u64, method_tag: u8) -> u128 {
+    (u128::from(digest) << 64) | u128::from(method_tag)
+}
+
 /// The exact canonical rendering of a state graph used for module keys.
 ///
 /// Signals, codes and edges are emitted **in storage order**, not sorted:
@@ -381,33 +464,130 @@ mod tests {
         }
     }
 
+    /// The encoded cost of `entry(n)` under module key `key`.
+    fn cost(key: u64, n: usize) -> usize {
+        StoreMutation::Module {
+            key,
+            entry: Arc::new(entry(n)),
+        }
+        .payload()
+        .len()
+    }
+
+    fn record(body: &str) -> SynthRecord {
+        SynthRecord {
+            benchmark: "b".into(),
+            inserted: vec![],
+            provenance: vec![],
+            body: body.into(),
+        }
+    }
+
     #[test]
-    fn snapshots_are_immutable_views_with_a_timeline() {
+    fn entries_are_point_in_time_copies_coldest_first() {
         let store = SynthStore::new();
         store.put_module(1, entry(1));
-        let before = store.snapshot();
+        let before = store.entries();
         store.put_module(2, entry(2));
-        store.put_record(
-            9,
-            SynthRecord {
-                benchmark: "b".into(),
-                inserted: vec![],
-                provenance: vec![],
-            },
-        );
-        let after = store.snapshot();
+        store.put_record(record_key(9, 0), record("{}"));
+        store.get_module(1);
+        let after = store.entries();
 
-        assert_eq!(before.modules().len(), 1);
-        assert_eq!(after.modules().len(), 2);
-        let diff = before.diff(&after);
-        assert_eq!(diff.modules.added, vec![2]);
-        assert_eq!(diff.records.added, vec![9]);
-        assert!(diff.modules.removed.is_empty());
+        assert_eq!(before.len(), 1);
+        let keys: Vec<String> = after
+            .iter()
+            .map(|e| match e {
+                StoreMutation::Module { key, .. } => format!("m{key}"),
+                StoreMutation::Record { key, .. } => format!("r{}", key >> 64),
+            })
+            .collect();
+        assert_eq!(keys, ["m2", "r9", "m1"], "least recently used first");
+        // The copies share payload with the live store.
+        match (&before[0], &after[2]) {
+            (StoreMutation::Module { entry: a, .. }, StoreMutation::Module { entry: b, .. }) => {
+                assert!(Arc::ptr_eq(a, b));
+            }
+            _ => panic!("module entries expected"),
+        }
+    }
 
-        let timeline = store.timeline();
-        assert_eq!(timeline.len(), 2);
-        assert!(timeline[0].seq < timeline[1].seq);
-        assert_eq!(timeline[1].modules, 2);
+    #[test]
+    fn record_keys_separate_digest_and_method() {
+        let d = 0x71fc_a33e_af8a_4b08_u64;
+        // A key that XORed the tag into the digest would fold these two
+        // pairs into one.
+        assert_ne!(record_key(d, 1), record_key(d ^ 1, 0));
+        assert_ne!(record_key(d, 0), record_key(d, 1));
+
+        let store = SynthStore::new();
+        store.put_record(record_key(d, 1), record("min-area"));
+        assert!(store.get_record(record_key(d ^ 1, 0)).is_none());
+        assert!(store.get_record(record_key(d, 0)).is_none());
+        assert_eq!(store.get_record(record_key(d, 1)).unwrap().body, "min-area");
+    }
+
+    #[test]
+    fn lru_evicts_the_coldest() {
+        let store = SynthStore::with_capacity(cost(1, 0) + cost(2, 0));
+        store.put_module(1, entry(0));
+        store.put_module(2, entry(0));
+        // Touch 1 so 2 is the LRU victim.
+        store.get_module(1);
+        store.put_module(3, entry(0));
+        assert!(store.get_module(1).is_some());
+        assert!(store.get_module(2).is_none());
+        assert!(store.get_module(3).is_some());
+        assert_eq!(store.evictions(), 1);
+    }
+
+    #[test]
+    fn byte_budget_holds() {
+        let one = cost(1, 0);
+        let store = SynthStore::with_capacity(one + one / 2);
+        store.put_module(1, entry(0));
+        store.put_module(2, entry(0));
+        assert!(store.bytes() <= one + one / 2, "bytes = {}", store.bytes());
+        assert_eq!(store.len(), 1);
+        // A value larger than the whole bound is refused outright, and
+        // evicts nothing.
+        store.put_record(record_key(3, 0), record(&"x".repeat(2 * one)));
+        assert!(store.get_record(record_key(3, 0)).is_none());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.evictions(), 1);
+    }
+
+    #[test]
+    fn reinsert_replaces_without_leaking_bytes() {
+        let store = SynthStore::with_capacity(4096);
+        store.put_record(record_key(1, 0), record(&"x".repeat(400)));
+        store.put_record(record_key(1, 0), record("y"));
+        assert_eq!(store.len(), 1);
+        let small = StoreMutation::Record {
+            key: record_key(1, 0),
+            record: Arc::new(record("y")),
+        };
+        assert_eq!(store.bytes(), small.payload().len());
+        assert_eq!(store.evictions(), 0);
+    }
+
+    #[test]
+    fn an_eviction_storm_evicts_every_entry_but_stays_correct() {
+        use modsyn_fault::{FaultPlan, FaultRule};
+        let faults = FaultPlan::new("storm", 7)
+            .rule(FaultRule::at(site::CACHE_EVICT_STORM).skip(2).times(1))
+            .arm();
+        let store = SynthStore::with_capacity(1 << 20).with_faults(faults.clone());
+        store.put_module(1, entry(1));
+        store.put_record(record_key(2, 0), record("{}"));
+        // The storm fires on this insert: both prior entries are dumped,
+        // the new one still lands, and lookups stay consistent.
+        store.put_module(3, entry(3));
+        assert_eq!(faults.total_injected(), 1);
+        assert_eq!(store.evictions(), 2);
+        assert!(store.get_module(1).is_none());
+        assert!(store.get_record(record_key(2, 0)).is_none());
+        assert_eq!(*store.get_module(3).unwrap(), entry(3));
+        assert_eq!(store.bytes(), cost(3, 3));
     }
 
     #[test]

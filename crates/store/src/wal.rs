@@ -1,18 +1,22 @@
 //! The store's append-only write-ahead journal.
 //!
-//! Every store/cache mutation the daemon wants to survive a `kill -9` is
-//! appended here as one **frame** before it is applied in memory:
+//! Every store insert the daemon wants to survive a `kill -9` is appended
+//! here as one **frame** before it is applied in memory:
 //!
 //! ```text
 //! file   := header frame*
-//! header := "modsyn-wal/1\n"                    (13 bytes)
+//! header := "modsyn-wal/2\n"                    (13 bytes)
 //! frame  := len:u32le seq:u64le check:u64le payload[len]
 //! check  := fnv1a64(payload) ^ seq
 //! ```
 //!
-//! The payload is one compact JSON [`StoreMutation`]. Frames carry a
-//! monotonic sequence number so a checkpoint can record "everything up to
-//! seq N is in the snapshot" and recovery replays only the suffix.
+//! The payload is one compact JSON [`StoreMutation`] — a module solve or a
+//! certified response — and its length is what the store charges the
+//! entry against its byte bound. Frames carry a monotonic sequence number
+//! so a checkpoint can record "everything up to seq N is in the snapshot"
+//! and recovery replays only the suffix. Evictions are not journaled: a
+//! checkpoint persists only live entries, and recovery re-applies the
+//! bound as it restores.
 //!
 //! ## Torn tails
 //!
@@ -23,7 +27,8 @@
 //! discarded in a [`WalScan`]. It never panics on any byte sequence — the
 //! journal-recovery property test feeds it every truncation point of
 //! random journals. [`Wal::open`] truncates the file back to the valid
-//! prefix before appending, so one torn tail never cascades.
+//! prefix before appending, so one torn tail never cascades. A journal
+//! with another header (an older format) scans as empty: a cold start.
 //!
 //! Durability is a configurable cadence: `fsync_every = 1` syncs every
 //! append (what the chaos matrix runs under), larger values trade the
@@ -33,65 +38,62 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use modsyn_fault::{site, FaultHook, Faults};
 use modsyn_obs::{parse_json, Json};
 use modsyn_stg::fnv1a64;
 
 use crate::provenance::{ModuleEntry, SynthRecord};
-use crate::snapshot::{self, SnapshotData};
+use crate::snapshot;
 
 /// Magic line starting every journal file.
-pub const WAL_HEADER: &[u8] = b"modsyn-wal/1\n";
+pub const WAL_HEADER: &[u8] = b"modsyn-wal/2\n";
 
 /// Frames larger than this are treated as tail garbage, not allocated.
 const MAX_FRAME: u32 = 64 << 20;
 
-/// One durable store/cache mutation, as journaled.
+/// One store entry, as journaled, snapshotted and held in memory. The
+/// payloads are shared, so copying an entry never copies its content.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreMutation {
-    /// A module solve landed under its content key.
+    /// A module solve under its content key.
     Module {
         /// Content key ([`crate::module_key`]).
         key: u64,
         /// The solve.
-        entry: ModuleEntry,
+        entry: Arc<ModuleEntry>,
     },
-    /// A synthesis record landed under digest ⊕ method.
+    /// A certified response under its (digest, method) key.
     Record {
-        /// Record key.
-        digest: u64,
-        /// The record.
-        record: SynthRecord,
-    },
-    /// A certified response body entered the serving-layer cache.
-    Response {
-        /// Response-cache key.
+        /// Response key ([`crate::record_key`]).
         key: u128,
-        /// The certified body, verbatim.
-        body: String,
+        /// The response body with its provenance.
+        record: Arc<SynthRecord>,
     },
 }
 
 impl StoreMutation {
     /// Compact JSON payload for one frame.
     pub fn to_json(&self) -> Json {
-        match self {
+        let (op, mut doc) = match self {
             StoreMutation::Module { key, entry } => {
-                let mut doc = snapshot::module_to_json(*key, entry);
-                tag(&mut doc, "module")
+                ("module", snapshot::module_to_json(*key, entry))
             }
-            StoreMutation::Record { digest, record } => {
-                let mut doc = snapshot::record_to_json(*digest, record);
-                tag(&mut doc, "record")
+            StoreMutation::Record { key, record } => {
+                ("record", snapshot::record_to_json(*key, record))
             }
-            StoreMutation::Response { key, body } => Json::obj([
-                ("op", Json::from("response")),
-                ("key", Json::Str(format!("{key:032x}"))),
-                ("body", Json::Str(body.clone())),
-            ]),
+        };
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.insert(0, ("op".to_string(), Json::from(op)));
         }
+        doc
+    }
+
+    /// The compact encoding a journal frame carries, and the bytes the
+    /// store charges this entry.
+    pub fn payload(&self) -> Vec<u8> {
+        self.to_json().to_string().into_bytes()
     }
 
     /// Decodes a frame payload.
@@ -103,61 +105,32 @@ impl StoreMutation {
         match snapshot::str_field(doc, "op")? {
             "module" => Ok(StoreMutation::Module {
                 key: snapshot::hex64(doc, "key")?,
-                entry: snapshot::module_from_json(doc)?,
+                entry: Arc::new(snapshot::module_from_json(doc)?),
             }),
-            "record" => Ok(StoreMutation::Record {
-                digest: snapshot::hex64(doc, "digest")?,
-                record: snapshot::record_from_json(doc)?,
-            }),
-            "response" => {
+            "record" => {
                 let key = snapshot::str_field(doc, "key")?;
-                let key = u128::from_str_radix(key, 16)
-                    .map_err(|_| format!("bad response cache key `{key}`"))?;
-                Ok(StoreMutation::Response {
-                    key,
-                    body: snapshot::str_field(doc, "body")?.to_string(),
+                Ok(StoreMutation::Record {
+                    key: u128::from_str_radix(key, 16)
+                        .map_err(|_| format!("bad record key `{key}`"))?,
+                    record: Arc::new(snapshot::record_from_json(doc)?),
                 })
             }
             other => Err(format!("unknown journal op `{other}`")),
         }
     }
-
-    /// Folds this mutation into decoded snapshot data (last write wins),
-    /// exactly what replaying it into a live store would do.
-    pub fn apply_to(&self, data: &mut SnapshotData) {
-        match self {
-            StoreMutation::Module { key, entry } => {
-                data.modules.retain(|(k, _)| k != key);
-                data.modules.push((*key, entry.clone()));
-            }
-            StoreMutation::Record { digest, record } => {
-                data.records.retain(|(d, _)| d != digest);
-                data.records.push((*digest, record.clone()));
-            }
-            StoreMutation::Response { key, body } => {
-                data.responses.retain(|(k, _)| k != key);
-                data.responses.push((*key, body.clone()));
-            }
-        }
-    }
-}
-
-/// Prepends `("op", name)` to an object document.
-fn tag(doc: &mut Json, name: &str) -> Json {
-    if let Json::Obj(pairs) = doc {
-        pairs.insert(0, ("op".to_string(), Json::from(name)));
-    }
-    std::mem::replace(doc, Json::Null)
 }
 
 /// Serialises one frame (length prefix, seq, checksum, payload).
 pub fn encode_frame(seq: u64, mutation: &StoreMutation) -> Vec<u8> {
-    let payload = mutation.to_json().to_string().into_bytes();
+    frame(seq, &mutation.payload())
+}
+
+fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(20 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(fnv1a64(&payload) ^ seq).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&(fnv1a64(payload) ^ seq).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -333,19 +306,20 @@ impl Wal {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends one frame (write-ahead: call this *before* applying the
-    /// mutation in memory) and returns its sequence number. Under an armed
-    /// `store.wal-torn-write` fault only half the frame reaches the file —
-    /// the simulated crash recovery later truncates.
+    /// Appends one frame carrying `payload` (write-ahead: call this
+    /// *before* applying the entry in memory) and returns its sequence
+    /// number. Under an armed `store.wal-torn-write` fault only half the
+    /// frame reaches the file — the simulated crash recovery later
+    /// truncates.
     ///
     /// # Errors
     ///
     /// Write/sync failures.
-    pub fn append(&self, mutation: &StoreMutation) -> std::io::Result<u64> {
+    pub fn append(&self, payload: &[u8]) -> std::io::Result<u64> {
         let mut w = self.lock();
         let seq = w.next_seq;
         w.next_seq += 1;
-        let frame = encode_frame(seq, mutation);
+        let frame = frame(seq, payload);
         let torn = self.faults.fire(site::STORE_WAL_TORN_WRITE);
         let bytes = if torn {
             self.torn_injected.fetch_add(1, Ordering::Relaxed);
@@ -448,14 +422,14 @@ mod tests {
     fn module(n: usize) -> StoreMutation {
         StoreMutation::Module {
             key: n as u64,
-            entry: ModuleEntry {
+            entry: Arc::new(ModuleEntry {
                 assignments: Vec::new(),
                 formulas: vec![StoredFormula {
                     state_signals: n,
                     ..Default::default()
                 }],
                 provenance: Vec::new(),
-            },
+            }),
         }
     }
 
@@ -464,16 +438,13 @@ mod tests {
         let cases = [
             module(3),
             StoreMutation::Record {
-                digest: 0xfeed,
-                record: SynthRecord {
+                key: crate::record_key(0xdead_beef_dead_beef, 1),
+                record: Arc::new(SynthRecord {
                     benchmark: "b".into(),
                     inserted: vec!["csc0".into()],
                     provenance: Vec::new(),
-                },
-            },
-            StoreMutation::Response {
-                key: 0xdead_beef_dead_beef_u128,
-                body: "{\"certified\":true}\n".into(),
+                    body: "{\"certified\":true}\n".into(),
+                }),
             },
         ];
         for m in &cases {

@@ -2,12 +2,11 @@
 //!
 //! ```text
 //! modsynd [--addr HOST:PORT] [--jobs N] [--queue N] [--max-connections N]
-//!         [--cache-entries N] [--cache-bytes N] [--timeout-ms T]
+//!         [--store-bytes N] [--timeout-ms T]
 //!         [--max-body BYTES] [--limit N] [--stats] [--trace-json FILE]
 //!         [--faults SPEC] [--fault-seed N]
 //!         [--breaker-threshold F] [--breaker-cooldown-ms T]
 //!         [--access-log off|stderr|FILE] [--flight-slots N]
-//!         [--store-snapshot FILE]
 //!         [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]
 //! ```
 //!
@@ -33,22 +32,24 @@
 //! `stderr`; embedded servers default to off); `--flight-slots` sizes the
 //! flight recorder's per-shard ring.
 //!
-//! `--store-snapshot FILE` persists the synthesis store (module solves,
-//! provenance records, cached response bodies) across restarts: the file
-//! is reloaded at startup when it exists and rewritten after a graceful
-//! drain, so a restarted daemon answers previously-seen work from cache
-//! and serves `/synth/incr` and `/explain` against the old session's
-//! records.
+//! All serving state — module solves, certified response bodies and their
+//! provenance — lives in one synthesis store bounded by `--store-bytes`
+//! (default 64 MiB of encoded entries); beyond it the least recently used
+//! entries are evicted, and an evicted response is simply re-synthesised
+//! and re-certified on its next request.
 //!
-//! `--durable DIR` is the crash-safe superset of `--store-snapshot`: every
-//! mutation is journaled (write-ahead, checksummed, fsync'd every
+//! `--durable DIR` persists that store across restarts, graceful or not:
+//! every insert is journaled (write-ahead, checksummed, fsync'd every
 //! `--wal-fsync-every` appends) before it is applied, and every
-//! `--checkpoint-every` frames the journal is compacted into an atomically
-//! rotated snapshot generation — so warm state survives `kill -9`, torn
-//! tails are truncated on replay, and a corrupt snapshot falls back to the
-//! previous generation. `/readyz` reports 503 while recovery replays; the
-//! recovery counters land in `/metrics`. The two persistence flags are
-//! mutually exclusive.
+//! `--checkpoint-every` frames — and after a graceful drain — the live
+//! entries are written to an atomically rotated snapshot generation and
+//! the journal is compacted. Warm state survives `kill -9`, torn tails are
+//! truncated on replay, and a corrupt snapshot falls back to the previous
+//! generation; a directory from an older format version starts cold.
+//! A restarted daemon answers previously-seen work from the store and
+//! serves `/synth/incr` and `/explain` against the old session's records.
+//! `/readyz` reports 503 while recovery replays; the recovery counters
+//! land in `/metrics`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -60,10 +61,10 @@ use modsyn_svc::{AccessLog, Server, ServerConfig};
 
 fn usage() -> &'static str {
     "usage: modsynd [--addr HOST:PORT] [--jobs N] [--queue N] [--max-connections N] \
-     [--cache-entries N] [--cache-bytes N] [--timeout-ms T] [--max-body BYTES] \
+     [--store-bytes N] [--timeout-ms T] [--max-body BYTES] \
      [--limit N] [--stats] [--trace-json FILE] [--faults SPEC] [--fault-seed N] \
      [--breaker-threshold F] [--breaker-cooldown-ms T] \
-     [--access-log off|stderr|FILE] [--flight-slots N] [--store-snapshot FILE] \
+     [--access-log off|stderr|FILE] [--flight-slots N] \
      [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]\n\
      \n\
      Serves POST /synth (body: .g STG; query: method, timeout_ms),\n\
@@ -71,9 +72,10 @@ fn usage() -> &'static str {
      signal), GET /metrics, GET /healthz, GET /readyz, GET /debug/flight,\n\
      POST /shutdown.\n\
      Every 200 is oracle-certified and trace-stamped (X-Modsyn-Trace).\n\
-     --store-snapshot persists the synthesis store across restarts.\n\
-     --durable DIR makes persistence crash-safe: a checksummed write-ahead\n\
-     journal plus atomic snapshot generations; state survives kill -9.\n\
+     --store-bytes bounds the synthesis store (module solves and certified\n\
+     responses, default 64 MiB); the least recently used entries are evicted.\n\
+     --durable DIR persists the store: a checksummed write-ahead journal plus\n\
+     atomic snapshot generations; state survives a drain and kill -9 alike.\n\
      --faults arms a seeded chaos plan, e.g. 'sat.abort*2,svc.write-torn@1/4'\n\
      (rule grammar: site[*max][+skip][@num/denom][~delay_ms])."
 }
@@ -124,15 +126,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --max-connections value")?;
             }
-            "--cache-entries" => {
-                config.cache.max_entries = value("--cache-entries")?
+            "--store-bytes" => {
+                config.store_bytes = value("--store-bytes")?
                     .parse()
-                    .map_err(|_| "bad --cache-entries value")?;
-            }
-            "--cache-bytes" => {
-                config.cache.max_bytes = value("--cache-bytes")?
-                    .parse()
-                    .map_err(|_| "bad --cache-bytes value")?;
+                    .map_err(|_| "bad --store-bytes value")?;
             }
             "--timeout-ms" => {
                 let ms: u64 = value("--timeout-ms")?
@@ -180,9 +177,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --flight-slots value")?;
             }
-            "--store-snapshot" => {
-                config.store_snapshot = Some(value("--store-snapshot")?.into());
-            }
             "--durable" => {
                 let dir = value("--durable")?;
                 let tuned = config
@@ -213,9 +207,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(d) = &config.durable {
         if d.dir.as_os_str().is_empty() {
             return Err("--wal-fsync-every/--checkpoint-every need --durable DIR".to_string());
-        }
-        if config.store_snapshot.is_some() {
-            return Err("--durable and --store-snapshot are mutually exclusive".to_string());
         }
     }
     if let Some(spec) = fault_spec {

@@ -10,11 +10,12 @@
 //!
 //! The serving shape mirrors a production inference stack:
 //!
-//! * **Content-addressed caching** — responses are cached under the
-//!   canonical STG digest ([`modsyn_stg::stg_digest`]) ⊕ method, in a
-//!   sharded, entry- and byte-bounded LRU ([`ShardedLru`]). Reformatted
-//!   copies of the same STG hit the same entry; bodies are deterministic,
-//!   so hits are byte-identical to computed responses.
+//! * **Content-addressed caching** — certified responses are stored under
+//!   the canonical STG digest ([`modsyn_stg::stg_digest`]) and method, in
+//!   the same byte-bounded LRU [`modsyn_store::SynthStore`] that holds the
+//!   per-module solves ([`ServerConfig::store_bytes`]). Reformatted copies
+//!   of the same STG hit the same entry; bodies are deterministic, so hits
+//!   are byte-identical to computed responses.
 //! * **Admission control** — a bounded queue in front of the shared
 //!   [`modsyn_par::WorkerPool`]; when it is full the service sheds load
 //!   with `503` + `Retry-After` instead of queueing unboundedly.
@@ -70,14 +71,12 @@
 //! ```
 
 pub mod breaker;
-pub mod cache;
 pub mod client;
 pub mod http;
 mod metrics;
 mod server;
 
 pub use breaker::{Admission, BreakerConfig, CircuitBreaker};
-pub use cache::{cache_key, CacheConfig, ShardedLru};
 pub use http::{HttpError, Limits, Request, Response};
 pub use metrics::{Gauge, GaugeGuard, Metrics};
 pub use server::{render_report, AccessLog, Server, ServerConfig, ServerHandle};

@@ -60,11 +60,12 @@ const QUANTILES: &[(&str, f64)] = &[("p50", 0.50), ("p90", 0.90), ("p99", 0.99)]
 pub struct Metrics {
     /// Requests accepted off the listener (any endpoint).
     pub requests: AtomicU64,
-    /// `/synth` requests answered from the cache.
+    /// `/synth` requests answered from a stored response.
     pub cache_hits: AtomicU64,
     /// `/synth` requests that had to synthesise.
     pub cache_misses: AtomicU64,
-    /// Cache entries evicted to make room.
+    /// Store entries (module solves and responses) evicted to keep its
+    /// byte bound (synced from the store at scrape).
     pub cache_evictions: AtomicU64,
     /// Module solves answered from the synthesis store (synced from the
     /// store at scrape, like `cache_evictions`).
@@ -96,8 +97,8 @@ pub struct Metrics {
     /// recovered without the client noticing anything but latency).
     pub retry_recoveries: AtomicU64,
     /// Faults fired by an armed [`modsyn_fault::FaultPlan`] in the svc
-    /// layer (accept drops, torn reads/writes, slow-peer stalls,
-    /// eviction storms). Always 0 in production.
+    /// layer (accept drops, torn reads/writes, slow-peer stalls; store
+    /// eviction storms show in `cache_evictions`). Always 0 in production.
     pub injected_faults: AtomicU64,
     /// Write-ahead-journal frames appended (synced from the durable store
     /// at scrape; 0 without `--durable`).

@@ -4,13 +4,14 @@
 //! daemon restarting warm from a durable directory.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use modsyn_fault::{Faults, SplitMix64};
 use modsyn_obs::Tracer;
 use modsyn_store::{
-    encode_frame, scan_bytes, DurableConfig, DurableStore, ModuleEntry, RecoveryReport,
-    StoreMutation, StoredFormula, SynthRecord, SNAP_FILE, WAL_HEADER,
+    encode_frame, record_key, scan_bytes, DurableConfig, DurableStore, ModuleEntry, RecoveryReport,
+    StoreMutation, StoredFormula, SynthRecord, SynthStore, SNAP_FILE, WAL_HEADER,
 };
 use modsyn_svc::client;
 use modsyn_svc::{Server, ServerConfig, ServerHandle};
@@ -31,10 +32,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// proptest generator (the proptest dependency is gated off for offline
 /// builds).
 fn arbitrary_mutation(rng: &mut SplitMix64) -> StoreMutation {
-    match rng.below(3) {
+    match rng.below(2) {
         0 => StoreMutation::Module {
             key: rng.next_u64(),
-            entry: ModuleEntry {
+            entry: Arc::new(ModuleEntry {
                 assignments: Vec::new(),
                 formulas: vec![StoredFormula {
                     state_signals: rng.below(7),
@@ -42,19 +43,16 @@ fn arbitrary_mutation(rng: &mut SplitMix64) -> StoreMutation {
                     ..Default::default()
                 }],
                 provenance: Vec::new(),
-            },
+            }),
         },
-        1 => StoreMutation::Record {
-            digest: rng.next_u64(),
-            record: SynthRecord {
+        _ => StoreMutation::Record {
+            key: record_key(rng.next_u64(), rng.below(4) as u8),
+            record: Arc::new(SynthRecord {
                 benchmark: format!("bench-{}", rng.below(100)),
                 inserted: vec![format!("csc{}", rng.below(4))],
                 provenance: Vec::new(),
-            },
-        },
-        _ => StoreMutation::Response {
-            key: (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
-            body: "x".repeat(rng.below(64)),
+                body: "x".repeat(rng.below(64)),
+            }),
         },
     }
 }
@@ -135,14 +133,14 @@ fn any_single_byte_corruption_still_replays_a_prefix() {
 fn module(n: usize) -> StoreMutation {
     StoreMutation::Module {
         key: n as u64,
-        entry: ModuleEntry {
+        entry: Arc::new(ModuleEntry {
             assignments: Vec::new(),
             formulas: vec![StoredFormula {
                 state_signals: n,
                 ..Default::default()
             }],
             provenance: Vec::new(),
-        },
+        }),
     }
 }
 
@@ -159,17 +157,12 @@ fn previous_generation_fallback_report_is_pinned() {
     let dir = temp_dir("fallback-pin");
     let config = DurableConfig::new(&dir);
     {
-        let store = modsyn_store::SynthStore::new();
-        let apply = |store: &modsyn_store::SynthStore, m: &StoreMutation| {
-            if let StoreMutation::Module { key, entry } = m {
-                store.put_module(*key, entry.clone());
-            }
-        };
+        let store = SynthStore::new();
         let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-        d.record(&module(1), || apply(&store, &module(1)));
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap(); // gen 1: {1}
-        d.record(&module(2), || apply(&store, &module(2)));
-        d.checkpoint(|| (store.snapshot(), Vec::new())).unwrap(); // gen 2: {1,2}; gen 1 rotates to prev
+        d.record(&module(1), || store.insert(module(1)));
+        d.checkpoint(&store).unwrap(); // gen 1: {1}
+        d.record(&module(2), || store.insert(module(2)));
+        d.checkpoint(&store).unwrap(); // gen 2: {1,2}; gen 1 rotates to prev
         d.record(&module(3), || {});
     } // dropped without a final checkpoint: frame 3 lives in the journal
     std::fs::write(dir.join(SNAP_FILE), b"{\"version\": garbage").unwrap();
@@ -191,12 +184,7 @@ fn previous_generation_fallback_report_is_pinned() {
     // The previous generation carried module 1; the journal carried 3.
     // Module 2 was covered only by the corrupt generation: a hole, not a
     // haunting.
-    let keys: Vec<u64> = {
-        let mut k: Vec<u64> = data.modules.iter().map(|(key, _)| *key).collect();
-        k.sort_unstable();
-        k
-    };
-    assert_eq!(keys, vec![1, 3]);
+    assert_eq!(data.entries, vec![module(1), module(3)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -240,7 +228,7 @@ fn metric(handle: &ServerHandle, name: &str) -> u64 {
 }
 
 /// A daemon restarted onto its durable directory answers previously
-/// certified work from the recovered response cache — warm, byte-exact.
+/// certified work from the recovered store — warm, byte-exact.
 #[test]
 fn server_restarts_warm_from_durable_dir() {
     let dir = temp_dir("server-warm");
@@ -281,7 +269,7 @@ fn server_restarts_warm_from_durable_dir() {
     assert_eq!(
         again.header("x-modsyn-cache"),
         Some("hit"),
-        "recovered response cache must serve the restart warm"
+        "recovered store must serve the restart warm"
     );
     assert_eq!(again.body, first.body, "byte-identical across the restart");
     stop(&handle, thread);
@@ -308,26 +296,6 @@ fn server_recovers_journal_only_state_after_a_crash() {
     wait_ready(&handle);
     assert_eq!(metric(&handle, "modsynd_recovery_frames_replayed"), 5);
     assert_eq!(metric(&handle, "modsynd_recovery_frames_truncated"), 0);
-    stop(&handle, thread);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A corrupt legacy `--store-snapshot` file must be a logged recovery
-/// event, never a bind failure.
-#[test]
-fn corrupt_legacy_snapshot_does_not_prevent_bind() {
-    let dir = temp_dir("legacy-corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let snapshot = dir.join("store.json");
-    std::fs::write(&snapshot, b"{\"version\":").unwrap();
-
-    let (handle, thread) = start(ServerConfig {
-        store_snapshot: Some(snapshot),
-        ..ServerConfig::default()
-    });
-    let health = client::request(handle.addr(), "GET", "/healthz", b"", TIMEOUT).expect("healthz");
-    assert_eq!(health.status, 200, "corrupt snapshot must not kill bind");
-    assert_eq!(metric(&handle, "modsynd_recovery_snapshot_fallbacks"), 1);
     stop(&handle, thread);
     let _ = std::fs::remove_dir_all(&dir);
 }

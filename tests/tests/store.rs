@@ -1,14 +1,16 @@
 //! Incremental-synthesis integration tests: every Table-1 row is edited,
 //! re-synthesised through a warm synthesis store, certified by the
 //! independent oracle and byte-compared against from-scratch synthesis —
-//! plus the serving surface (`/synth/incr`, `/explain`, `--store-snapshot`
-//! warm restarts) against real loopback listeners.
+//! plus the serving surface (`/synth/incr`, `/explain`, `--durable` warm
+//! restarts, a byte-capped store) against real loopback listeners.
 
-use std::time::Duration;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use modsyn_bench::incr::{edit_specs, run_incr_row};
 use modsyn_bench::PAPER_TABLE1;
 use modsyn_obs::{parse_json, Tracer};
+use modsyn_store::{DurableConfig, SNAP_FILE};
 use modsyn_svc::client::{self, ClientResponse};
 use modsyn_svc::{Server, ServerConfig, ServerHandle};
 
@@ -123,6 +125,21 @@ fn request(handle: &ServerHandle, method: &str, path: &str, body: &str) -> Clien
         .expect("loopback request")
 }
 
+/// Polls `/readyz` until the server finishes its background recovery.
+fn wait_ready(handle: &ServerHandle) {
+    let deadline = Instant::now() + TIMEOUT;
+    while request(handle, "GET", "/readyz", "").status != 200 {
+        assert!(Instant::now() < deadline, "server never became ready");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("modsyn-itest-store-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn synth_incr_resolves_fewer_modules_and_matches_fresh_synthesis() {
     let (base_g, edited_g) = edit_specs("nak-pa", SEED);
@@ -179,7 +196,7 @@ fn synth_incr_resolves_fewer_modules_and_matches_fresh_synthesis() {
     assert_eq!(counter("modsynd_store_dirty_total"), dirty);
 
     // Byte identity against a *second, fresh* daemon's from-scratch run —
-    // the first daemon would answer from its response cache.
+    // the first daemon would answer from its store.
     let incr_body = incr.text();
     stop(&handle, thread);
     let (fresh_handle, fresh_thread) = start(ServerConfig::default());
@@ -252,10 +269,9 @@ fn explain_reports_provenance_for_certified_synthesis() {
 
 #[test]
 fn store_snapshot_survives_restart_with_full_cache_warmth() {
-    let path = std::env::temp_dir().join(format!("modsyn-store-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_dir("restart-warmth");
     let config = || ServerConfig {
-        store_snapshot: Some(path.clone()),
+        durable: Some(DurableConfig::new(&dir)),
         ..ServerConfig::default()
     };
     let rows = ["vbe-ex1", "vbe-ex2"];
@@ -264,8 +280,9 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
         .map(|name| modsyn_stg::write_g(&modsyn_stg::benchmarks::by_name(name).expect("benchmark")))
         .collect();
 
-    // First life: synthesise, then drain (which persists the snapshot).
+    // First life: synthesise, then drain (which writes the snapshot).
     let (handle, thread) = start(config());
+    wait_ready(&handle);
     let mut digest = String::new();
     for body in &bodies {
         let response = request(&handle, "POST", "/synth?method=modular", body);
@@ -277,11 +294,15 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
             .to_string();
     }
     stop(&handle, thread);
-    assert!(path.exists(), "graceful drain must write the snapshot");
+    assert!(
+        dir.join(SNAP_FILE).exists(),
+        "graceful drain must write the snapshot"
+    );
 
-    // Second life: every request is answered from the restored cache, and
+    // Second life: every request is answered from the restored store, and
     // /explain still reaches the first life's provenance records.
     let (handle, thread) = start(config());
+    wait_ready(&handle);
     for body in &bodies {
         let response = request(&handle, "POST", "/synth?method=modular", body);
         assert_eq!(response.status, 200, "{}", response.text());
@@ -299,5 +320,137 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
     );
     assert_eq!(explain.status, 200, "{}", explain.text());
     stop(&handle, thread);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable daemon whose store holds only a few responses: every answer
+/// stays byte-identical while module solves and responses evict each
+/// other, the bound holds after every request, `/explain` degrades to a
+/// typed 404 for evicted digests, and a restart recovers at most the cap
+/// and answers what was resident as hits.
+#[test]
+fn capped_durable_daemon_evicts_within_its_byte_bound() {
+    const CAP: usize = 4096;
+    const CHECKPOINT_EVERY: u64 = 4;
+    let dir = temp_dir("capped");
+    let config = || ServerConfig {
+        jobs: 2,
+        store_bytes: CAP,
+        durable: Some(DurableConfig {
+            checkpoint_every: CHECKPOINT_EVERY,
+            ..DurableConfig::new(&dir)
+        }),
+        ..ServerConfig::default()
+    };
+    // Small Table-1 rows and renamed copies: a rename moves the digest
+    // (a new response) but keeps every module (store hits).
+    let specs: Vec<String> = ["vbe-ex1", "vbe-ex2", "sendr-done", "nouse"]
+        .iter()
+        .flat_map(|name| {
+            let stg = modsyn_stg::benchmarks::by_name(name).expect("benchmark");
+            [
+                modsyn_stg::write_g(&stg),
+                modsyn_stg::write_g(&modsyn_store::rename_edit(&stg, "-renamed")),
+            ]
+        })
+        .collect();
+
+    let (handle, thread) = start(config());
+    wait_ready(&handle);
+    let store = handle.store();
+    let mut first: Vec<(String, Vec<u8>)> = Vec::new();
+    for pass in 0..2 {
+        for (i, g) in specs.iter().enumerate() {
+            let response = request(&handle, "POST", "/synth?method=modular", g);
+            assert_eq!(response.status, 200, "{}", response.text());
+            let digest = response
+                .header("x-modsyn-digest")
+                .expect("digest")
+                .to_string();
+            if pass == 0 {
+                first.push((digest, response.body));
+            } else {
+                assert_eq!(first[i].0, digest);
+                assert_eq!(first[i].1, response.body, "spec {i}: body changed");
+            }
+            assert!(store.bytes() <= CAP, "resident {} > cap", store.bytes());
+        }
+    }
+    let metrics = request(&handle, "GET", "/metrics", "").text();
+    let evictions = modsyn_svc::Metrics::parse_line(&metrics, "modsynd_cache_evictions_total");
+    assert!(evictions.expect("eviction counter") > 0);
+
+    // /explain: 200 for a resident response, a typed 404 for an evicted
+    // one — never a 5xx, never another spec's record.
+    let resident = |digest: &str| {
+        let key = modsyn_store::record_key(u64::from_str_radix(digest, 16).unwrap(), 0);
+        store
+            .entries()
+            .iter()
+            .any(|e| matches!(e, modsyn_store::StoreMutation::Record { key: k, .. } if *k == key))
+    };
+    let (mut explained, mut evicted) = (0, 0);
+    for (digest, body) in &first {
+        let body = parse_json(std::str::from_utf8(body).unwrap()).expect("body");
+        let signal = body
+            .get("inserted")
+            .and_then(modsyn_obs::Json::as_arr)
+            .and_then(|arr| arr.first())
+            .and_then(modsyn_obs::Json::as_str)
+            .expect("every spec here inserts a state signal")
+            .to_string();
+        let was_resident = resident(digest);
+        let explain = request(
+            &handle,
+            "GET",
+            &format!("/explain?digest={digest}&signal={signal}"),
+            "",
+        );
+        if was_resident {
+            explained += 1;
+            assert_eq!(explain.status, 200, "{}", explain.text());
+            let doc = parse_json(&explain.text()).expect("explain body");
+            assert_eq!(
+                doc.get("benchmark").and_then(modsyn_obs::Json::as_str),
+                body.get("benchmark").and_then(modsyn_obs::Json::as_str),
+            );
+        } else {
+            evicted += 1;
+            assert_eq!(explain.status, 404, "{}", explain.text());
+            assert!(
+                explain.text().contains("unknown-digest"),
+                "{}",
+                explain.text()
+            );
+        }
+    }
+    assert!(
+        explained > 0 && evicted > 0,
+        "{explained} resident, {evicted} evicted"
+    );
+    let survivors: Vec<usize> = (0..specs.len())
+        .filter(|&i| resident(&first[i].0))
+        .collect();
+    stop(&handle, thread);
+
+    // The drain checkpointed: the journal is compacted to a short suffix.
+    let (frames, _) = modsyn_store::scan_wal(&dir.join(modsyn_store::WAL_FILE)).expect("journal");
+    assert!(
+        frames.len() as u64 <= CHECKPOINT_EVERY,
+        "{} frames",
+        frames.len()
+    );
+
+    // A restart recovers at most the cap and answers the survivors warm.
+    let (handle, thread) = start(config());
+    wait_ready(&handle);
+    assert!(handle.store().bytes() <= CAP);
+    for &i in &survivors {
+        let response = request(&handle, "POST", "/synth?method=modular", &specs[i]);
+        assert_eq!(response.status, 200, "{}", response.text());
+        assert_eq!(response.header("x-modsyn-cache"), Some("hit"), "spec {i}");
+        assert_eq!(response.body, first[i].1);
+    }
+    stop(&handle, thread);
+    let _ = std::fs::remove_dir_all(&dir);
 }

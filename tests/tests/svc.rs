@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use modsyn_obs::Tracer;
 use modsyn_svc::client::{self, ClientResponse};
-use modsyn_svc::{CacheConfig, Limits, Server, ServerConfig, ServerHandle};
+use modsyn_svc::{Limits, Server, ServerConfig, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -101,19 +101,25 @@ fn responses_are_certified_cached_and_byte_identical() {
 
 #[test]
 fn concurrent_stress_with_eviction_churn_stays_consistent() {
-    // A deliberately tiny cache (2 entries in one shard) under three
-    // distinct STGs: constant eviction churn, recomputation and races.
-    let (handle, thread) = start(ServerConfig {
-        jobs: 4,
-        cache: CacheConfig {
-            shards: 1,
-            max_entries: 2,
-            max_bytes: 1 << 20,
-        },
-        ..ServerConfig::default()
-    });
     let names = ["vbe-ex1", "sendr-done", "nouse"];
     let bodies: Vec<String> = names.iter().map(|n| benchmark_g(n)).collect();
+
+    // What the three STGs leave in an unbounded store: their module
+    // solves and certified responses.
+    let (handle, thread) = start(ServerConfig::default());
+    for body in &bodies {
+        assert_eq!(post_synth(&handle, body).status, 200);
+    }
+    let working_set = handle.store().bytes();
+    stop(&handle, thread);
+
+    // A deliberately tight store (two thirds of that working set) under
+    // the three STGs: constant eviction churn, recomputation and races.
+    let (handle, thread) = start(ServerConfig {
+        jobs: 4,
+        store_bytes: working_set * 2 / 3,
+        ..ServerConfig::default()
+    });
 
     let mut per_benchmark: Vec<Vec<Vec<u8>>> = vec![Vec::new(); names.len()];
     std::thread::scope(|scope| {
@@ -150,8 +156,9 @@ fn concurrent_stress_with_eviction_churn_stays_consistent() {
             );
         }
     }
-    // Three working-set entries through a 2-entry cache must evict.
+    // The working set does not fit, so the store must evict.
     assert!(metric(&handle, "modsynd_cache_evictions_total") > 0);
+    assert!(handle.store().bytes() <= working_set * 2 / 3);
     let hits = metric(&handle, "modsynd_cache_hits_total");
     let misses = metric(&handle, "modsynd_cache_misses_total");
     assert_eq!(hits + misses, 48, "every request is a hit or a miss");
@@ -161,29 +168,43 @@ fn concurrent_stress_with_eviction_churn_stays_consistent() {
 
 #[test]
 fn cache_capacity_bounds_hold_under_concurrent_insertions() {
-    use modsyn_svc::{cache_key, ShardedLru};
+    use modsyn_store::{record_key, StoreMutation, SynthRecord};
     use std::sync::Arc;
 
-    let cache: ShardedLru<Arc<Vec<u8>>> = ShardedLru::new(&CacheConfig {
-        shards: 4,
-        max_entries: 16,
-        max_bytes: 4096,
+    let (handle, thread) = start(ServerConfig {
+        store_bytes: 4096,
+        ..ServerConfig::default()
     });
+    let store = handle.store();
+    let record = || SynthRecord {
+        benchmark: "b".into(),
+        inserted: Vec::new(),
+        provenance: Vec::new(),
+        body: "0".repeat(16),
+    };
+    // Every entry encodes to the same length (keys are fixed-width hex).
+    let cost = StoreMutation::Record {
+        key: record_key(0, 0),
+        record: Arc::new(record()),
+    }
+    .payload()
+    .len();
     std::thread::scope(|scope| {
         for worker in 0..8u64 {
-            let cache = &cache;
+            let store = &store;
             scope.spawn(move || {
                 for i in 0..500u64 {
-                    let key = cache_key((worker * 10_007 + i).wrapping_mul(0x9e37_79b9), 0);
-                    cache.insert(key, Arc::new(vec![0u8; 16]), 16);
-                    cache.get(key);
+                    let key = record_key((worker * 10_007 + i).wrapping_mul(0x9e37_79b9), 0);
+                    store.put_record(key, record());
+                    store.get_record(key);
                 }
             });
         }
     });
-    assert!(cache.len() <= cache.shard_count() * cache.entry_budget());
-    assert!(cache.bytes() <= 4096);
-    assert!(cache.evictions() > 0);
+    assert!(store.len() <= 4096 / cost);
+    assert!(store.bytes() <= 4096);
+    assert!(store.evictions() > 0);
+    stop(&handle, thread);
 }
 
 #[test]
