@@ -7,9 +7,10 @@
 //! * **method**: modular vs direct vs Lavagno,
 //! * **parallelism**: serial vs `--jobs 4` (must produce *identical*
 //!   reports),
-//! * **SAT configuration**: the default solver vs each member of the
-//!   standard portfolio (Activity+learning, Jeroslow-Wang chronological,
-//!   MOMS chronological),
+//! * **SAT configuration**: the default solver vs the classic engine's
+//!   chronological branch-and-bound under Jeroslow-Wang and under MOMS
+//!   (with learning on, the classic engine branches on activity whatever
+//!   the static heuristic, and `modular/dpll` already runs that),
 //! * **SAT engine**: the default CDCL core vs the classic DPLL engine vs
 //!   lookahead cube-and-conquer — three independent deciders over the
 //!   same CSC encodings must synthesise observation-equivalent circuits.
@@ -43,7 +44,7 @@ use modsyn::{certify_report, Engine, Method, SynthesisError, SynthesisOptions, S
 use modsyn_bench::TABLE1_BACKTRACK_LIMIT;
 use modsyn_check::{check_equivalence, gen_recipe, Profile, StgRecipe};
 use modsyn_corpus::{corpus_case, gen_asym, gen_corpus, AsymRecipe, CorpusRecipe, Expectation};
-use modsyn_sat::{standard_portfolio, SolverOptions};
+use modsyn_sat::{Heuristic, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::{benchmarks, Stg};
 
@@ -60,7 +61,12 @@ fn configs(limit: u64) -> Vec<Config> {
         max_backtracks: Some(limit),
         ..SolverOptions::default()
     };
-    let mut list = vec![
+    let chrono = |heuristic| SolverOptions {
+        heuristic,
+        learning: false,
+        ..base
+    };
+    vec![
         Config {
             label: "modular/serial".into(),
             method: Method::Modular,
@@ -103,17 +109,21 @@ fn configs(limit: u64) -> Vec<Config> {
             engine: Engine::default(),
             jobs: 1,
         },
-    ];
-    for (i, solver) in standard_portfolio(base).into_iter().enumerate() {
-        list.push(Config {
-            label: format!("modular/portfolio{i}"),
+        Config {
+            label: "modular/chrono-jw".into(),
             method: Method::Modular,
-            solver,
+            solver: chrono(Heuristic::JeroslowWang),
             engine: Engine::Dpll,
             jobs: 1,
-        });
-    }
-    list
+        },
+        Config {
+            label: "modular/chrono-moms".into(),
+            method: Method::Modular,
+            solver: chrono(Heuristic::Moms),
+            engine: Engine::Dpll,
+            jobs: 1,
+        },
+    ]
 }
 
 /// A failure is legitimate when it is one of the typed capacity/class

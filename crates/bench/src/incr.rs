@@ -319,7 +319,7 @@ pub fn incr_json(seed: usize, rows: &[IncrMeasurement]) -> Json {
 ///
 /// # Errors
 ///
-/// Propagates derivation failures from [`derive`].
+/// Propagates derivation failures from [`derive()`].
 pub fn derive_spec(stg: &Stg) -> Result<StateGraph, modsyn_sg::SgError> {
     derive(stg, &table1_options().derive)
 }

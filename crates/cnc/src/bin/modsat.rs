@@ -4,7 +4,7 @@
 //! modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N]
 //!        [--cube-cutoff N] [--jobs N] [--chrono]
 //!        [--heuristic first|jw|moms|activity] [--max-backtracks N]
-//!        [--timeout-ms T] [--portfolio] [--stats]
+//!        [--timeout-ms T] [--stats]
 //! ```
 //!
 //! Prints `s SATISFIABLE` + a `v` model line, `s UNSATISFIABLE`, or
@@ -13,31 +13,30 @@
 //! SAT, 20 for UNSAT, 0 for UNKNOWN, 1 for usage or input errors.
 //!
 //! `--engine` selects the SAT core: `cdcl` (default) is the modern
-//! conflict-driven core, `dpll` the classic chronological engine
-//! (`--chrono`/`--heuristic` apply only there), and `cnc` lookahead
-//! cube-and-conquer over the CDCL core (`--cube-depth`, `--cube-cutoff`
-//! shape the cubes; `--jobs` sizes the conquer pool, 0 = all cores).
-//! `--portfolio` races the selected engine against the classic
-//! configuration portfolio; `--timeout-ms` aborts cooperatively after
-//! `T` milliseconds. With `--engine cnc`, `--max-backtracks` is a
-//! *per-cube* conflict budget (cubes partition the search space).
+//! conflict-driven core, `dpll` the classic engine (`--chrono`/`--heuristic`
+//! apply only there), and `cnc` lookahead cube-and-conquer over the CDCL
+//! core (`--cube-depth`, `--cube-cutoff` shape the cubes; `--jobs` sizes
+//! the conquer pool, 0 = all cores). Without `--chrono` the classic engine
+//! learns clauses and, for every heuristic but `first`, branches on
+//! activity seeded from Jeroslow–Wang, so `--heuristic moms` needs
+//! `--chrono`. `--timeout-ms` aborts
+//! cooperatively after `T` milliseconds. With `--engine cnc`,
+//! `--max-backtracks` is a *per-cube* conflict budget (cubes partition the
+//! search space).
 
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use modsyn_cnc::{solve_engine_portfolio_traced, solve_with_engine, Engine};
+use modsyn_cnc::{solve_with_engine, Engine};
 use modsyn_fault::Faults;
-use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{
-    parse_dimacs, solve_portfolio, standard_portfolio, Heuristic, Lit, Outcome, SolverOptions, Var,
-};
+use modsyn_sat::{parse_dimacs, Heuristic, Lit, Outcome, SolverOptions, Var};
 
 const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N] \
                      [--cube-cutoff N] [--jobs N] [--chrono] \
                      [--heuristic first|jw|moms|activity] [--max-backtracks N] [--timeout-ms T] \
-                     [--portfolio] [--stats]";
+                     [--stats]";
 
 fn main() -> ExitCode {
     let mut source = String::new();
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
     let mut cube_cutoff: Option<u32> = None;
     let mut jobs: Option<u32> = None;
     let mut show_stats = false;
-    let mut portfolio = false;
     let mut timeout_ms: Option<u64> = None;
 
     let mut it = std::env::args().skip(1);
@@ -118,7 +116,6 @@ fn main() -> ExitCode {
                 };
                 timeout_ms = Some(v);
             }
-            "--portfolio" => portfolio = true,
             "--stats" => show_stats = true,
             other if source.is_empty() => source = other.to_string(),
             other => {
@@ -150,6 +147,10 @@ fn main() -> ExitCode {
         eprintln!("--cube-depth/--cube-cutoff require --engine cnc");
         return ExitCode::FAILURE;
     }
+    if options.heuristic == Heuristic::Moms && options.learning {
+        eprintln!("--heuristic moms requires --chrono (with learning, branching follows activity)");
+        return ExitCode::FAILURE;
+    }
 
     let text = if source == "-" {
         let mut buf = String::new();
@@ -179,30 +180,10 @@ fn main() -> ExitCode {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::never(),
     };
-    let outcome = if portfolio && engine == Engine::Dpll {
-        let result = solve_portfolio(&formula, &standard_portfolio(options), &cancel);
-        if show_stats {
-            for (i, run) in result.runs.iter().enumerate() {
-                let mark = if result.winner == Some(i) { " *" } else { "" };
-                eprintln!("c [{i}{mark}] {:?}: {}", run.options.heuristic, run.stats);
-            }
-        }
-        result.outcome
-    } else if portfolio {
-        let (outcome, stats) =
-            solve_engine_portfolio_traced(&formula, options, &cancel, &Tracer::disabled());
-        if show_stats {
-            eprintln!("c [portfolio winner] {stats}");
-        }
-        outcome
-    } else {
-        let (outcome, stats) =
-            solve_with_engine(engine, &formula, options, &cancel, &Faults::none());
-        if show_stats {
-            eprintln!("c [{engine}] {stats}");
-        }
-        outcome
-    };
+    let (outcome, stats) = solve_with_engine(engine, &formula, options, &cancel, &Faults::none());
+    if show_stats {
+        eprintln!("c [{engine}] {stats}");
+    }
     match outcome {
         Outcome::Satisfiable(model) => {
             println!("s SATISFIABLE");

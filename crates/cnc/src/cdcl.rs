@@ -283,8 +283,8 @@ impl<'f> Cdcl<'f> {
         s
     }
 
-    /// Attaches a cancellation token, polled every [`CANCEL_POLL_MASK`]+1
-    /// main-loop iterations and every [`PROP_POLL_MASK`]+1 propagations.
+    /// Attaches a cancellation token, polled every `CANCEL_POLL_MASK + 1`
+    /// main-loop iterations and every `PROP_POLL_MASK + 1` propagations.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;

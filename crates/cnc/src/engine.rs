@@ -5,10 +5,7 @@
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{
-    solve_portfolio_traced, standard_portfolio, CnfFormula, Heuristic, Outcome, Solver,
-    SolverOptions, SolverStats,
-};
+use modsyn_sat::{CnfFormula, Outcome, Solver, SolverOptions, SolverStats};
 
 use crate::cdcl::{Cdcl, CdclOptions};
 use crate::conquer::{solve_cnc_traced, CncOptions};
@@ -149,97 +146,6 @@ pub fn solve_with_engine(
     solve_with_engine_traced(engine, formula, solver, cancel, faults, &Tracer::disabled())
 }
 
-/// Races the CDCL core against the classic portfolio's strongest two legs
-/// — the retry ladder's escape hatch, now with the modern core as a
-/// member. Verdict-deterministic, trace-nondeterministic, and (like the
-/// classic race) deliberately immune to `sat.*` fault plans: injecting
-/// into racing members would make the verdict scheduling-dependent.
-///
-/// Returns the winning outcome and the winner's stats (default stats when
-/// nobody decided).
-pub fn solve_engine_portfolio_traced(
-    formula: &CnfFormula,
-    limits: SolverOptions,
-    cancel: &CancelToken,
-    tracer: &Tracer,
-) -> (Outcome, SolverStats) {
-    let race = cancel.child();
-    let cdcl_outcome: std::sync::Mutex<Option<(Outcome, SolverStats)>> =
-        std::sync::Mutex::new(None);
-    let classic = std::thread::scope(|scope| {
-        let race_ref = &race;
-        let slot = &cdcl_outcome;
-        let cdcl_tracer = tracer.clone();
-        scope.spawn(move || {
-            let _attempt = cdcl_tracer.span("attempt:cdcl-core");
-            let mut s = Cdcl::new(
-                formula,
-                CdclOptions {
-                    max_conflicts: limits.max_backtracks,
-                    max_decisions: limits.max_decisions,
-                },
-            )
-            .with_cancel(race_ref.child());
-            let outcome = s.solve_traced(&cdcl_tracer);
-            if outcome.is_decided() {
-                race_ref.cancel();
-            }
-            *slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((outcome, s.stats()));
-        });
-        // The classic race shares the same race token, so whichever side
-        // decides first cancels the other.
-        let classic_configs = vec![
-            SolverOptions {
-                heuristic: Heuristic::Activity,
-                learning: true,
-                ..limits
-            },
-            SolverOptions {
-                heuristic: Heuristic::JeroslowWang,
-                learning: false,
-                ..limits
-            },
-        ];
-        solve_portfolio_traced(formula, &classic_configs, &race, tracer)
-    });
-    let cdcl = cdcl_outcome
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    // Prefer whichever member actually decided; the CDCL core first (its
-    // stats feed the report), then the classic race's verdict.
-    match cdcl {
-        Some((outcome, stats)) if outcome.is_decided() => (outcome, stats),
-        cdcl_undecided => {
-            if classic.outcome.is_decided() {
-                let stats = classic
-                    .winner
-                    .map(|i| classic.runs[i].stats)
-                    .unwrap_or_default();
-                (classic.outcome, stats)
-            } else if let Some((outcome, stats)) = cdcl_undecided {
-                // Nobody decided: prefer a limit verdict over a
-                // cancellation, mirroring the classic portfolio.
-                if outcome != Outcome::Aborted {
-                    (outcome, stats)
-                } else {
-                    (classic.outcome, stats)
-                }
-            } else {
-                (classic.outcome, SolverStats::default())
-            }
-        }
-    }
-}
-
-/// The classic three-config portfolio, re-exported shape for callers that
-/// race [`Engine::Dpll`] only.
-pub fn classic_portfolio(limits: SolverOptions) -> Vec<SolverOptions> {
-    standard_portfolio(limits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,18 +182,6 @@ mod tests {
                 other => panic!("{engine}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn engine_portfolio_decides() {
-        let f = tiny_sat();
-        let (outcome, _) = solve_engine_portfolio_traced(
-            &f,
-            SolverOptions::default(),
-            &CancelToken::never(),
-            &Tracer::disabled(),
-        );
-        assert!(outcome.is_sat());
     }
 
     #[test]

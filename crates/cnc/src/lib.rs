@@ -32,7 +32,4 @@ mod engine;
 pub use cdcl::{Cdcl, CdclExtra, CdclOptions};
 pub use conquer::{solve_cnc, solve_cnc_traced, CncOptions, CncResult};
 pub use cube::{cube_formula, CubeOptions, CubeSet};
-pub use engine::{
-    classic_portfolio, solve_engine_portfolio_traced, solve_with_engine, solve_with_engine_traced,
-    Engine,
-};
+pub use engine::{solve_with_engine, solve_with_engine_traced, Engine};

@@ -36,10 +36,11 @@
 //!
 //! Supervision: `--retry` wraps the run in the deterministic escalation
 //! ladder — on a backtrack-limit or timeout abort, the limit doubles (up
-//! to a cap), then the SAT portfolio races, then the modular flow falls
-//! back to lavagno. Exit code 4 always prints the attempt trace (method,
-//! backtrack limit, elapsed per rung) on stderr, so aborted runs are
-//! diagnosable without `--trace-json`.
+//! to a cap), then the modular flow falls back to lavagno. Every rung
+//! decides each CSC formula with the one `--engine` solver. Exit code 4
+//! always prints the attempt trace (method, backtrack limit, elapsed per
+//! rung) on stderr, so aborted runs are diagnosable without
+//! `--trace-json`.
 //!
 //! Parallelism: `--jobs N` (default: the machine's available parallelism)
 //! fans the modular candidate derivation and the per-signal logic
@@ -119,7 +120,8 @@ fn usage() -> &'static str {
      the winning formula's clause families. Stderr only.\n\
      \n\
      --retry climbs the supervised escalation ladder on capacity failures: \
-     double the backtrack limit, race the SAT portfolio, fall back to lavagno.\n\
+     double the backtrack limit, then fall back to lavagno; the --engine solver \
+     decides every formula.\n\
      \n\
      exit codes: 0 success; 1 usage error; 2 input error (file/parse); \
      3 synthesis failure; 4 aborted (--timeout-ms / cancellation / ladder exhausted); \
@@ -326,7 +328,6 @@ fn main() -> ExitCode {
                 eprint_attempts(&[Attempt {
                     method: options.method,
                     backtrack_limit: options.solver.max_backtracks,
-                    portfolio: options.portfolio,
                     elapsed: *elapsed,
                     error: e.clone(),
                 }]);

@@ -183,13 +183,12 @@ fn solve_module_via_store(
             graph,
             &format!(
                 "scope={scope_tag} offset={name_offset} solver={:?} engine={} extra={} \
-                 prefix={} min_area={} portfolio={}",
+                 prefix={} min_area={}",
                 options.solver,
                 options.engine,
                 options.extra_signals,
                 options.name_prefix,
-                options.min_area,
-                options.portfolio
+                options.min_area
             ),
         )
     });

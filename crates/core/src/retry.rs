@@ -9,8 +9,8 @@
 //! ladder escalates deterministically:
 //!
 //! 1. double the backtrack limit, up to [`RetryPolicy::backtrack_cap`];
-//! 2. switch to the racing SAT portfolio (verdict-deterministic, and
-//!    immune to single-solver fault plans by design);
+//! 2. when a fault plan is armed, re-run the top budget without it — the
+//!    same engine, so the answer a fault-free run gives;
 //! 3. fall back modular → lavagno (a different algorithm entirely).
 //!
 //! The schedule is a pure function of the base options and the policy
@@ -20,8 +20,9 @@
 //! returned unchanged on first occurrence: retrying a proof of
 //! unsatisfiability is wasted work.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_stg::Stg;
 
@@ -34,12 +35,6 @@ use crate::SynthesisError;
 pub struct RetryPolicy {
     /// Backtrack-limit doubling stops once the limit reaches this cap.
     pub backtrack_cap: u64,
-    /// Per-attempt deadline, enforced through a child [`CancelToken`]
-    /// of the base options' token — an attempt that stalls is cut off
-    /// without killing the whole ladder.
-    ///
-    /// [`CancelToken`]: modsyn_par::CancelToken
-    pub attempt_timeout: Option<Duration>,
     /// Allow the final modular → lavagno rung (a different algorithm,
     /// different literal counts — only sound when the caller accepts any
     /// method's result).
@@ -52,7 +47,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             backtrack_cap: 1_000_000,
-            attempt_timeout: None,
             fallback: true,
             max_attempts: 8,
         }
@@ -67,8 +61,6 @@ pub struct Attempt {
     pub method: Method,
     /// The backtrack limit in force.
     pub backtrack_limit: Option<u64>,
-    /// Whether the rung raced the SAT portfolio.
-    pub portfolio: bool,
     /// Wall-clock seconds the rung spent before failing.
     pub elapsed: f64,
     /// How the rung failed.
@@ -81,9 +73,6 @@ impl std::fmt::Display for Attempt {
         match self.backtrack_limit {
             Some(limit) => write!(f, " backtracks<={limit}")?,
             None => write!(f, " backtracks=unlimited")?,
-        }
-        if self.portfolio {
-            write!(f, " portfolio")?;
         }
         write!(f, " {:.2}s: {}", self.elapsed, self.error)
     }
@@ -118,11 +107,12 @@ pub fn escalation_ladder(base: &SynthesisOptions, policy: &RetryPolicy) -> Vec<S
         rungs.push(next);
         limit = Some(bumped);
     }
-    // Rung 2: race the portfolio at the highest budget reached.
-    if !base.portfolio {
+    // Rung 2: the highest budget reached, without the fault plan. With no
+    // plan armed it would repeat the previous rung exactly.
+    if base.faults.is_armed() {
         let mut next = base.clone();
         next.solver.max_backtracks = limit;
-        next.portfolio = true;
+        next.faults = Faults::none();
         rungs.push(next);
     }
     // Rung 3: a different algorithm entirely.
@@ -149,7 +139,7 @@ fn is_retryable(error: &SynthesisError, overall_cancelled: bool) -> bool {
 
 /// [`synthesize_with_retry`] with observability: the ladder runs under a
 /// `retry.ladder` span, each rung under a `retry.attempt` span with the
-/// rung's method/limit/portfolio as notes and its outcome as a note, and
+/// rung's method/limit/fault plan as notes and its outcome as a note, and
 /// failed rungs count into a `retry_escalations` counter.
 ///
 /// # Errors
@@ -170,12 +160,7 @@ pub fn synthesize_with_retry_traced(
     let rungs = escalation_ladder(base, policy);
     tracer.gauge("rungs", rungs.len() as f64);
     let mut attempts = Vec::new();
-    for rung in &rungs {
-        let mut options = rung.clone();
-        options.cancel = match policy.attempt_timeout {
-            Some(timeout) => base.cancel.child_with_deadline(timeout),
-            None => base.cancel.clone(),
-        };
+    for options in &rungs {
         let attempt_span = tracer.span("retry.attempt");
         let attempt_flight = tracer.flight_span("retry.attempt");
         tracer.note("method", &options.method.to_string());
@@ -186,9 +171,16 @@ pub fn synthesize_with_retry_traced(
                 .max_backtracks
                 .map_or_else(|| "unlimited".to_string(), |l| l.to_string()),
         );
-        tracer.note("portfolio", if options.portfolio { "yes" } else { "no" });
+        tracer.note(
+            "faults",
+            if options.faults.is_armed() {
+                "armed"
+            } else {
+                "none"
+            },
+        );
         let started = Instant::now();
-        let result = synthesize_traced(stg, &options, tracer);
+        let result = synthesize_traced(stg, options, tracer);
         match result {
             Ok(report) => {
                 tracer.note("outcome", "ok");
@@ -205,7 +197,6 @@ pub fn synthesize_with_retry_traced(
                 attempts.push(Attempt {
                     method: options.method,
                     backtrack_limit: options.solver.max_backtracks,
-                    portfolio: options.portfolio,
                     elapsed: started.elapsed().as_secs_f64(),
                     error: error.clone(),
                 });
@@ -249,9 +240,18 @@ mod tests {
         }
     }
 
+    fn armed() -> Faults {
+        FaultPlan::new("t", 1)
+            .rule(FaultRule::at(site::SAT_ABORT))
+            .arm()
+    }
+
     #[test]
     fn the_ladder_is_a_pure_function_of_its_inputs() {
-        let base = limited(100);
+        let base = SynthesisOptions {
+            faults: armed(),
+            ..limited(100)
+        };
         let policy = RetryPolicy {
             backtrack_cap: 400,
             ..Default::default()
@@ -264,7 +264,11 @@ mod tests {
             limits,
             vec![Some(100), Some(200), Some(400), Some(400), Some(400)]
         );
-        assert!(a[3].portfolio, "portfolio rung follows the doublings");
+        assert!(a[..3].iter().all(|o| o.faults.is_armed()));
+        assert!(
+            !a[3].faults.is_armed(),
+            "the fault-free rung follows the doublings"
+        );
         assert_eq!(a[4].method, Method::Lavagno, "fallback rung is last");
         assert!(a[..4].iter().all(|o| o.method == Method::Modular));
     }
@@ -272,8 +276,17 @@ mod tests {
     #[test]
     fn unlimited_base_skips_the_doubling_rungs() {
         let ladder = escalation_ladder(&SynthesisOptions::default(), &RetryPolicy::default());
-        assert_eq!(ladder.len(), 3); // base, portfolio, lavagno
-        assert!(ladder[1].portfolio);
+        assert_eq!(ladder.len(), 2); // base, lavagno: no plan to drop
+        assert_eq!(ladder[1].method, Method::Lavagno);
+
+        let base = SynthesisOptions {
+            faults: armed(),
+            ..Default::default()
+        };
+        let ladder = escalation_ladder(&base, &RetryPolicy::default());
+        assert_eq!(ladder.len(), 3); // base, fault-free, lavagno
+        assert!(!ladder[1].faults.is_armed());
+        assert_eq!(ladder[1].solver.max_backtracks, None);
         assert_eq!(ladder[2].method, Method::Lavagno);
     }
 
@@ -321,21 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn the_portfolio_rung_escapes_a_persistent_solver_fault() {
-        // An unlimited sat.abort plan kills every single-solver rung; the
-        // portfolio rung does not probe sat.* sites and must decide.
-        let faults = FaultPlan::new("t", 1)
-            .rule(FaultRule::at(site::SAT_ABORT))
-            .arm();
+    fn the_fault_free_rung_escapes_a_persistent_solver_fault() {
+        // An unlimited sat.abort plan kills every rung that carries it; the
+        // fault-free rung does not, and must decide.
         let base = SynthesisOptions {
-            faults,
+            faults: armed(),
             ..Default::default()
         };
         let out =
             synthesize_with_retry(&benchmarks::vbe_ex1(), &base, &RetryPolicy::default()).unwrap();
         let winner_index = out.attempts.len();
         let ladder = escalation_ladder(&base, &RetryPolicy::default());
-        assert!(ladder[winner_index].portfolio, "portfolio rung won");
+        assert!(
+            !ladder[winner_index].faults.is_armed(),
+            "fault-free rung won"
+        );
         assert_eq!(out.report.method, Method::Modular);
     }
 
@@ -354,7 +367,7 @@ mod tests {
         };
         let policy = RetryPolicy {
             backtrack_cap: 200,
-            max_attempts: 2, // base + one doubling; no portfolio escape
+            max_attempts: 2, // base + one doubling; no fault-free escape
             ..Default::default()
         };
         let err = synthesize_with_retry(&benchmarks::vbe_ex1(), &base, &policy).unwrap_err();

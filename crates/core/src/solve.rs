@@ -2,11 +2,11 @@
 
 use std::time::Instant;
 
-use modsyn_cnc::{solve_engine_portfolio_traced, solve_with_engine_traced, Engine};
+use modsyn_cnc::{solve_with_engine_traced, Engine};
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{solve_portfolio_traced, standard_portfolio, Outcome, SolverOptions, SolverStats};
+use modsyn_sat::{Outcome, SolverOptions, SolverStats};
 use modsyn_sg::{StateGraph, StateSignalAssignment};
 use modsyn_store::{ClauseFamilies, StoreLink};
 
@@ -53,18 +53,9 @@ pub struct CscSolveOptions {
     /// inside the SAT search. Inert by default; compares by identity, so
     /// two default options values are still equal.
     pub cancel: CancelToken,
-    /// Fault-injection handle threaded into the single-solver SAT path
-    /// (the `sat.*` sites). Inert by default; compares by identity, like
-    /// `cancel`. Deliberately *not* threaded into portfolio members — see
-    /// [`CscSolveOptions::portfolio`].
+    /// Fault-injection handle threaded into the SAT engine (the `sat.*`
+    /// sites). Inert by default; compares by identity, like `cancel`.
     pub faults: Faults,
-    /// Race the [`standard_portfolio`] over each formula instead of one
-    /// tuned solver. Verdict-deterministic but trace-nondeterministic
-    /// (which member wins depends on scheduling), and immune to `sat.*`
-    /// fault plans by design: injecting into racing members would make the
-    /// *verdict* depend on thread scheduling, and the retry ladder relies
-    /// on this rung escaping single-solver faults.
-    pub portfolio: bool,
     /// Optional synthesis-store session: the modular flow consults it
     /// before solving a module and records solutions (plus provenance)
     /// after. Inert by default; compares by identity, like `cancel`.
@@ -83,7 +74,6 @@ impl Default for CscSolveOptions {
             min_area: false,
             cancel: CancelToken::never(),
             faults: Faults::none(),
-            portfolio: false,
             store: StoreLink::none(),
         }
     }
@@ -337,39 +327,14 @@ pub fn solve_csc_scoped_traced(
                 }
             }
         }
-        let (outcome, stats) = if options.portfolio {
-            if options.engine == Engine::Dpll {
-                let result = solve_portfolio_traced(
-                    &encoding.formula,
-                    &standard_portfolio(options.solver),
-                    &options.cancel,
-                    tracer,
-                );
-                let stats = result
-                    .winner
-                    .map(|i| result.runs[i].stats)
-                    .unwrap_or_default();
-                (result.outcome, stats)
-            } else {
-                // Race the CDCL core against the classic portfolio's two
-                // strongest legs; same fault immunity as the classic race.
-                solve_engine_portfolio_traced(
-                    &encoding.formula,
-                    options.solver,
-                    &options.cancel,
-                    tracer,
-                )
-            }
-        } else {
-            solve_with_engine_traced(
-                options.engine,
-                &encoding.formula,
-                options.solver,
-                &options.cancel,
-                &options.faults,
-                tracer,
-            )
-        };
+        let (outcome, stats) = solve_with_engine_traced(
+            options.engine,
+            &encoding.formula,
+            options.solver,
+            &options.cancel,
+            &options.faults,
+            tracer,
+        );
         formulas.push(FormulaStat {
             state_signals: m,
             clauses: encoding.formula.clause_count(),

@@ -75,11 +75,6 @@ pub struct SynthesisOptions {
     /// Fault-injection handle threaded into the SAT stage (the `sat.*`
     /// sites). Inert by default.
     pub faults: Faults,
-    /// Race the standard SAT portfolio over each CSC formula instead of
-    /// one tuned solver — the retry ladder's escape hatch from
-    /// single-solver faults and pathological heuristic choices. See
-    /// [`crate::CscSolveOptions::portfolio`].
-    pub portfolio: bool,
     /// Optional synthesis-store session for the modular methods: cached
     /// module solves are replayed instead of re-run, and fresh solves are
     /// recorded with provenance. Inert by default and ignored by the
@@ -99,7 +94,6 @@ impl Default for SynthesisOptions {
             jobs: 1,
             cancel: CancelToken::never(),
             faults: Faults::none(),
-            portfolio: false,
             store: StoreLink::none(),
         }
     }
@@ -215,7 +209,6 @@ pub fn synthesize_traced(
                 min_area: options.method == Method::ModularMinArea,
                 cancel: options.cancel.clone(),
                 faults: options.faults.clone(),
-                portfolio: options.portfolio,
                 store: options.store.clone(),
             };
             let out = modular_resolve_jobs_traced(&initial, &solve, options.jobs, tracer)?;
@@ -238,7 +231,6 @@ pub fn synthesize_traced(
                 min_area: false,
                 cancel: options.cancel.clone(),
                 faults: options.faults.clone(),
-                portfolio: options.portfolio,
                 store: StoreLink::none(),
             };
             let out = direct_resolve_traced(&initial, &solve, tracer)?;

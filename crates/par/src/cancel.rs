@@ -41,8 +41,8 @@ impl Inner {
 ///
 /// [`CancelToken::child`] builds hierarchies: a child trips when its own
 /// flag/deadline trips *or* when any ancestor does, while cancelling the
-/// child leaves the parent alive. The SAT portfolio uses exactly this — one
-/// race-local child per attempt under the caller's overall deadline.
+/// child leaves the parent alive. Cube-and-conquer uses exactly this — one
+/// child per cube under the caller's overall deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
@@ -89,20 +89,6 @@ impl CancelToken {
             inner: Some(Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline: None,
-                parent: self.inner.clone(),
-            })),
-        }
-    }
-
-    /// A child token that additionally trips `timeout` from now: cancelled
-    /// when this token is, when its own deadline passes, or explicitly —
-    /// the shape of a per-attempt deadline under an overall run deadline
-    /// (the retry ladder's rungs).
-    pub fn child_with_deadline(&self, timeout: Duration) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                flag: AtomicBool::new(false),
-                deadline: Some(Instant::now() + timeout),
                 parent: self.inner.clone(),
             })),
         }
@@ -190,23 +176,6 @@ mod tests {
         let child2 = parent.child();
         parent.cancel();
         assert!(child2.is_cancelled(), "parent cancel reaches children");
-    }
-
-    #[test]
-    fn deadlined_child_trips_on_its_own_deadline_and_on_the_parent() {
-        let parent = CancelToken::new();
-        let child = parent.child_with_deadline(Duration::from_millis(10));
-        assert!(!child.is_cancelled());
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(child.is_cancelled(), "own deadline trips the child");
-        assert!(
-            !parent.is_cancelled(),
-            "child deadline must not leak upward"
-        );
-
-        let child2 = parent.child_with_deadline(Duration::from_secs(3600));
-        parent.cancel();
-        assert!(child2.is_cancelled(), "parent cancel reaches the child");
     }
 
     #[test]

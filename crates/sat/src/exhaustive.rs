@@ -7,10 +7,10 @@ pub const EXHAUSTIVE_VAR_LIMIT: usize = 20;
 
 /// Decides satisfiability by enumerating every assignment.
 ///
-/// This is the *reference* semantics the DPLL solver and the portfolio are
-/// differentially tested against: ~15 lines with no propagation, no
-/// heuristics and no early exits beyond clause evaluation, so a bug here is
-/// very unlikely to coincide with a bug there. Returns the
+/// This is the *reference* semantics every SAT engine is differentially
+/// tested against: ~15 lines with no propagation, no heuristics and no
+/// early exits beyond clause evaluation, so a bug here is very unlikely to
+/// coincide with a bug there. Returns the
 /// lexicographically first model (variable 0 is the least-significant bit)
 /// or [`Outcome::Unsatisfiable`].
 ///

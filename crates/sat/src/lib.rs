@@ -40,8 +40,6 @@ mod exhaustive;
 mod heuristic;
 mod lit;
 mod model;
-mod portfolio;
-mod simplify;
 mod solver;
 mod stats;
 
@@ -52,9 +50,5 @@ pub use exhaustive::{solve_exhaustive, EXHAUSTIVE_VAR_LIMIT};
 pub use heuristic::Heuristic;
 pub use lit::{Lit, Var};
 pub use model::Model;
-pub use portfolio::{
-    solve_portfolio, solve_portfolio_traced, standard_portfolio, PortfolioResult, PortfolioRun,
-};
-pub use simplify::{simplify, SimplifyResult};
 pub use solver::{solve, Outcome, Solver, SolverOptions};
 pub use stats::SolverStats;

@@ -12,9 +12,10 @@ use crate::{CnfFormula, Heuristic, Lit, Model, SolverStats, Var};
 /// Search limits and heuristic selection for a [`Solver`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
-    /// Branching heuristic. With learning enabled, [`Heuristic::Activity`]
-    /// follows conflict-driven VSIDS scores; the static heuristics seed the
-    /// initial order.
+    /// Branching heuristic. With learning enabled, every heuristic but
+    /// [`Heuristic::FirstUnassigned`] branches on conflict-driven activity
+    /// seeded from Jeroslow–Wang scores, so [`Heuristic::Moms`] takes
+    /// effect only with learning off.
     pub heuristic: Heuristic,
     /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts,
     /// mirroring the backtrack limit of the SIS branch-and-bound SAT

@@ -126,7 +126,7 @@ pub struct Metrics {
     /// recovering, not draining, no breaker open), 0 otherwise. Computed
     /// at scrape.
     pub ready: AtomicU64,
-    /// Latency/effort histograms (see [`STANDARD_HISTOGRAMS`]).
+    /// Latency/effort histograms (see `STANDARD_HISTOGRAMS`).
     pub hists: HistogramRegistry,
 }
 

@@ -1237,16 +1237,16 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
         options.solver.max_backtracks = Some(limit);
     }
     // Retry ladder: escalate capacity failures (limit bumps up to 4× the
-    // configured budget, then the SAT portfolio) before failing the
-    // request. No lavagno fallback — the response's method must be the
-    // method the client asked for, and cached bodies must stay
+    // configured budget, then, under an armed fault plan, that budget
+    // without the plan) before failing the request. Every rung runs the
+    // configured engine. No lavagno fallback — the response's method must
+    // be the method the client asked for, and cached bodies must stay
     // byte-identical across fault plans.
     let policy = RetryPolicy {
         backtrack_cap: shared
             .config
             .backtrack_limit
             .map_or(1_000_000, |l| l.saturating_mul(4)),
-        attempt_timeout: None,
         fallback: false,
         max_attempts: 4,
     };

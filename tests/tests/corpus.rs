@@ -230,11 +230,10 @@ fn pre_cancelled_run_draws_an_aborted_rejection() {
 #[test]
 fn exhausted_ladder_is_typed_with_its_attempt_trace() {
     // The fork-join subject needs ~1000 backtracks; a budget of 10 with
-    // the doubling cap already at 10 makes every rung — base and the
-    // portfolio (which is immune to single-solver fault plans, so faults
-    // could not force this) — fail retryably with a genuine
-    // backtrack-limit, and no fallback keeps the ladder to those two
-    // rungs, so it runs out instead of recovering.
+    // the doubling cap already at 10 leaves one rung, which fails retryably
+    // with a genuine backtrack-limit. No fault plan means no fault-free
+    // rung, and no fallback keeps the ladder to that rung, so it runs out
+    // instead of recovering.
     let options = SynthesisOptions {
         solver: modsyn_sat::SolverOptions {
             max_backtracks: Some(10),
@@ -244,7 +243,6 @@ fn exhausted_ladder_is_typed_with_its_attempt_trace() {
     };
     let policy = RetryPolicy {
         backtrack_cap: 10,
-        attempt_timeout: None,
         fallback: false,
         max_attempts: 2,
     };
@@ -253,7 +251,7 @@ fn exhausted_ladder_is_typed_with_its_attempt_trace() {
     let SynthesisError::Exhausted { ref attempts } = err else {
         panic!("expected Exhausted, got {err}");
     };
-    assert_eq!(attempts.len(), 2, "base rung plus the portfolio rung");
+    assert_eq!(attempts.len(), 1, "the base rung is the whole ladder");
     let rejection = Rejection::of(&err);
     assert_eq!(rejection, Rejection::Exhausted);
     assert_eq!(rejection.tag(), "exhausted");

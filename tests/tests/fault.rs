@@ -155,6 +155,52 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
     modsyn::certify_report(Some(&spec), &out.report).expect("oracle certifies");
 }
 
+#[test]
+fn the_ladder_returns_the_clean_circuit_under_a_conflict_storm_for_each_engine() {
+    // A three-shot storm fails the 300 k, 600 k and 1 M rungs; the fourth
+    // re-runs the top budget without faults and must give back the circuit
+    // the fault-free run gives, with the same engine. cnc is left out: its
+    // cubes draw from the plan in thread-scheduling order.
+    let render = |r: &modsyn::SynthesisReport| -> Vec<String> {
+        r.functions
+            .iter()
+            .map(|f| format!("{}={}", f.name, f.sop))
+            .collect()
+    };
+    for engine in [modsyn::Engine::Dpll, modsyn::Engine::Cdcl] {
+        for row in [
+            "fifo",
+            "atod",
+            "sbuf-read-ctl",
+            "nouse",
+            "vbe-ex2",
+            "sendr-done",
+        ] {
+            let stg = modsyn_stg::benchmarks::by_name(row).expect("known benchmark");
+            let options = |faults: Faults| SynthesisOptions {
+                solver: modsyn_sat::SolverOptions {
+                    max_backtracks: Some(modsyn_bench::TABLE1_BACKTRACK_LIMIT),
+                    ..Default::default()
+                },
+                engine,
+                faults,
+                ..Default::default()
+            };
+            let clean = synthesize(&stg, &options(Faults::none())).expect("clean run");
+            let faults = FaultPlan::parse("storm", "sat.conflict-storm*3", 0)
+                .expect("fault spec")
+                .arm();
+            let out =
+                synthesize_with_retry(&stg, &options(faults.clone()), &RetryPolicy::default())
+                    .unwrap_or_else(|e| panic!("{engine} {row}: {e}"));
+            assert_eq!(out.attempts.len(), 3, "{engine} {row}");
+            assert_eq!(faults.total_injected(), 3, "{engine} {row}");
+            assert_eq!(render(&out.report), render(&clean), "{engine} {row}");
+            assert_eq!(out.report.inserted, clean.inserted, "{engine} {row}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Circuit breaker over a live loopback server.
 // ---------------------------------------------------------------------------
@@ -163,7 +209,7 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
 fn breaker_opens_under_injected_failures_then_recovers_through_half_open() {
     // A persistent pool.run panic plan makes every synthesis fail (500) —
     // a worker panic is the one failure the server's retry ladder cannot
-    // absorb, unlike sat.abort which the portfolio rung now recovers. A
+    // absorb, unlike sat.abort which the fault-free rung recovers. A
     // threshold of 1.5 (trips on the second quick failure — the score
     // decays slightly between records, so 2.0 would never be reached) and
     // a short cooldown keep the test fast. We hold a clone of the armed

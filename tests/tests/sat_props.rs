@@ -3,17 +3,16 @@
 //! The ungated part cross-checks three independent deciders on seeded
 //! random small CNFs — [`modsyn_sat::solve_exhaustive`] (brute force over
 //! all assignments, the ground truth), the DPLL engine under every
-//! heuristic × learning combination, and the thread portfolio — so a bug
-//! in any one of them shows up as a verdict disagreement with a
-//! reproducible seed. The proptest versions of these properties remain at
+//! heuristic × learning combination, and the CDCL and cube-and-conquer
+//! engines — so a bug in any one of them shows up as a verdict
+//! disagreement with a reproducible seed. The proptest versions of these properties remain at
 //! the bottom, gated behind `--features proptest-tests` (the dependency
 //! needs network access to fetch; see `Cargo.toml`).
 
 use modsyn_check::rng::SplitMix64;
 use modsyn_par::CancelToken;
 use modsyn_sat::{
-    solve, solve_exhaustive, solve_portfolio, standard_portfolio, CnfFormula, Heuristic, Lit,
-    Outcome, SolverOptions, Var,
+    solve, solve_exhaustive, CnfFormula, Heuristic, Lit, Outcome, SolverOptions, Var,
 };
 
 /// Draws a random CNF: up to `max_vars` variables, up to 24 clauses of 1–3
@@ -59,28 +58,6 @@ fn dpll_agrees_with_exhaustive_search_on_500_random_cnfs() {
                     assert!(model.check(&f), "case {case}: model does not satisfy");
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn portfolio_agrees_with_exhaustive_search_on_500_random_cnfs() {
-    let mut rng = SplitMix64::new(0x0f_f01d);
-    for case in 0..500 {
-        let f = random_cnf(&mut rng, 8);
-        let expected = solve_exhaustive(&f).is_sat();
-        let configs = standard_portfolio(SolverOptions::default());
-        let result = solve_portfolio(&f, &configs, &CancelToken::never());
-        assert_eq!(
-            result.outcome.is_sat(),
-            expected,
-            "case {case}: portfolio disagrees with brute force"
-        );
-        if let Outcome::Satisfiable(model) = result.outcome {
-            assert!(
-                model.check(&f),
-                "case {case}: portfolio model does not satisfy"
-            );
         }
     }
 }
@@ -200,8 +177,7 @@ fn exhaustive_model_satisfies_the_formula() {
 #[cfg(feature = "proptest-tests")]
 mod proptests {
     use modsyn_sat::{
-        parse_dimacs, simplify, solve, write_dimacs, CnfFormula, Heuristic, Lit, Outcome,
-        SolverOptions, Var,
+        parse_dimacs, solve, write_dimacs, CnfFormula, Heuristic, Lit, Outcome, SolverOptions, Var,
     };
     use proptest::prelude::*;
 
@@ -262,21 +238,6 @@ mod proptests {
                         reference,
                         "{:?} learning={}", heuristic, learning
                     );
-                }
-            }
-        }
-
-        #[test]
-        fn simplify_preserves_satisfiability(f in cnf_strategy(6)) {
-            let r = simplify(&f);
-            let before = solve(&f, SolverOptions::default()).is_sat();
-            let after = !r.unsat && solve(&r.formula, SolverOptions::default()).is_sat();
-            prop_assert_eq!(before, after);
-            // Forced literals extend to a model when satisfiable.
-            if before {
-                for lit in &r.forced {
-                    // No forced literal may contradict another.
-                    prop_assert!(!r.forced.contains(&!*lit));
                 }
             }
         }

@@ -388,7 +388,7 @@ fn injected_pool_panic_is_a_500_and_gauges_return_to_zero() {
 #[test]
 fn trace_id_retrieves_the_span_chain_from_the_flight_recorder() {
     // One injected solver abort: rung 1 of the retry ladder fails, the
-    // portfolio rung recovers, and the whole chain — svc accept, pool
+    // fault-free rung recovers, and the whole chain — svc accept, pool
     // run, retry ladder, SAT solve — lands in the flight recorder under
     // the caller-chosen trace id.
     let faults = modsyn_fault::FaultPlan::parse("test", "sat.abort*1", 3)
