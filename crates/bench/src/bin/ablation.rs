@@ -113,7 +113,6 @@ fn main() {
                     heuristic,
                     learning,
                     max_backtracks: Some(50_000),
-                    max_decisions: None,
                 },
             );
             let outcome = solver.solve();

@@ -11,9 +11,9 @@
 //!   chronological branch-and-bound under Jeroslow-Wang and under MOMS
 //!   (with learning on, the classic engine branches on activity whatever
 //!   the static heuristic, and `modular/dpll` already runs that),
-//! * **SAT engine**: the default CDCL core vs the classic DPLL engine vs
-//!   lookahead cube-and-conquer — three independent deciders over the
-//!   same CSC encodings must synthesise observation-equivalent circuits.
+//! * **SAT engine**: the default CDCL core vs the classic DPLL engine —
+//!   two independent deciders over the same CSC encodings must synthesise
+//!   observation-equivalent circuits.
 //!
 //! Every success must pass the independent oracle
 //! ([`modsyn_check::verify_solution`]: consistency, CSC, speed
@@ -93,13 +93,6 @@ fn configs(limit: u64) -> Vec<Config> {
             method: Method::Direct,
             solver: base,
             engine: Engine::default(),
-            jobs: 1,
-        },
-        Config {
-            label: "direct/cnc".into(),
-            method: Method::Direct,
-            solver: base,
-            engine: Engine::cnc(),
             jobs: 1,
         },
         Config {

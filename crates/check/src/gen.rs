@@ -34,7 +34,7 @@
 
 use modsyn_stg::{Frag, SignalId, SignalKind, Stg, StgBuilder};
 
-use crate::rng::SplitMix64;
+use modsyn_fault::SplitMix64;
 
 /// Size class of a generated STG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,8 +21,8 @@
 //!
 //! For differential testing, [`gen_stg`] draws live safe free-choice STGs
 //! from a seeded grammar ([`gen`] module docs) with [`StgRecipe::shrink`]
-//! for minimisation, and [`rng::SplitMix64`] is the shared deterministic
-//! PRNG.
+//! for minimisation, drawing from the workspace's one deterministic PRNG,
+//! [`modsyn_fault::SplitMix64`].
 //!
 //! # Example
 //!
@@ -43,7 +43,6 @@ mod equiv;
 mod error;
 pub mod gen;
 mod oracle;
-pub mod rng;
 mod speed;
 
 pub use equiv::check_equivalence;

@@ -1,8 +1,7 @@
 //! `modsat` — solve a DIMACS CNF file.
 //!
 //! ```text
-//! modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N]
-//!        [--cube-cutoff N] [--jobs N] [--chrono]
+//! modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono]
 //!        [--heuristic first|jw|moms|activity] [--max-backtracks N]
 //!        [--timeout-ms T] [--stats]
 //! ```
@@ -13,16 +12,12 @@
 //! SAT, 20 for UNSAT, 0 for UNKNOWN, 1 for usage or input errors.
 //!
 //! `--engine` selects the SAT core: `cdcl` (default) is the modern
-//! conflict-driven core, `dpll` the classic engine (`--chrono`/`--heuristic`
-//! apply only there), and `cnc` lookahead cube-and-conquer over the CDCL
-//! core (`--cube-depth`, `--cube-cutoff` shape the cubes; `--jobs` sizes
-//! the conquer pool, 0 = all cores). Without `--chrono` the classic engine
+//! conflict-driven core, `dpll` the classic engine. `--chrono` and
+//! `--heuristic` configure the classic engine only, so either one without
+//! `--engine dpll` is a usage error. Without `--chrono` the classic engine
 //! learns clauses and, for every heuristic but `first`, branches on
 //! activity seeded from Jeroslow–Wang, so `--heuristic moms` needs
-//! `--chrono`. `--timeout-ms` aborts
-//! cooperatively after `T` milliseconds. With `--engine cnc`,
-//! `--max-backtracks` is a *per-cube* conflict budget (cubes partition the
-//! search space).
+//! `--chrono`. `--timeout-ms` aborts cooperatively after `T` milliseconds.
 
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -33,18 +28,17 @@ use modsyn_fault::Faults;
 use modsyn_par::CancelToken;
 use modsyn_sat::{parse_dimacs, Heuristic, Lit, Outcome, SolverOptions, Var};
 
-const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl|cnc] [--cube-depth N] \
-                     [--cube-cutoff N] [--jobs N] [--chrono] \
+const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono] \
                      [--heuristic first|jw|moms|activity] [--max-backtracks N] [--timeout-ms T] \
-                     [--stats]";
+                     [--stats]\n\
+                     --chrono and --heuristic configure the classic engine: they need --engine dpll";
 
 fn main() -> ExitCode {
     let mut source = String::new();
     let mut options = SolverOptions::default();
     let mut engine = Engine::default();
-    let mut cube_depth: Option<u32> = None;
-    let mut cube_cutoff: Option<u32> = None;
-    let mut jobs: Option<u32> = None;
+    // The last classic-engine flag seen, refused unless --engine dpll.
+    let mut classic_flag: Option<&str> = None;
     let mut show_stats = false;
     let mut timeout_ms: Option<u64> = None;
 
@@ -53,7 +47,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--engine" => {
                 let Some(v) = it.next() else {
-                    eprintln!("--engine needs a value (dpll, cdcl or cnc)");
+                    eprintln!("--engine needs a value (dpll or cdcl)");
                     return ExitCode::FAILURE;
                 };
                 engine = match Engine::parse(&v) {
@@ -64,29 +58,12 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--cube-depth" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cube-depth needs a number");
-                    return ExitCode::FAILURE;
-                };
-                cube_depth = Some(v);
+            "--chrono" => {
+                options.learning = false;
+                classic_flag = Some("--chrono");
             }
-            "--cube-cutoff" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cube-cutoff needs a number");
-                    return ExitCode::FAILURE;
-                };
-                cube_cutoff = Some(v);
-            }
-            "--jobs" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--jobs needs a number");
-                    return ExitCode::FAILURE;
-                };
-                jobs = Some(v);
-            }
-            "--chrono" => options.learning = false,
             "--heuristic" => {
+                classic_flag = Some("--heuristic");
                 let Some(v) = it.next() else {
                     eprintln!("--heuristic needs a value");
                     return ExitCode::FAILURE;
@@ -128,23 +105,8 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    if let Engine::Cnc {
-        depth,
-        cutoff,
-        jobs: j,
-    } = &mut engine
-    {
-        if let Some(d) = cube_depth {
-            *depth = d;
-        }
-        if let Some(c) = cube_cutoff {
-            *cutoff = c;
-        }
-        if let Some(n) = jobs {
-            *j = n;
-        }
-    } else if cube_depth.is_some() || cube_cutoff.is_some() {
-        eprintln!("--cube-depth/--cube-cutoff require --engine cnc");
+    if let (Some(flag), Engine::Cdcl) = (classic_flag, engine) {
+        eprintln!("{flag} configures the classic engine: it needs --engine dpll");
         return ExitCode::FAILURE;
     }
     if options.heuristic == Heuristic::Moms && options.learning {
@@ -202,7 +164,7 @@ fn main() -> ExitCode {
             println!("s UNSATISFIABLE");
             ExitCode::from(20)
         }
-        Outcome::BacktrackLimit | Outcome::DecisionLimit | Outcome::Aborted => {
+        Outcome::BacktrackLimit | Outcome::Aborted => {
             println!("s UNKNOWN");
             ExitCode::SUCCESS
         }

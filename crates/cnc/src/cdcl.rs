@@ -3,7 +3,7 @@
 //! blocker-literal watch lists, deep (recursive) learned-clause
 //! minimisation, a heap-backed VSIDS order, LBD-aware clause-database
 //! reduction with glue protection, Luby restarts, phase saving, and
-//! assumption solving (the hook the cube-and-conquer layer hangs cubes on).
+//! assumption solving.
 //!
 //! The public surface mirrors `modsyn_sat::Solver` on purpose: borrowed
 //! formula in, [`Outcome`] out, [`SolverStats`] counters, builder-style
@@ -26,8 +26,6 @@ use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SolverStats, Var};
 pub struct CdclOptions {
     /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Abort with [`Outcome::DecisionLimit`] after this many decisions.
-    pub max_decisions: Option<u64>,
 }
 
 const UNASSIGNED: u8 = 2;
@@ -774,7 +772,7 @@ impl<'f> Cdcl<'f> {
     }
 
     /// Solves the formula. See [`Cdcl::solve_with_assumptions`] for the
-    /// assumption-aware variant the cube layer uses.
+    /// assumption-aware variant.
     pub fn solve(&mut self) -> Outcome {
         self.solve_with_assumptions(&[])
     }
@@ -782,8 +780,7 @@ impl<'f> Cdcl<'f> {
     /// Solves under `assumptions`: each assumed literal is forced as a
     /// pseudo-decision before free decisions start, and restarts re-assume
     /// them. [`Outcome::Unsatisfiable`] then means *unsatisfiable under the
-    /// assumptions* — exactly the "cube refuted" verdict cube-and-conquer
-    /// aggregates.
+    /// assumptions*.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
         if self.root_unsat {
             return Outcome::Unsatisfiable;
@@ -860,7 +857,7 @@ impl<'f> Cdcl<'f> {
                 continue;
             }
 
-            // Re-assume the cube prefix, then free decisions.
+            // Re-assume the assumption prefix, then free decisions.
             let mut next_decision = None;
             while (self.current_level() as usize) < self.assumptions.len() {
                 let p = self.assumptions[self.current_level() as usize];
@@ -897,11 +894,6 @@ impl<'f> Cdcl<'f> {
                 }
             };
             self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
             self.level_starts.push(self.trail.len());
             self.assign(decision, NO_REASON);
         }
@@ -960,7 +952,6 @@ impl<'f> Cdcl<'f> {
                 Outcome::Satisfiable(_) => "sat",
                 Outcome::Unsatisfiable => "unsat",
                 Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::DecisionLimit => "decision-limit",
                 Outcome::Aborted => "aborted",
             },
         );
@@ -972,80 +963,6 @@ impl<'f> Cdcl<'f> {
         let model = Model::from_values(values);
         debug_assert!(model.check(self.formula));
         model
-    }
-
-    // ----- probing interface for the lookahead cuber -----
-
-    /// Number of assigned variables.
-    pub(crate) fn assigned_count(&self) -> usize {
-        self.trail.len()
-    }
-
-    pub(crate) fn num_vars(&self) -> usize {
-        self.values.len()
-    }
-
-    pub(crate) fn is_root_unsat(&self) -> bool {
-        self.root_unsat
-    }
-
-    pub(crate) fn var_unassigned(&self, v: usize) -> bool {
-        self.values[v] == UNASSIGNED
-    }
-
-    /// Propagates the level-0 units. `Ok(false)` on a root conflict,
-    /// `Err(())` if the cancel token fired mid-propagation (the caller
-    /// must NOT read a verdict out of that).
-    pub(crate) fn propagate_root(&mut self) -> Result<bool, ()> {
-        if self.root_unsat {
-            return Ok(false);
-        }
-        match self.propagate() {
-            Ok(None) => Ok(true),
-            Ok(Some(_)) => {
-                self.root_unsat = true;
-                Ok(false)
-            }
-            Err(()) => Err(()),
-        }
-    }
-
-    /// Opens a new decision level, assigns `lit`, and propagates. Returns
-    /// the number of literals the decision implied (itself included), or
-    /// `Ok(None)` on a conflict — in which case the level is popped again
-    /// and the state is exactly as before the call. `Err(())` means the
-    /// cancel token fired; the probe level is popped, but no verdict may
-    /// be drawn.
-    pub(crate) fn probe_decide(&mut self, lit: Lit) -> Result<Option<usize>, ()> {
-        debug_assert_eq!(self.lit_value(lit), UNASSIGNED);
-        let before = self.trail.len();
-        self.level_starts.push(before);
-        self.assign(lit, NO_REASON);
-        match self.propagate() {
-            Ok(None) => Ok(Some(self.trail.len() - before)),
-            Ok(Some(_)) => {
-                self.pop_probe();
-                Ok(None)
-            }
-            Err(()) => {
-                self.pop_probe();
-                Err(())
-            }
-        }
-    }
-
-    /// Pops the most recent probe level.
-    pub(crate) fn pop_probe(&mut self) {
-        let level = self.current_level();
-        debug_assert!(level > 0);
-        self.cancel_until(level - 1);
-    }
-
-    /// Current full assignment as a model (only valid when every variable
-    /// is assigned and propagation is at fixpoint).
-    pub(crate) fn full_model(&self) -> Model {
-        debug_assert_eq!(self.trail.len(), self.num_vars());
-        self.build_model()
     }
 }
 
@@ -1137,7 +1054,6 @@ mod tests {
             &f,
             CdclOptions {
                 max_conflicts: Some(3),
-                ..Default::default()
             },
         );
         assert_eq!(s.solve(), Outcome::BacktrackLimit);
@@ -1187,15 +1103,8 @@ mod tests {
 
     #[test]
     fn agrees_with_exhaustive_on_small_random_cnfs() {
-        let mut state = 0x5eed_cafe_u64;
-        let mut next = move || {
-            // SplitMix64 step.
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = modsyn_fault::SplitMix64::new(0x5eed_cafe);
+        let mut next = move || rng.next_u64();
         for _ in 0..300 {
             let num_vars = 1 + (next() % 8) as usize;
             let num_clauses = (next() % 24) as usize;

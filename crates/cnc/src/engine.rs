@@ -8,8 +8,6 @@ use modsyn_par::CancelToken;
 use modsyn_sat::{CnfFormula, Outcome, Solver, SolverOptions, SolverStats};
 
 use crate::cdcl::{Cdcl, CdclOptions};
-use crate::conquer::{solve_cnc_traced, CncOptions};
-use crate::cube::CubeOptions;
 
 /// Which SAT core decides the CSC formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,37 +20,15 @@ pub enum Engine {
     /// LBD-aware deletion, Luby restarts. The default.
     #[default]
     Cdcl,
-    /// Lookahead cube-and-conquer over the CDCL core on a worker pool.
-    Cnc {
-        /// Maximum cube depth (≤ `2^depth` cubes).
-        depth: u32,
-        /// Free-variable cutoff below which a branch stops splitting.
-        cutoff: u32,
-        /// Conquer workers; 0 = all available cores.
-        jobs: u32,
-    },
 }
 
 impl Engine {
-    /// The cube-and-conquer engine with default cube shape.
-    pub fn cnc() -> Engine {
-        let cube = CubeOptions::default();
-        Engine::Cnc {
-            depth: cube.depth,
-            cutoff: cube.cutoff,
-            jobs: 0,
-        }
-    }
-
-    /// Parses a CLI engine name (`dpll`, `cdcl`, `cnc`).
+    /// Parses a CLI engine name (`dpll`, `cdcl`).
     pub fn parse(name: &str) -> Result<Engine, String> {
         match name {
             "dpll" => Ok(Engine::Dpll),
             "cdcl" => Ok(Engine::Cdcl),
-            "cnc" => Ok(Engine::cnc()),
-            other => Err(format!(
-                "unknown engine {other:?} (expected dpll, cdcl or cnc)"
-            )),
+            other => Err(format!("unknown engine {other:?} (expected dpll or cdcl)")),
         }
     }
 
@@ -61,30 +37,22 @@ impl Engine {
         match self {
             Engine::Dpll => "dpll",
             Engine::Cdcl => "cdcl",
-            Engine::Cnc { .. } => "cnc",
         }
     }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Cnc {
-                depth,
-                cutoff,
-                jobs,
-            } => write!(f, "cnc(depth={depth},cutoff={cutoff},jobs={jobs})"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
 /// Solves `formula` with the selected engine under the caller's tracer,
 /// cancel token and fault handle.
 ///
-/// `solver` carries the shared limits: `max_backtracks` maps onto the CDCL
-/// core's conflict budget and cube-and-conquer's *per-cube* conflict
-/// budget; `heuristic`/`learning` only affect [`Engine::Dpll`].
+/// `solver` carries the shared limit: `max_backtracks` maps onto the CDCL
+/// core's conflict budget; `heuristic`/`learning` only affect
+/// [`Engine::Dpll`].
 pub fn solve_with_engine_traced(
     engine: Engine,
     formula: &CnfFormula,
@@ -106,31 +74,12 @@ pub fn solve_with_engine_traced(
                 formula,
                 CdclOptions {
                     max_conflicts: solver.max_backtracks,
-                    max_decisions: solver.max_decisions,
                 },
             )
             .with_cancel(cancel.clone())
             .with_faults(faults.clone());
             let outcome = s.solve_traced(tracer);
             (outcome, s.stats())
-        }
-        Engine::Cnc {
-            depth,
-            cutoff,
-            jobs,
-        } => {
-            let options = CncOptions {
-                cube: CubeOptions {
-                    depth,
-                    cutoff,
-                    ..CubeOptions::default()
-                },
-                jobs: jobs as usize,
-                max_conflicts: solver.max_backtracks,
-                max_decisions: solver.max_decisions,
-            };
-            let result = solve_cnc_traced(formula, &options, cancel, faults, tracer);
-            (result.outcome, result.stats)
         }
     }
 }
@@ -155,8 +104,10 @@ mod tests {
     fn parse_roundtrip() {
         assert_eq!(Engine::parse("dpll").unwrap(), Engine::Dpll);
         assert_eq!(Engine::parse("cdcl").unwrap(), Engine::Cdcl);
-        assert_eq!(Engine::parse("cnc").unwrap().name(), "cnc");
-        assert!(Engine::parse("brute").is_err());
+        for unknown in ["cnc", "brute"] {
+            let err = Engine::parse(unknown).unwrap_err();
+            assert!(err.contains("dpll") && err.contains("cdcl"), "{err}");
+        }
     }
 
     fn tiny_sat() -> CnfFormula {
@@ -169,7 +120,7 @@ mod tests {
     #[test]
     fn all_engines_agree_on_a_tiny_formula() {
         let f = tiny_sat();
-        for engine in [Engine::Dpll, Engine::Cdcl, Engine::cnc()] {
+        for engine in [Engine::Dpll, Engine::Cdcl] {
             let (outcome, _) = solve_with_engine(
                 engine,
                 &f,
@@ -182,19 +133,5 @@ mod tests {
                 other => panic!("{engine}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn display_includes_cnc_shape() {
-        assert_eq!(Engine::Cdcl.to_string(), "cdcl");
-        assert_eq!(
-            Engine::Cnc {
-                depth: 3,
-                cutoff: 10,
-                jobs: 2
-            }
-            .to_string(),
-            "cnc(depth=3,cutoff=10,jobs=2)"
-        );
     }
 }

@@ -2,17 +2,14 @@
 //!
 //! ```text
 //! modsyn <file.g | benchmark:NAME> [--method modular|modular-min-area|direct|lavagno]
-//!        [--engine dpll|cdcl|cnc] [--cube-depth N] [--cube-cutoff N]
-//!        [--limit N] [--jobs N] [--timeout-ms T] [--pla] [--dot] [--verilog]
-//!        [--exact] [--hazards] [--check] [--quiet] [--explain SIGNAL]
+//!        [--engine dpll|cdcl] [--limit N] [--jobs N] [--timeout-ms T]
+//!        [--pla] [--dot] [--verilog] [--exact] [--hazards] [--check] [--quiet]
+//!        [--explain SIGNAL]
 //! ```
 //!
 //! `--engine` selects the SAT core deciding the CSC formulas: `cdcl`
 //! (default) is the modern conflict-driven core, `dpll` the classic
-//! paper-faithful engine, `cnc` lookahead cube-and-conquer over the CDCL
-//! core (shaped by `--cube-depth`/`--cube-cutoff`; cubes are conquered on
-//! the `--jobs` worker pool). With `cnc`, `--limit` is a *per-cube*
-//! conflict budget — cubes partition the search space.
+//! paper-faithful engine. One serial search decides each formula.
 //!
 //! Reads an STG (a `.g` file, `-` for stdin, or `benchmark:<name>` for one
 //! of the built-in Table-1 stand-ins), resolves CSC with the chosen method
@@ -72,8 +69,6 @@ struct Args {
     source: String,
     method: Method,
     engine: Engine,
-    cube_depth: Option<u32>,
-    cube_cutoff: Option<u32>,
     limit: Option<u64>,
     jobs: usize,
     timeout_ms: Option<u64>,
@@ -107,13 +102,11 @@ mod exit {
 
 fn usage() -> &'static str {
     "usage: modsyn <file.g | - | benchmark:NAME> [--method modular|modular-min-area|direct|lavagno] \
-     [--engine dpll|cdcl|cnc] [--cube-depth N] [--cube-cutoff N] \
-     [--limit N] [--jobs N] [--timeout-ms T] [--retry] [--pla] [--dot] [--verilog] [--exact] \
-     [--hazards] [--check] [--quiet] [--stats] [--trace-json FILE] [--explain SIGNAL] [--version]\n\
+     [--engine dpll|cdcl] [--limit N] [--jobs N] [--timeout-ms T] [--retry] [--pla] [--dot] \
+     [--verilog] [--exact] [--hazards] [--check] [--quiet] [--stats] [--trace-json FILE] \
+     [--explain SIGNAL] [--version]\n\
      \n\
-     --engine picks the SAT core: cdcl (default), dpll (classic, paper-faithful), or \
-     cnc (lookahead cube-and-conquer on the worker pool; --cube-depth/--cube-cutoff \
-     shape the cubes and --limit becomes a per-cube conflict budget).\n\
+     --engine picks the SAT core: cdcl (default) or dpll (classic, paper-faithful).\n\
      \n\
      --explain SIGNAL (repeatable; modular methods) prints why the inserted state \
      signal exists: the module that forced it, the CSC conflict pairs it resolves, \
@@ -140,8 +133,6 @@ fn parse_args() -> Result<Parsed, String> {
         source: String::new(),
         method: Method::Modular,
         engine: Engine::default(),
-        cube_depth: None,
-        cube_cutoff: None,
         limit: None,
         jobs: available_jobs(),
         timeout_ms: None,
@@ -173,14 +164,6 @@ fn parse_args() -> Result<Parsed, String> {
             "--engine" => {
                 let v = it.next().ok_or("--engine needs a value")?;
                 args.engine = Engine::parse(&v)?;
-            }
-            "--cube-depth" => {
-                let v = it.next().ok_or("--cube-depth needs a value")?;
-                args.cube_depth = Some(v.parse().map_err(|_| "bad --cube-depth value")?);
-            }
-            "--cube-cutoff" => {
-                let v = it.next().ok_or("--cube-cutoff needs a value")?;
-                args.cube_cutoff = Some(v.parse().map_err(|_| "bad --cube-cutoff value")?);
             }
             "--limit" => {
                 let v = it.next().ok_or("--limit needs a value")?;
@@ -225,16 +208,6 @@ fn parse_args() -> Result<Parsed, String> {
     if !args.explain.is_empty() && !matches!(args.method, Method::Modular | Method::ModularMinArea)
     {
         return Err("--explain needs a modular method (provenance is per-module)".to_string());
-    }
-    if let Engine::Cnc { depth, cutoff, .. } = &mut args.engine {
-        if let Some(d) = args.cube_depth {
-            *depth = d;
-        }
-        if let Some(c) = args.cube_cutoff {
-            *cutoff = c;
-        }
-    } else if args.cube_depth.is_some() || args.cube_cutoff.is_some() {
-        return Err("--cube-depth/--cube-cutoff require --engine cnc".to_string());
     }
     Ok(Parsed::Run(Box::new(args)))
 }
@@ -287,10 +260,6 @@ fn main() -> ExitCode {
 
     let mut options = SynthesisOptions::for_method(args.method);
     options.engine = args.engine;
-    if let Engine::Cnc { jobs, .. } = &mut options.engine {
-        // The conquer pool follows the synthesis-wide --jobs knob.
-        *jobs = args.jobs as u32;
-    }
     options.jobs = args.jobs;
     if let Some(ms) = args.timeout_ms {
         options.cancel = CancelToken::with_deadline(Duration::from_millis(ms));

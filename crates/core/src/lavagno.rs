@@ -92,7 +92,6 @@ pub fn lavagno_resolve(
     let solver_options = SolverOptions {
         heuristic: Heuristic::FirstUnassigned,
         max_backtracks: options.max_backtracks,
-        max_decisions: None,
         learning: true,
     };
     let mut formulas = Vec::new();
@@ -134,7 +133,7 @@ pub fn lavagno_resolve(
                 });
             }
             Outcome::Unsatisfiable => m += 1,
-            Outcome::BacktrackLimit | Outcome::DecisionLimit => {
+            Outcome::BacktrackLimit => {
                 return Err(SynthesisError::BacktrackLimit {
                     state_signals: m,
                     elapsed: start.elapsed().as_secs_f64(),

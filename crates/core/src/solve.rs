@@ -35,8 +35,7 @@ pub struct CscSolveOptions {
     pub solver: SolverOptions,
     /// Which SAT core decides the CSC formulas. Defaults to the
     /// `modsyn-cnc` CDCL core; [`Engine::Dpll`] restores the classic
-    /// paper-faithful engine, [`Engine::Cnc`] splits hard formulas into
-    /// cubes conquered on a worker pool.
+    /// paper-faithful engine.
     pub engine: Engine,
     /// How many state signals beyond the lower bound to try before giving
     /// up with [`SynthesisError::NoSolution`].
@@ -357,7 +356,7 @@ pub fn solve_csc_scoped_traced(
             Outcome::Unsatisfiable => {
                 m += 1;
             }
-            Outcome::BacktrackLimit | Outcome::DecisionLimit => {
+            Outcome::BacktrackLimit => {
                 return Err(SynthesisError::BacktrackLimit {
                     state_signals: m,
                     elapsed: start.elapsed().as_secs_f64(),

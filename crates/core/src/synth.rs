@@ -54,8 +54,7 @@ pub struct SynthesisOptions {
     /// limit is what makes the direct method abort on Table 1's large rows.
     pub solver: SolverOptions,
     /// Which SAT core decides the CSC formulas ([`Engine::Cdcl`] by
-    /// default; `dpll` is the paper-faithful classic engine, `cnc` the
-    /// cube-and-conquer decomposition for the hardest direct formulas).
+    /// default; `dpll` is the paper-faithful classic engine).
     pub engine: Engine,
     /// State-graph derivation limits.
     pub derive: DeriveOptions,

@@ -102,6 +102,15 @@ fn failure_classes_map_to_distinct_exit_codes() {
     // 1: usage error (unknown flag), stderr explains.
     let out = modsyn(&["benchmark:vbe-ex1", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(1));
+    // 1: usage error (unknown engine), stderr names the engines there are.
+    let out = modsyn(&["benchmark:atod", "--engine", "cnc"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown engine"), "{stderr}");
+    assert!(
+        stderr.contains("dpll") && stderr.contains("cdcl"),
+        "{stderr}"
+    );
     // 2: input error (unknown benchmark).
     let out = modsyn(&["benchmark:no-such-benchmark"]);
     assert_eq!(out.status.code(), Some(2));

@@ -16,7 +16,7 @@
 //! [`modsyn::SynthesisError::NotFreeChoice`]-style errors — no panics, no
 //! silent wrong answers (see [`crate::reject`]).
 
-use modsyn_check::rng::SplitMix64;
+use modsyn_fault::SplitMix64;
 use modsyn_petri::NetClass;
 use modsyn_stg::{Frag, SignalKind, Stg, StgBuilder};
 

@@ -25,8 +25,8 @@
 //! `modsyn-check` consistency oracle — the engine never asks anyone to
 //! trust the construction blindly.
 
-use modsyn_check::rng::SplitMix64;
 use modsyn_check::{gen_recipe, Profile, StgRecipe};
+use modsyn_fault::SplitMix64;
 use modsyn_petri::{NetClass, ReachabilityOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::{Frag, SignalId, SignalKind, Stg, StgBuilder, StgError};

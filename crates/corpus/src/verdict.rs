@@ -162,7 +162,7 @@ fn method_options(method: Method, eval: &EvalOptions) -> SynthesisOptions {
     // pre-screened composition into an insertion path with no solution
     // under the case budgets. The corpus therefore pins the engine the
     // pools were certified with; the engine matrix is exercised by
-    // `differ` (benchmark + corpus legs) and the cnc/sat_props suites.
+    // `differ` (benchmark + corpus legs) and the sat_props suite.
     options.engine = Engine::Dpll;
     options
 }

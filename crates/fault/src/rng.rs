@@ -1,10 +1,11 @@
-//! A tiny deterministic PRNG for seeded fault decisions.
+//! A tiny deterministic PRNG for seeded decisions.
 //!
-//! SplitMix64, the same generator `modsyn-check` uses for test-case
-//! generation: full-period, statistically solid, and — crucially for chaos
-//! certification — the same seed produces the same injection sequence on
-//! every platform and every run, so a failing plan printed in CI
-//! reproduces locally with no further state.
+//! SplitMix64, the one generator the workspace draws from: fault plans,
+//! `modsyn-check`'s STG generator, the corpus recipes and the seeded tests.
+//! It is full-period, statistically solid, and — crucially for chaos
+//! certification and differential testing — the same seed produces the
+//! same sequence on every platform and every run, so a failing plan or
+//! seed printed in CI reproduces locally with no further state.
 
 /// A seeded SplitMix64 generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +67,32 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn different_seeds_diverge() {
+        let mut a = SplitMix64::new(1);
+        let mut b = SplitMix64::new(2);
+        assert_ne!(
+            (0..4).map(|_| a.next_u64()).collect::<Vec<_>>(),
+            (0..4).map(|_| b.next_u64()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn below_stays_in_range() {
+        let mut r = SplitMix64::new(7);
+        for bound in 1..20 {
+            for _ in 0..50 {
+                assert!(r.below(bound) < bound);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below(0)")]
+    fn below_zero_panics() {
+        SplitMix64::new(0).below(0);
     }
 
     #[test]

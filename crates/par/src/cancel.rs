@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 struct Inner {
     flag: AtomicBool,
     deadline: Option<Instant>,
-    parent: Option<Arc<Inner>>,
 }
 
 impl Inner {
@@ -17,12 +16,12 @@ impl Inner {
         if self.flag.load(Ordering::Acquire) {
             return true;
         }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
+        if expired {
             // Latch the flag so later checks skip the clock read.
             self.flag.store(true, Ordering::Release);
-            return true;
         }
-        self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+        expired
     }
 }
 
@@ -38,11 +37,6 @@ impl Inner {
 /// [`CancelToken::never`] (the `Default`) carries no state at all: polling
 /// it is a branch on `None`, so hot loops instrumented with a token pay
 /// nothing when cancellation is unused.
-///
-/// [`CancelToken::child`] builds hierarchies: a child trips when its own
-/// flag/deadline trips *or* when any ancestor does, while cancelling the
-/// child leaves the parent alive. Cube-and-conquer uses exactly this — one
-/// child per cube under the caller's overall deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
@@ -55,7 +49,6 @@ impl CancelToken {
             inner: Some(Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline: None,
-                parent: None,
             })),
         }
     }
@@ -76,20 +69,6 @@ impl CancelToken {
             inner: Some(Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline: Some(deadline),
-                parent: None,
-            })),
-        }
-    }
-
-    /// A child token: cancelled when this token is, but cancelling the
-    /// child does not touch this token. On a [`CancelToken::never`] parent
-    /// this is a plain [`CancelToken::new`].
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                flag: AtomicBool::new(false),
-                deadline: None,
-                parent: self.inner.clone(),
             })),
         }
     }
@@ -101,8 +80,7 @@ impl CancelToken {
         }
     }
 
-    /// Whether the token has been cancelled or its deadline (or an
-    /// ancestor's) has passed.
+    /// Whether the token has been cancelled or its deadline has passed.
     pub fn is_cancelled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.is_cancelled())
     }
@@ -163,19 +141,6 @@ mod tests {
     fn already_expired_deadline_is_cancelled_immediately() {
         let t = CancelToken::with_deadline_at(Instant::now());
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn child_follows_parent_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "child cancel must not leak upward");
-
-        let child2 = parent.child();
-        parent.cancel();
-        assert!(child2.is_cancelled(), "parent cancel reaches children");
     }
 
     #[test]

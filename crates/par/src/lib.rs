@@ -8,7 +8,7 @@
 //!   with per-job panic containment ([`JobPanic`]) and graceful
 //!   drain-on-drop. The bench harness runs Table-1 rows on it.
 //! * [`CancelToken`] — a cooperative cancellation handle (atomic flag +
-//!   optional deadline + parent chaining). The SAT solver polls it in its
+//!   optional deadline). The SAT solver polls it in its
 //!   search loops and returns a clean `Aborted` outcome; the CLI's
 //!   `--timeout-ms` is one of these tokens.
 //! * [`par_map`] — a deterministic parallel map: results come back in

@@ -21,8 +21,6 @@ pub struct SolverOptions {
     /// mirroring the backtrack limit of the SIS branch-and-bound SAT
     /// program the paper used.
     pub max_backtracks: Option<u64>,
-    /// Abort with [`Outcome::DecisionLimit`] after this many decisions.
-    pub max_decisions: Option<u64>,
     /// Enable conflict-driven clause learning with non-chronological
     /// backjumping and restarts. Disabled, the solver backtracks
     /// chronologically like the original branch-and-bound program.
@@ -34,7 +32,6 @@ impl Default for SolverOptions {
         SolverOptions {
             heuristic: Heuristic::default(),
             max_backtracks: None,
-            max_decisions: None,
             learning: true,
         }
     }
@@ -50,8 +47,6 @@ pub enum Outcome {
     /// The backtrack/conflict limit was hit before a verdict (the paper's
     /// "SAT Backtrack Limit" abort).
     BacktrackLimit,
-    /// The decision limit was hit before a verdict.
-    DecisionLimit,
     /// The solver's [`CancelToken`] fired (explicit cancellation or an
     /// expired deadline) before a verdict.
     Aborted,
@@ -591,7 +586,6 @@ impl<'f> Solver<'f> {
                 Outcome::Satisfiable(_) => "sat",
                 Outcome::Unsatisfiable => "unsat",
                 Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::DecisionLimit => "decision-limit",
                 Outcome::Aborted => "aborted",
             },
         );
@@ -667,11 +661,6 @@ impl<'f> Solver<'f> {
                 return Outcome::Satisfiable(self.build_model());
             };
             self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
             self.level_starts.push(self.trail.len());
             self.stats.max_level = self.stats.max_level.max(self.level_starts.len());
             self.assign(lit, NO_REASON);
@@ -725,11 +714,6 @@ impl<'f> Solver<'f> {
                 return Outcome::Satisfiable(self.build_model());
             };
             self.stats.decisions += 1;
-            if let Some(limit) = self.options.max_decisions {
-                if self.stats.decisions > limit {
-                    return Outcome::DecisionLimit;
-                }
-            }
             self.frames.push(ChronoFrame {
                 trail_len: self.trail.len(),
                 lit,
@@ -872,19 +856,6 @@ mod tests {
         );
         assert_eq!(out, Outcome::BacktrackLimit);
         assert!(!out.is_decided());
-    }
-
-    #[test]
-    fn decision_limit_aborts() {
-        let f = pigeonhole(7);
-        let out = solve(
-            &f,
-            SolverOptions {
-                max_decisions: Some(3),
-                ..Default::default()
-            },
-        );
-        assert_eq!(out, Outcome::DecisionLimit);
     }
 
     #[test]

@@ -159,8 +159,7 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
 fn the_ladder_returns_the_clean_circuit_under_a_conflict_storm_for_each_engine() {
     // A three-shot storm fails the 300 k, 600 k and 1 M rungs; the fourth
     // re-runs the top budget without faults and must give back the circuit
-    // the fault-free run gives, with the same engine. cnc is left out: its
-    // cubes draw from the plan in thread-scheduling order.
+    // the fault-free run gives, with the same engine.
     let render = |r: &modsyn::SynthesisReport| -> Vec<String> {
         r.functions
             .iter()

@@ -3,13 +3,15 @@
 //! The ungated part cross-checks three independent deciders on seeded
 //! random small CNFs — [`modsyn_sat::solve_exhaustive`] (brute force over
 //! all assignments, the ground truth), the DPLL engine under every
-//! heuristic × learning combination, and the CDCL and cube-and-conquer
-//! engines — so a bug in any one of them shows up as a verdict
-//! disagreement with a reproducible seed. The proptest versions of these properties remain at
-//! the bottom, gated behind `--features proptest-tests` (the dependency
-//! needs network access to fetch; see `Cargo.toml`).
+//! heuristic × learning combination, and the CDCL engine — so a bug in
+//! any one of them shows up as a verdict disagreement with a reproducible
+//! seed. Both engines must also drive the public `synthesize` entry point
+//! to an oracle-certified circuit. The proptest versions of these
+//! properties remain at the bottom, gated behind `--features
+//! proptest-tests` (the dependency needs network access to fetch; see
+//! `Cargo.toml`).
 
-use modsyn_check::rng::SplitMix64;
+use modsyn_fault::SplitMix64;
 use modsyn_par::CancelToken;
 use modsyn_sat::{
     solve, solve_exhaustive, CnfFormula, Heuristic, Lit, Outcome, SolverOptions, Var,
@@ -63,7 +65,7 @@ fn dpll_agrees_with_exhaustive_search_on_500_random_cnfs() {
 }
 
 #[test]
-fn cdcl_and_cnc_agree_with_exhaustive_search_on_500_random_cnfs() {
+fn cdcl_agrees_with_exhaustive_search_on_500_random_cnfs() {
     use modsyn_cnc::{solve_with_engine, Engine};
     use modsyn_fault::Faults;
 
@@ -71,25 +73,41 @@ fn cdcl_and_cnc_agree_with_exhaustive_search_on_500_random_cnfs() {
     for case in 0..500 {
         let f = random_cnf(&mut rng, 8);
         let expected = solve_exhaustive(&f).is_sat();
-        for engine in [Engine::Cdcl, Engine::cnc()] {
-            let (outcome, _) = solve_with_engine(
-                engine,
-                &f,
-                SolverOptions::default(),
-                &CancelToken::never(),
-                &Faults::none(),
-            );
-            assert_eq!(
-                outcome.is_sat(),
-                expected,
-                "case {case}: engine {engine} disagrees with brute force"
-            );
-            if let Outcome::Satisfiable(model) = outcome {
-                assert!(
-                    model.check(&f),
-                    "case {case}: {engine} model does not satisfy"
-                );
-            }
+        let (outcome, _) = solve_with_engine(
+            Engine::Cdcl,
+            &f,
+            SolverOptions::default(),
+            &CancelToken::never(),
+            &Faults::none(),
+        );
+        assert_eq!(
+            outcome.is_sat(),
+            expected,
+            "case {case}: cdcl disagrees with brute force"
+        );
+        if let Outcome::Satisfiable(model) = outcome {
+            assert!(model.check(&f), "case {case}: cdcl model does not satisfy");
+        }
+    }
+}
+
+/// Every engine synthesises an oracle-certified circuit from the public
+/// entry point, for both the modular and direct methods.
+#[test]
+fn all_engines_synthesize_certified_circuits() {
+    use modsyn::{certify_report, synthesize, Engine, Method, SynthesisOptions};
+    use modsyn_sg::{derive, DeriveOptions};
+
+    let stg = modsyn_stg::benchmarks::by_name("alloc-outbound").unwrap();
+    let spec = derive(&stg, &DeriveOptions::default()).unwrap();
+    for method in [Method::Modular, Method::Direct] {
+        for engine in [Engine::Dpll, Engine::Cdcl] {
+            let mut options = SynthesisOptions::for_method(method);
+            options.engine = engine;
+            let report =
+                synthesize(&stg, &options).unwrap_or_else(|e| panic!("{method} {engine}: {e}"));
+            certify_report(Some(&spec), &report)
+                .unwrap_or_else(|e| panic!("{method} {engine}: oracle violation: {e}"));
         }
     }
 }

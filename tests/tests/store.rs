@@ -323,11 +323,12 @@ fn store_snapshot_survives_restart_with_full_cache_warmth() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A durable daemon whose store holds only a few responses: every answer
-/// stays byte-identical while module solves and responses evict each
-/// other, the bound holds after every request, `/explain` degrades to a
-/// typed 404 for evicted digests, and a restart recovers at most the cap
-/// and answers what was resident as hits.
+/// A durable daemon whose store holds only a few responses, fed many
+/// more unique specs than it can hold: every answer stays byte-identical
+/// while module solves and responses evict each other, the bound holds
+/// after every request, `/explain` degrades to a typed 404 for evicted
+/// digests, and a restart recovers at most the cap and answers what was
+/// resident as hits.
 #[test]
 fn capped_durable_daemon_evicts_within_its_byte_bound() {
     const CAP: usize = 4096;
@@ -342,12 +343,14 @@ fn capped_durable_daemon_evicts_within_its_byte_bound() {
         }),
         ..ServerConfig::default()
     };
-    // Small Table-1 rows and renamed copies: a rename moves the digest
-    // (a new response) but keeps every module (store hits).
+    // Small Table-1 rows and corpus seeds 0-15, each with a renamed copy:
+    // a rename moves the digest (a new response) but keeps every module
+    // (store hits).
     let specs: Vec<String> = ["vbe-ex1", "vbe-ex2", "sendr-done", "nouse"]
         .iter()
-        .flat_map(|name| {
-            let stg = modsyn_stg::benchmarks::by_name(name).expect("benchmark");
+        .map(|name| modsyn_stg::benchmarks::by_name(name).expect("benchmark"))
+        .chain((0..16).map(|seed| modsyn_corpus::corpus_case(seed).0))
+        .flat_map(|stg| {
             [
                 modsyn_stg::write_g(&stg),
                 modsyn_stg::write_g(&modsyn_store::rename_edit(&stg, "-renamed")),
@@ -358,20 +361,27 @@ fn capped_durable_daemon_evicts_within_its_byte_bound() {
     let (handle, thread) = start(config());
     wait_ready(&handle);
     let store = handle.store();
-    let mut first: Vec<(String, Vec<u8>)> = Vec::new();
+    // Pass 0 records each answer: a certified 200 with its digest, or a
+    // typed 422 without one. Pass 1 must repeat it byte for byte.
+    let mut first: Vec<(u16, Option<String>, Vec<u8>)> = Vec::new();
     for pass in 0..2 {
         for (i, g) in specs.iter().enumerate() {
             let response = request(&handle, "POST", "/synth?method=modular", g);
-            assert_eq!(response.status, 200, "{}", response.text());
-            let digest = response
-                .header("x-modsyn-digest")
-                .expect("digest")
-                .to_string();
+            assert!(
+                matches!(response.status, 200 | 422),
+                "spec {i}: {} {}",
+                response.status,
+                response.text()
+            );
+            let digest = response.header("x-modsyn-digest").map(str::to_string);
+            assert_eq!(response.status == 200, digest.is_some(), "spec {i}");
             if pass == 0 {
-                first.push((digest, response.body));
+                first.push((response.status, digest, response.body));
             } else {
-                assert_eq!(first[i].0, digest);
-                assert_eq!(first[i].1, response.body, "spec {i}: body changed");
+                let (status, first_digest, body) = &first[i];
+                assert_eq!(*status, response.status, "spec {i}: status changed");
+                assert_eq!(*first_digest, digest, "spec {i}: digest changed");
+                assert_eq!(*body, response.body, "spec {i}: body changed");
             }
             assert!(store.bytes() <= CAP, "resident {} > cap", store.bytes());
         }
@@ -390,7 +400,9 @@ fn capped_durable_daemon_evicts_within_its_byte_bound() {
             .any(|e| matches!(e, modsyn_store::StoreMutation::Record { key: k, .. } if *k == key))
     };
     let (mut explained, mut evicted) = (0, 0);
-    for (digest, body) in &first {
+    for (_, digest, body) in &first {
+        // A 422 leaves no record to explain.
+        let Some(digest) = digest else { continue };
         let body = parse_json(std::str::from_utf8(body).unwrap()).expect("body");
         let signal = body
             .get("inserted")
@@ -429,7 +441,7 @@ fn capped_durable_daemon_evicts_within_its_byte_bound() {
         "{explained} resident, {evicted} evicted"
     );
     let survivors: Vec<usize> = (0..specs.len())
-        .filter(|&i| resident(&first[i].0))
+        .filter(|&i| first[i].1.as_deref().is_some_and(resident))
         .collect();
     stop(&handle, thread);
 
@@ -449,7 +461,7 @@ fn capped_durable_daemon_evicts_within_its_byte_bound() {
         let response = request(&handle, "POST", "/synth?method=modular", &specs[i]);
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(response.header("x-modsyn-cache"), Some("hit"), "spec {i}");
-        assert_eq!(response.body, first[i].1);
+        assert_eq!(response.body, first[i].2);
     }
     stop(&handle, thread);
     let _ = std::fs::remove_dir_all(&dir);
