@@ -2,8 +2,9 @@
 //!
 //! * A1 — decomposition: formula sizes of the modular flow vs the direct
 //!   encoding across every benchmark.
-//! * A2 — SAT engine: conflict-driven learning vs chronological
-//!   branch-and-bound, and branching heuristics, on the direct encodings.
+//! * A2 — SAT engine: the two engines (`dpll`, `cdcl`) vs chronological
+//!   branch-and-bound under two branching heuristics, on the direct
+//!   encodings, every column through the engine dispatch.
 //! * A3 — assignment extraction: SAT's first model vs the BDD's
 //!   minimum-excitation model (the paper conclusion's area refinement).
 //!
@@ -16,10 +17,14 @@
 //! The A1 (formula sizes) and A3 (assignment extraction) measurements are
 //! also written as machine-readable records to `BENCH_ablation.json`.
 
-use modsyn::{encode_csc, modular_resolve, synthesize, CscSolveOptions, Method, SynthesisOptions};
+use modsyn::{
+    encode_csc, modular_resolve, synthesize, CscSolveOptions, Engine, Method, SynthesisOptions,
+};
+use modsyn_cnc::solve_with_engine;
+use modsyn_fault::Faults;
 use modsyn_obs::Json;
-use modsyn_par::{par_map, unwrap_or_resume};
-use modsyn_sat::{Heuristic, Outcome, Solver, SolverOptions};
+use modsyn_par::{par_map, unwrap_or_resume, CancelToken};
+use modsyn_sat::{Heuristic, Outcome, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 
@@ -92,40 +97,50 @@ fn main() {
 
     println!("\nA2: SAT engine ablation on direct encodings (backtracks to verdict, limit 50k)\n");
     println!(
-        "{:<16} {:>10} {:>12} {:>12}",
-        "STG", "cdcl", "chrono-jw", "chrono-first"
+        "{:<16} {:>12} {:>12} {:>12} {:>12}",
+        "STG", "dpll", "cdcl", "chrono-jw", "chrono-first"
     );
+    let defaults = SolverOptions {
+        max_backtracks: Some(50_000),
+        ..SolverOptions::default()
+    };
+    let chrono = |heuristic| SolverOptions {
+        heuristic,
+        learning: false,
+        max_backtracks: Some(50_000),
+    };
+    let columns = [
+        (Engine::Dpll, defaults),
+        (Engine::Cdcl, defaults),
+        (Engine::Dpll, chrono(Heuristic::JeroslowWang)),
+        (Engine::Dpll, chrono(Heuristic::FirstUnassigned)),
+    ];
     for name in ["mmu1", "vbe4a", "pa", "wrdata", "nouse", "vbe-ex2"] {
         let stg = benchmarks::by_name(name).expect("known");
         let sg = derive(&stg, &DeriveOptions::default()).expect("derives");
         let analysis = sg.csc_analysis();
         let m = analysis.lower_bound.max(1);
         let encoding = encode_csc(&sg, &analysis, m);
-        let mut cells = Vec::new();
-        for (learning, heuristic) in [
-            (true, Heuristic::Activity),
-            (false, Heuristic::JeroslowWang),
-            (false, Heuristic::FirstUnassigned),
-        ] {
-            let mut solver = Solver::new(
-                &encoding.formula,
-                SolverOptions {
-                    heuristic,
-                    learning,
-                    max_backtracks: Some(50_000),
-                },
-            );
-            let outcome = solver.solve();
-            let stats = solver.stats();
-            cells.push(match outcome {
-                Outcome::Satisfiable(_) => format!("{}", stats.backtracks),
-                Outcome::Unsatisfiable => format!("{} (unsat)", stats.backtracks),
-                _ => "limit".to_string(),
-            });
-        }
+        let cells: Vec<String> = columns
+            .iter()
+            .map(|&(engine, options)| {
+                let (outcome, stats) = solve_with_engine(
+                    engine,
+                    &encoding.formula,
+                    options,
+                    &CancelToken::never(),
+                    &Faults::none(),
+                );
+                match outcome {
+                    Outcome::Satisfiable(_) => format!("{}", stats.backtracks),
+                    Outcome::Unsatisfiable => format!("{} (unsat)", stats.backtracks),
+                    _ => "limit".to_string(),
+                }
+            })
+            .collect();
         println!(
-            "{:<16} {:>10} {:>12} {:>12}",
-            name, cells[0], cells[1], cells[2]
+            "{:<16} {:>12} {:>12} {:>12} {:>12}",
+            name, cells[0], cells[1], cells[2], cells[3]
         );
     }
 

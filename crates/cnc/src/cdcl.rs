@@ -7,12 +7,12 @@
 //!
 //! The public surface mirrors `modsyn_sat::Solver` on purpose: borrowed
 //! formula in, [`Outcome`] out, [`SolverStats`] counters, builder-style
-//! [`Cdcl::with_cancel`] / [`Cdcl::with_faults`], and the same `sat.solve`
-//! observability span, so the synthesis loop can dispatch on an engine
-//! without caring which core answered.
+//! [`Cdcl::with_cancel`] / [`Cdcl::with_faults`], so the synthesis loop can
+//! dispatch on an engine without caring which core answered. The
+//! `sat.solve` observation lives in that dispatch
+//! ([`crate::solve_with_engine_traced`]).
 
 use modsyn_fault::{site, FaultHook, Faults};
-use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SolverStats, Var};
 
@@ -897,65 +897,6 @@ impl<'f> Cdcl<'f> {
             self.level_starts.push(self.trail.len());
             self.assign(decision, NO_REASON);
         }
-    }
-
-    /// [`Cdcl::solve`] wrapped in the same `sat.solve` observability span
-    /// as the classic engine, plus the CDCL extras: an `engine=cdcl` note,
-    /// LBD counters, and a `sat_lbd` histogram sample (the solve's average
-    /// learned-clause LBD).
-    pub fn solve_traced(&mut self, tracer: &Tracer) -> Outcome {
-        self.solve_traced_with_assumptions(&[], tracer)
-    }
-
-    /// [`Cdcl::solve_with_assumptions`] with the `sat.solve` span.
-    pub fn solve_traced_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        tracer: &Tracer,
-    ) -> Outcome {
-        if !tracer.is_observed() {
-            return self.solve_with_assumptions(assumptions);
-        }
-        let _span = tracer.span("sat.solve");
-        let _flight = tracer.flight_span("sat.solve");
-        tracer.note("engine", "cdcl");
-        tracer.gauge("vars", self.formula.num_vars() as f64);
-        tracer.gauge("clauses", self.formula.clause_count() as f64);
-        let fault_sites = [site::SAT_ABORT, site::SAT_CONFLICT_STORM];
-        let injected_before = fault_sites.map(|at| self.faults.injected_at(at));
-        let outcome = self.solve_with_assumptions(assumptions);
-        for (at, before) in fault_sites.into_iter().zip(injected_before) {
-            let fired = self.faults.injected_at(at).saturating_sub(before);
-            if fired > 0 {
-                tracer.flight_event(modsyn_obs::FlightKind::Fault, at, fired);
-            }
-        }
-        let s = self.stats;
-        tracer.record_hist("sat_conflicts", s.conflicts);
-        tracer.record_hist("sat_decisions", s.decisions);
-        tracer.record_hist("sat_lbd", self.avg_lbd());
-        tracer.counter("decisions", s.decisions);
-        tracer.counter("propagations", s.propagations);
-        tracer.counter("backtracks", s.backtracks);
-        tracer.counter("conflicts", s.conflicts);
-        tracer.counter("learned_clauses", s.learned_clauses);
-        tracer.counter("learned_literals", s.learned_literals);
-        tracer.counter("restarts", s.restarts);
-        tracer.counter("deleted_clauses", self.extra.deleted_clauses);
-        tracer.counter("glue_clauses", self.extra.glue_clauses);
-        tracer.counter("minimized_literals", self.extra.minimized_literals);
-        tracer.gauge("peak_clauses", s.peak_clauses as f64);
-        tracer.gauge("max_level", s.max_level as f64);
-        tracer.note(
-            "outcome",
-            match &outcome {
-                Outcome::Satisfiable(_) => "sat",
-                Outcome::Unsatisfiable => "unsat",
-                Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::Aborted => "aborted",
-            },
-        );
-        outcome
     }
 
     fn build_model(&self) -> Model {

@@ -10,7 +10,9 @@
 //!   minimisation, heap-backed VSIDS, LBD-aware clause-database reduction
 //!   with glue protection, Luby restarts, phase saving, and assumptions;
 //! * [`Engine`] / [`solve_with_engine_traced`] — the dispatch point the
-//!   synthesis loop and the `modsat`/`modsyn` CLIs share.
+//!   synthesis loop and the `modsat`/`modsyn` CLIs share, and the one
+//!   place a solve is observed (the `sat.solve` span, flight span,
+//!   counters and `sat_*` histograms).
 //!
 //! Everything honours the workspace-wide cancellation and fault
 //! discipline: cancel tokens are polled every few hundred propagations,

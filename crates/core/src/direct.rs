@@ -7,8 +7,8 @@
 
 use modsyn_sg::{insert_state_signals, StateGraph};
 
-use crate::solve::{solve_csc_scoped_traced, CscSolveOptions, FormulaStat, ResolveScope};
-use crate::SynthesisError;
+use crate::solve::{solve_csc_scoped_traced, CscSolveOptions, ResolveScope};
+use crate::{FormulaStat, SynthesisError};
 
 /// Result of [`direct_resolve`].
 #[derive(Debug, Clone)]

@@ -32,6 +32,7 @@
 
 use modsyn_sat::{CnfFormula, Lit, Var};
 use modsyn_sg::{CscAnalysis, EdgeLabel, Quat, StateGraph, StateSignalAssignment};
+use modsyn_store::ClauseFamilies;
 
 /// A CNF encoding of the CSC-satisfaction problem for `m` new state
 /// signals, with the variable layout needed to decode models.
@@ -43,10 +44,9 @@ pub struct Encoding {
     pub state_signals: usize,
     /// Number of graph states.
     pub states: usize,
-    /// Clause counts per family, in emission order: consistency (1),
-    /// persistence (1.5), no-new-conflict (3), resolution (2). Feeds the
-    /// provenance records of the synthesis store.
-    pub families: [usize; 4],
+    /// Clause counts per family. Feeds the provenance records of the
+    /// synthesis store.
+    pub families: ClauseFamilies,
 }
 
 impl Encoding {
@@ -175,9 +175,10 @@ pub fn encode_csc_partial(
         formula: CnfFormula::new(0),
         state_signals: m,
         states,
-        families: [0; 4],
+        families: ClauseFamilies::default(),
     };
-    let mut families = [0usize; 4];
+    // Each family's count is the clauses emitted since the previous one.
+    let mut families = ClauseFamilies::default();
 
     // Family 1: edge consistency / semi-modularity.
     for e in graph.edges() {
@@ -212,7 +213,7 @@ pub fn encode_csc_partial(
         }
     }
 
-    families[0] = formula.clause_count();
+    families.consistency = formula.clause_count();
 
     // Family 1.5: persistence across concurrency diamonds. Expansion keeps
     // an edge only in the copies its value pair selects (`edge_in_lo` /
@@ -290,7 +291,7 @@ pub fn encode_csc_partial(
         }
     }
 
-    families[1] = formula.clause_count() - families[0];
+    families.persistence = formula.clause_count() - families.total();
 
     // Family 3: no new conflicts on USC pairs. A pair is safe when either
     // (a) some signal holds stable opposite values on it — the split copies
@@ -341,7 +342,7 @@ pub fn encode_csc_partial(
         }
     }
 
-    families[2] = formula.clause_count() - families[0] - families[1];
+    families.usc = formula.clause_count() - families.total();
 
     // Family 2: every selected CSC conflict is resolved by some signal that
     // is stable-opposite on the pair. One auxiliary variable per (pair, k).
@@ -373,7 +374,7 @@ pub fn encode_csc_partial(
         formula.add_clause(ds.iter().map(|&d| Lit::positive(d)));
     }
 
-    families[3] = formula.clause_count() - families[0] - families[1] - families[2];
+    families.resolution = formula.clause_count() - families.total();
 
     Encoding {
         formula,
@@ -475,13 +476,16 @@ mod tests {
         let analysis = sg.csc_analysis();
         let enc = encode_csc(&sg, &analysis, 1);
         assert_eq!(
-            enc.families.iter().sum::<usize>(),
+            enc.families.total(),
             enc.formula.clause_count(),
             "families must partition the clause count"
         );
-        assert!(enc.families[0] > 0, "consistency clauses always exist");
         assert!(
-            enc.families[3] > 0,
+            enc.families.consistency > 0,
+            "consistency clauses always exist"
+        );
+        assert!(
+            enc.families.resolution > 0,
             "a conflicted graph gets resolution clauses"
         );
     }

@@ -15,15 +15,22 @@
 //!   "internal state error" on `mmu0`/`pa`;
 //! * it searches with the naive first-unassigned branching rule, modelling
 //!   the older, less informed search.
+//!
+//! Each formula goes through the same engine dispatch as the other methods
+//! ([`modsyn_cnc::solve_with_engine_traced`], classic engine), so its
+//! solves are observed the same way: `sat.solve` spans under a `lavagno`
+//! span, and the `sat_*` histograms.
 
+use modsyn_cnc::{solve_with_engine_traced, Engine};
+use modsyn_fault::Faults;
+use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_petri::NetClass;
-use modsyn_sat::{Heuristic, Lit, Outcome, Solver, SolverOptions};
+use modsyn_sat::{Heuristic, Lit, Outcome, SolverOptions};
 use modsyn_sg::{insert_state_signals, StateGraph};
 use modsyn_stg::Stg;
 
-use crate::solve::FormulaStat;
-use crate::{encode_csc, SynthesisError};
+use crate::{encode_csc, FormulaStat, SynthesisError};
 
 /// Result of [`lavagno_resolve`].
 #[derive(Debug, Clone)]
@@ -59,7 +66,8 @@ impl Default for LavagnoOptions {
     }
 }
 
-/// Runs the Lavagno-style global state-assignment flow.
+/// Runs the Lavagno-style global state-assignment flow under a `lavagno`
+/// span; each formula's solve nests its `sat.solve` span there.
 ///
 /// # Errors
 ///
@@ -71,7 +79,9 @@ pub fn lavagno_resolve(
     stg: &Stg,
     initial: &StateGraph,
     options: &LavagnoOptions,
+    tracer: &Tracer,
 ) -> Result<LavagnoOutcome, SynthesisError> {
+    let _span = tracer.span("lavagno");
     // The theory stops at free choice: asymmetric-choice and general nets
     // are both outside it (`alex-nonfc` sits in the asymmetric tier).
     if stg.net().classify() > NetClass::FreeChoice {
@@ -111,15 +121,20 @@ pub fn lavagno_resolve(
                 }
             }
         }
-        let mut solver =
-            Solver::new(&encoding.formula, solver_options).with_cancel(options.cancel.clone());
-        let outcome = solver.solve();
+        let (outcome, stats) = solve_with_engine_traced(
+            Engine::Dpll,
+            &encoding.formula,
+            solver_options,
+            &options.cancel,
+            &Faults::none(),
+            tracer,
+        );
         formulas.push(FormulaStat {
             state_signals: m,
             clauses: encoding.formula.clause_count(),
             variables: encoding.formula.num_vars(),
             satisfiable: outcome.is_sat(),
-            solver: solver.stats(),
+            solver: stats,
         });
         match outcome {
             Outcome::Satisfiable(model) => {
@@ -160,7 +175,7 @@ mod tests {
         let stg = benchmarks::alex_nonfc();
         let sg = derive(&stg, &DeriveOptions::default()).unwrap();
         assert_eq!(
-            lavagno_resolve(&stg, &sg, &LavagnoOptions::default()).map(|_| ()),
+            lavagno_resolve(&stg, &sg, &LavagnoOptions::default(), &Tracer::disabled()).map(|_| ()),
             Err(SynthesisError::NotFreeChoice)
         );
     }
@@ -170,7 +185,7 @@ mod tests {
         for name in ["vbe-ex1", "vbe-ex2", "sendr-done"] {
             let stg = benchmarks::by_name(name).unwrap();
             let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-            let out = lavagno_resolve(&stg, &sg, &LavagnoOptions::default())
+            let out = lavagno_resolve(&stg, &sg, &LavagnoOptions::default(), &Tracer::disabled())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(out.graph.csc_analysis().satisfies_csc(), "{name}");
         }
@@ -183,7 +198,7 @@ mod tests {
         // solution or report the splitting error, never panic.
         let stg = benchmarks::nouse();
         let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-        match lavagno_resolve(&stg, &sg, &LavagnoOptions::default()) {
+        match lavagno_resolve(&stg, &sg, &LavagnoOptions::default(), &Tracer::disabled()) {
             Ok(out) => assert!(out.graph.csc_analysis().satisfies_csc()),
             Err(SynthesisError::StateSplittingRequired) => {}
             Err(e) => panic!("unexpected: {e}"),

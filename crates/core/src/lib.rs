@@ -74,7 +74,7 @@ pub use retry::{
 };
 pub use solve::{
     solve_csc, solve_csc_scoped, solve_csc_scoped_traced, CscSolution, CscSolveOptions,
-    FormulaStat, ResolveScope,
+    ResolveScope,
 };
 pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, SynthesisReport};
 
@@ -83,5 +83,8 @@ pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, Synthes
 pub use modsyn_cnc::Engine;
 
 // Store types surfaced through the options/report API, re-exported so
-// callers need not depend on modsyn-store directly.
-pub use modsyn_store::{ClauseFamilies, Provenance, StoreLink, StoreSession, SynthStore};
+// callers need not depend on modsyn-store directly. `FormulaStat` is the
+// one per-formula record: reports carry it and the store replays it.
+pub use modsyn_store::{
+    ClauseFamilies, FormulaStat, Provenance, StoreLink, StoreSession, SynthStore,
+};

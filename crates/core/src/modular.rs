@@ -5,13 +5,11 @@ use std::time::Instant;
 use modsyn_obs::Tracer;
 use modsyn_par::{par_map, unwrap_or_resume};
 use modsyn_sg::{insert_state_signals, Quat, StateGraph, StateSignalAssignment};
-use modsyn_store::{module_key, ModuleEntry, Provenance, StoredFormula};
+use modsyn_store::{module_key, ModuleEntry, Provenance};
 
 use crate::input_set::{determine_input_set_traced, InputSet};
-use crate::solve::{
-    solve_csc_scoped_traced, CscSolution, CscSolveOptions, FormulaStat, ResolveScope,
-};
-use crate::SynthesisError;
+use crate::solve::{solve_csc_scoped_traced, CscSolution, CscSolveOptions, ResolveScope};
+use crate::{FormulaStat, SynthesisError};
 
 /// Per-output trace of the modular flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,26 +89,6 @@ pub fn modular_resolve_jobs(
     jobs: usize,
 ) -> Result<ModularOutcome, SynthesisError> {
     modular_resolve_jobs_traced(initial, options, jobs, &Tracer::disabled())
-}
-
-fn stat_to_stored(f: &FormulaStat) -> StoredFormula {
-    StoredFormula {
-        state_signals: f.state_signals,
-        clauses: f.clauses,
-        variables: f.variables,
-        satisfiable: f.satisfiable,
-        solver: f.solver,
-    }
-}
-
-fn stat_from_stored(f: &StoredFormula) -> FormulaStat {
-    FormulaStat {
-        state_signals: f.state_signals,
-        clauses: f.clauses,
-        variables: f.variables,
-        satisfiable: f.satisfiable,
-        solver: f.solver,
-    }
 }
 
 /// Provenance of every signal a fresh solve inserted: which of the
@@ -197,7 +175,7 @@ fn solve_module_via_store(
             tracer.note("store", "hit");
             return Ok(ModuleSolve {
                 assignments: entry.assignments.clone(),
-                formulas: entry.formulas.iter().map(stat_from_stored).collect(),
+                formulas: entry.formulas.clone(),
                 provenance: entry.provenance.clone(),
                 hit: Some(true),
             });
@@ -211,7 +189,7 @@ fn solve_module_via_store(
             key,
             ModuleEntry {
                 assignments: solution.assignments.clone(),
-                formulas: solution.formulas.iter().map(stat_to_stored).collect(),
+                formulas: solution.formulas.clone(),
                 provenance: provenance.clone(),
             },
         );

@@ -8,7 +8,7 @@ use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_sat::{Outcome, SolverOptions, SolverStats};
 use modsyn_sg::{StateGraph, StateSignalAssignment};
-use modsyn_store::{ClauseFamilies, StoreLink};
+use modsyn_store::{ClauseFamilies, FormulaStat, StoreLink};
 
 use crate::encode::encode_csc_partial;
 use crate::SynthesisError;
@@ -78,17 +78,6 @@ impl Default for CscSolveOptions {
     }
 }
 
-/// The encoding's per-family clause counts as a store-facing record.
-fn families_of(encoding: &crate::encode::Encoding) -> ClauseFamilies {
-    let [consistency, persistence, usc, resolution] = encoding.families;
-    ClauseFamilies {
-        consistency,
-        persistence,
-        usc,
-        resolution,
-    }
-}
-
 /// Tries to extract a minimum-excitation satisfying assignment via a BDD.
 ///
 /// Returns `Ok(Some(model))` on success, `Ok(None)` when the formula is
@@ -139,22 +128,6 @@ fn shrink_excitation(
         }
     }
     modsyn_sat::Model::from_values(values)
-}
-
-/// Statistics of one formula solved during CSC satisfaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FormulaStat {
-    /// Number of state signals attempted.
-    pub state_signals: usize,
-    /// Clauses in the formula.
-    pub clauses: usize,
-    /// Variables in the formula.
-    pub variables: usize,
-    /// Whether this formula was satisfiable.
-    pub satisfiable: bool,
-    /// SAT solver counters for this attempt (all zero on the BDD path,
-    /// which never runs the solver).
-    pub solver: SolverStats,
 }
 
 /// Result of [`solve_csc`].
@@ -303,7 +276,7 @@ pub fn solve_csc_scoped_traced(
                         assignments,
                         formulas,
                         resolved_pairs: resolve.clone(),
-                        families: families_of(&encoding),
+                        families: encoding.families,
                     });
                 }
                 Ok(None) => {
@@ -350,7 +323,7 @@ pub fn solve_csc_scoped_traced(
                     assignments,
                     formulas,
                     resolved_pairs: resolve.clone(),
-                    families: families_of(&encoding),
+                    families: encoding.families,
                 });
             }
             Outcome::Unsatisfiable => {

@@ -17,8 +17,8 @@ use crate::logic_fn::{
     derive_logic_jobs_traced, total_literals, verify_logic, MinimizeMode, SignalFunction,
 };
 use crate::modular::{modular_resolve_jobs_traced, ModuleReport};
-use crate::solve::{CscSolveOptions, FormulaStat};
-use crate::SynthesisError;
+use crate::solve::CscSolveOptions;
+use crate::{FormulaStat, SynthesisError};
 
 /// Which CSC-resolution method to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,6 +252,7 @@ pub fn synthesize_traced(
                     extra_signals: options.extra_signals.min(3),
                     cancel: options.cancel.clone(),
                 },
+                tracer,
             )?;
             Resolved {
                 graph: out.graph,

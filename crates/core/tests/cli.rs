@@ -37,6 +37,27 @@ fn stats_go_to_stderr_and_never_contaminate_stdout() {
 }
 
 #[test]
+fn lavagno_solves_are_traced_under_a_lavagno_span() {
+    let args = ["benchmark:vbe-ex2", "--method", "lavagno", "--quiet"];
+    let plain = modsyn(&args);
+    let traced = modsyn(&[&args[..], &["--stats"]].concat());
+    assert!(plain.status.success() && traced.status.success());
+    assert_eq!(traced.stdout, plain.stdout, "tracing changed stdout");
+    let stderr = String::from_utf8(traced.stderr).unwrap();
+    let lines: Vec<&str> = stderr.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.contains("─ lavagno "))
+        .unwrap_or_else(|| panic!("no lavagno span: {stderr}"));
+    // The span's first child is the first formula's solve.
+    let solve = lines.get(at + 1).copied().unwrap_or_default();
+    assert!(
+        solve.contains("─ sat.solve ") && solve.contains("conflicts="),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn trace_json_file_is_well_formed() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("modsyn-cli-trace-{}.json", std::process::id()));

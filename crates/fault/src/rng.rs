@@ -1,11 +1,13 @@
-//! A tiny deterministic PRNG for seeded decisions.
+//! A tiny deterministic PRNG for seeded decisions, and the one content
+//! hash.
 //!
 //! SplitMix64, the one generator the workspace draws from: fault plans,
-//! `modsyn-check`'s STG generator, the corpus recipes and the seeded tests.
-//! It is full-period, statistically solid, and — crucially for chaos
-//! certification and differential testing — the same seed produces the
-//! same sequence on every platform and every run, so a failing plan or
-//! seed printed in CI reproduces locally with no further state.
+//! `modsyn-check`'s STG generator, the corpus recipes, the seeded tests and
+//! the daemon's fresh trace ids. It is full-period, statistically solid,
+//! and — crucially for chaos certification and differential testing — the
+//! same seed produces the same sequence on every platform and every run, so
+//! a failing plan or seed printed in CI reproduces locally with no further
+//! state. [`fnv1a64`] is the one 64-bit FNV-1a.
 
 /// A seeded SplitMix64 generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +47,17 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over a byte string — used to give every site its own
-/// deterministic sub-stream of the plan seed.
+/// 64-bit FNV-1a over a byte string: the workspace's one content hash. It
+/// gives every fault site its own sub-stream of the plan seed, and keys STG
+/// digests, module keys and journal checksums.
+///
+/// ```
+/// use modsyn_fault::fnv1a64;
+/// // Published FNV-1a test vectors.
+/// assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+/// assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+/// assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+/// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -100,6 +111,14 @@ mod tests {
         let mut r = SplitMix64::new(7);
         let hits = (0..1000).filter(|_| r.chance(1, 4)).count();
         assert!(hits > 150 && hits < 350, "{hits}");
+    }
+
+    #[test]
+    fn fnv_vectors() {
+        // Reference vectors from the FNV specification draft.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! different histograms (or scrape intervals) add bucket-wise, and
 //! [`HistogramSnapshot::percentile`] walks the cumulative counts to a
 //! bucket midpoint. A [`HistogramRegistry`] names histograms on demand so
-//! call sites can record by string key without plumbing handles.
+//! call sites can record by string key without plumbing handles, at the
+//! cost of one registry lock per observation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,10 +223,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// A shared name → [`Histogram`] map. `record` creates histograms on
-/// demand; the registry mutex guards only the map, never the buckets, so
-/// pre-registered hot paths ([`HistogramRegistry::handle`]) record without
-/// taking it.
+/// A shared name → [`Histogram`] map. [`HistogramRegistry::record`] takes
+/// the registry mutex on every call to find (or create) the named
+/// histogram, then records into its atomic buckets outside the lock. A
+/// caller that keeps the `Arc` from [`HistogramRegistry::handle`] records
+/// without the lock.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramRegistry {
     inner: Arc<Mutex<BTreeMap<String, Arc<Histogram>>>>,

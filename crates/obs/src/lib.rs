@@ -14,18 +14,19 @@
 //! * [`Json`] — a small hand-rolled JSON value with correct string
 //!   escaping, a writer (compact and pretty) and a parser for round-trip
 //!   tests and downstream tooling.
-//! * [`FlightRecorder`] — the always-on flight recorder: sharded
-//!   fixed-capacity rings of compact trace-tagged events, lock-free on the
-//!   record path, drainable at any moment (`/debug/flight` in `modsynd`).
+//! * [`FlightRecorder`] — the always-on flight recorder: one bounded ring
+//!   of compact trace-tagged events behind one mutex, drainable at any
+//!   moment (`/debug/flight` in `modsynd`).
 //! * [`Histogram`] / [`HistogramRegistry`] — log-scale fixed-bucket
 //!   latency histograms with mergeable snapshots and percentile queries
 //!   (the `p50/p90/p99/max` lines on `GET /metrics`).
 //!
-//! A [`Tracer`] ties the three planes together: the PR-1 event sink is
-//! opt-in, while a flight recorder, histogram registry and per-request
-//! trace id ([`Tracer::with_flight`], [`Tracer::with_histograms`],
-//! [`Tracer::with_trace`]) ride on any tracer — including a disabled one —
-//! at a cost low enough to leave on in production.
+//! A [`Tracer`] ties the three planes together: the event sink is opt-in,
+//! while a flight recorder, histogram registry and per-request trace id
+//! ([`Tracer::with_flight`], [`Tracer::with_histograms`],
+//! [`Tracer::with_trace`]) ride on any tracer — including a disabled one.
+//! Each recorded flight event or histogram observation takes one short
+//! lock (the ring's, or the registry's map); the daemon keeps both on.
 //!
 //! # Example
 //!
@@ -52,7 +53,7 @@ mod json;
 mod report;
 mod tracer;
 
-pub use flight::{FlightEvent, FlightKind, FlightRecorder, DEFAULT_SHARDS, DEFAULT_SLOTS};
+pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use hist::{
     bucket_floor, bucket_index, Histogram, HistogramRegistry, HistogramSnapshot, BUCKETS,
     SUB_BUCKETS,

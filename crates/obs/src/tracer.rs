@@ -108,11 +108,11 @@ impl Sink {
 /// A clonable tracing handle. See the module docs for the enabled/disabled
 /// design.
 ///
-/// Beyond the PR-1 event sink, a tracer can carry three always-on
+/// Beyond the event sink, a tracer can carry three always-on
 /// attachments, each independent of whether the sink is enabled:
 ///
 /// * a [`FlightRecorder`] ([`Tracer::with_flight`]) receiving compact
-///   span/counter/fault events on a lock-free ring;
+///   span/counter/fault events on a bounded ring behind one mutex;
 /// * a [`HistogramRegistry`] ([`Tracer::with_histograms`]) receiving
 ///   latency/size observations via [`Tracer::record_hist`];
 /// * a trace id ([`Tracer::with_trace`]) stamped onto every flight event,
@@ -191,16 +191,6 @@ impl Tracer {
     /// The trace id stamped on flight events; 0 when untraced.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// The attached histogram registry, if any.
-    pub fn histograms(&self) -> Option<&HistogramRegistry> {
-        self.hists.as_ref()
     }
 
     /// Records `value` into the named histogram; a no-op without a
@@ -511,7 +501,7 @@ mod tests {
 
     #[test]
     fn attachments_work_with_a_disabled_sink() {
-        let flight = FlightRecorder::with_capacity(1, 32);
+        let flight = FlightRecorder::with_capacity(32);
         let hists = HistogramRegistry::new();
         let t = Tracer::disabled()
             .with_flight(flight.clone())
@@ -535,7 +525,7 @@ mod tests {
 
     #[test]
     fn with_trace_isolates_requests_in_the_shared_ring() {
-        let flight = FlightRecorder::with_capacity(1, 32);
+        let flight = FlightRecorder::with_capacity(32);
         let base = Tracer::disabled().with_flight(flight.clone());
         assert_eq!(base.trace_id(), 0);
         let a = base.with_trace(1);
@@ -549,7 +539,7 @@ mod tests {
 
     #[test]
     fn flight_span_closes_on_unwind() {
-        let flight = FlightRecorder::with_capacity(1, 8);
+        let flight = FlightRecorder::with_capacity(8);
         let t = Tracer::disabled().with_flight(flight.clone());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _fs = t.flight_span("doomed");

@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn pool_records_queue_wait_and_flight_spans() {
         use modsyn_obs::{FlightRecorder, HistogramRegistry};
-        let flight = FlightRecorder::with_capacity(2, 64);
+        let flight = FlightRecorder::with_capacity(128);
         let hists = HistogramRegistry::new();
         let tracer = Tracer::disabled()
             .with_flight(flight.clone())
@@ -391,7 +391,7 @@ mod tests {
     fn injected_faults_appear_in_the_flight_recorder() {
         use modsyn_fault::{FaultPlan, FaultRule};
         use modsyn_obs::FlightRecorder;
-        let flight = FlightRecorder::with_capacity(1, 32);
+        let flight = FlightRecorder::with_capacity(32);
         let faults = FaultPlan::new("t", 1)
             .rule(FaultRule::at(site::POOL_ENQUEUE).times(1))
             .arm();

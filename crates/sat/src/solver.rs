@@ -3,7 +3,6 @@
 //! SIS solver, kept for baselines and ablations).
 
 use modsyn_fault::{site, FaultHook, Faults};
-use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 
 use crate::heuristic::static_scores;
@@ -542,56 +541,6 @@ impl<'f> Solver<'f> {
         }
     }
 
-    /// [`Solver::solve`] wrapped in a `sat.solve` observability span:
-    /// formula size as gauges, the full [`SolverStats`] as counters, and the
-    /// outcome as a note. With a disabled tracer this is exactly
-    /// [`Solver::solve`] — the search loops themselves are untouched.
-    pub fn solve_traced(&mut self, tracer: &Tracer) -> Outcome {
-        // `is_observed`, not `is_enabled`: the always-on flight recorder
-        // and histograms must see solves even when the event sink is off.
-        if !tracer.is_observed() {
-            return self.solve();
-        }
-        let _span = tracer.span("sat.solve");
-        let _flight = tracer.flight_span("sat.solve");
-        tracer.gauge("vars", self.formula.num_vars() as f64);
-        tracer.gauge("clauses", self.formula.clause_count() as f64);
-        let fault_sites = [site::SAT_ABORT, site::SAT_CONFLICT_STORM];
-        let injected_before = fault_sites.map(|at| self.faults.injected_at(at));
-        let outcome = self.solve();
-        // Injected fault-site fires land on the flight recorder with the
-        // solve's trace id, so a chaos run's aborts are attributable to
-        // the request that absorbed them.
-        for (at, before) in fault_sites.into_iter().zip(injected_before) {
-            let fired = self.faults.injected_at(at).saturating_sub(before);
-            if fired > 0 {
-                tracer.flight_event(modsyn_obs::FlightKind::Fault, at, fired);
-            }
-        }
-        let s = self.stats;
-        tracer.record_hist("sat_conflicts", s.conflicts);
-        tracer.record_hist("sat_decisions", s.decisions);
-        tracer.counter("decisions", s.decisions);
-        tracer.counter("propagations", s.propagations);
-        tracer.counter("backtracks", s.backtracks);
-        tracer.counter("conflicts", s.conflicts);
-        tracer.counter("learned_clauses", s.learned_clauses);
-        tracer.counter("learned_literals", s.learned_literals);
-        tracer.counter("restarts", s.restarts);
-        tracer.gauge("peak_clauses", s.peak_clauses as f64);
-        tracer.gauge("max_level", s.max_level as f64);
-        tracer.note(
-            "outcome",
-            match &outcome {
-                Outcome::Satisfiable(_) => "sat",
-                Outcome::Unsatisfiable => "unsat",
-                Outcome::BacktrackLimit => "backtrack-limit",
-                Outcome::Aborted => "aborted",
-            },
-        );
-        outcome
-    }
-
     fn build_model(&self) -> Model {
         let values = self.values.iter().map(|&v| v == 1).collect();
         let model = Model::from_values(values);
@@ -893,55 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_traced_records_a_span_with_counters() {
-        let f = pigeonhole(3);
-        let tracer = Tracer::enabled();
-        let mut solver = Solver::new(&f, SolverOptions::default());
-        let outcome = solver.solve_traced(&tracer);
-        assert_eq!(outcome, Outcome::Unsatisfiable);
-        let report = tracer.report();
-        let spans = report.spans_with_prefix("sat.solve");
-        assert_eq!(spans.len(), 1);
-        let span = spans[0];
-        assert_eq!(span.gauge("clauses"), Some(f.clause_count() as f64));
-        assert!(span.counter("conflicts").unwrap() > 0);
-        assert_eq!(span.note("outcome"), Some("unsat"));
-    }
-
-    #[test]
-    fn solve_traced_feeds_flight_and_histograms_with_the_sink_off() {
-        use modsyn_obs::{FlightKind, FlightRecorder, HistogramRegistry};
-        let flight = FlightRecorder::with_capacity(1, 32);
-        let hists = HistogramRegistry::new();
-        let tracer = Tracer::disabled()
-            .with_flight(flight.clone())
-            .with_histograms(hists.clone())
-            .with_trace(0x51);
-        let f = pigeonhole(3);
-        let mut solver = Solver::new(&f, SolverOptions::default());
-        assert_eq!(solver.solve_traced(&tracer), Outcome::Unsatisfiable);
-        let events = flight.events_for_trace(0x51);
-        assert!(events
-            .iter()
-            .any(|e| e.name == "sat.solve" && e.kind == FlightKind::SpanOpen));
-        assert!(events
-            .iter()
-            .any(|e| e.name == "sat.solve" && e.kind == FlightKind::SpanClose));
-        let names: Vec<String> = hists.snapshot().into_iter().map(|(n, _)| n).collect();
-        assert!(names.contains(&"sat_conflicts".to_string()));
-        assert!(names.contains(&"sat_decisions".to_string()));
-    }
-
-    #[test]
-    fn solve_traced_with_disabled_tracer_matches_solve() {
-        let f = pigeonhole(3);
-        let mut a = Solver::new(&f, SolverOptions::default());
-        let mut b = Solver::new(&f, SolverOptions::default());
-        assert_eq!(a.solve(), b.solve_traced(&Tracer::disabled()));
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
     fn repeated_solve_is_idempotent() {
         let mut f = CnfFormula::new(2);
         f.add_clause([lit(0, true), lit(1, false)]);
@@ -992,23 +892,6 @@ mod tests {
             Solver::new(&f, SolverOptions::default()).with_cancel(CancelToken::never());
         assert_eq!(plain.solve(), tokened.solve());
         assert_eq!(plain.stats(), tokened.stats());
-    }
-
-    #[test]
-    fn aborted_outcome_is_noted_by_solve_traced() {
-        let f = pigeonhole(6);
-        let token = CancelToken::new();
-        token.cancel();
-        let tracer = Tracer::enabled();
-        let outcome = Solver::new(&f, SolverOptions::default())
-            .with_cancel(token)
-            .solve_traced(&tracer);
-        assert_eq!(outcome, Outcome::Aborted);
-        let report = tracer.report();
-        assert_eq!(
-            report.spans_with_prefix("sat.solve")[0].note("outcome"),
-            Some("aborted")
-        );
     }
 
     #[test]

@@ -9,37 +9,17 @@
 //! STGs), so hashing the written text gives a stable, structure-derived
 //! key.
 //!
-//! The hash is 64-bit FNV-1a: tiny, dependency-free, and fast on short
-//! inputs. It is a *cache key*, not a cryptographic commitment — collision
-//! resistance against adversarial inputs is explicitly out of scope (the
-//! service double-checks nothing on a hit beyond the key).
+//! The hash is 64-bit FNV-1a ([`modsyn_fault::fnv1a64`]): tiny,
+//! dependency-free, and fast on short inputs. It is a *cache key*, not a
+//! cryptographic commitment — collision resistance against adversarial
+//! inputs is explicitly out of scope (the service double-checks nothing on
+//! a hit beyond the key).
 
 use std::collections::BTreeSet;
 
+use modsyn_fault::fnv1a64;
+
 use crate::{write_g, SignalId, Stg};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hashes `bytes` with 64-bit FNV-1a.
-///
-/// ```
-/// use modsyn_stg::fnv1a64;
-/// // Published FNV-1a test vectors.
-/// assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-/// assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-/// assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-/// ```
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// The canonical content digest of an STG: [`fnv1a64`] over the canonical
 /// [`write_g`] rendering.
@@ -169,14 +149,6 @@ pub fn combined_module_digest(stg: &Stg) -> u64 {
 mod tests {
     use super::*;
     use crate::{benchmarks, parse_g};
-
-    #[test]
-    fn fnv_vectors() {
-        // Reference vectors from the FNV specification draft.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn digest_is_stable_across_roundtrip() {

@@ -51,9 +51,7 @@ mod stg;
 mod validate;
 mod writer;
 
-pub use digest::{
-    combined_module_digest, fnv1a64, module_digest, output_module_digests, stg_digest,
-};
+pub use digest::{combined_module_digest, module_digest, output_module_digests, stg_digest};
 pub use dot::to_dot;
 pub use dsl::{Frag, StgBuilder};
 pub use error::StgError;

@@ -333,7 +333,7 @@ fn load_snapshot(path: &Path) -> Result<SnapshotData, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::{ModuleEntry, StoredFormula};
+    use crate::provenance::{FormulaStat, ModuleEntry};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -348,7 +348,7 @@ mod tests {
     fn entry(n: usize) -> ModuleEntry {
         ModuleEntry {
             assignments: Vec::new(),
-            formulas: vec![StoredFormula {
+            formulas: vec![FormulaStat {
                 state_signals: n,
                 ..Default::default()
             }],

@@ -48,7 +48,7 @@ pub use durable::{
     write_atomic, DurableConfig, DurableStore, RecoveryReport, SNAP_FILE, SNAP_PREV_FILE, WAL_FILE,
 };
 pub use edit::{pulse_edit, rebuild, rename_edit};
-pub use provenance::{ClauseFamilies, ModuleEntry, Provenance, StoredFormula, SynthRecord};
+pub use provenance::{ClauseFamilies, FormulaStat, ModuleEntry, Provenance, SynthRecord};
 pub use snapshot::{
     restore_into, snapshot_doc, snapshot_from_json, SnapshotData, SNAPSHOT_VERSION,
 };
@@ -56,5 +56,6 @@ pub use store::{graph_key_text, module_key, record_key, StoreLink, StoreSession,
 pub use wal::{encode_frame, scan_bytes, scan_wal, StoreMutation, Wal, WalScan, WAL_HEADER};
 
 // Re-exported so store consumers can derive digests without a direct
-// modsyn-stg dependency.
-pub use modsyn_stg::{fnv1a64, stg_digest};
+// modsyn-fault or modsyn-stg dependency.
+pub use modsyn_fault::fnv1a64;
+pub use modsyn_stg::stg_digest;

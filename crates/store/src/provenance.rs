@@ -53,11 +53,11 @@ pub struct Provenance {
     pub families: ClauseFamilies,
 }
 
-/// Mirror of `modsyn::FormulaStat` (the store sits below `modsyn-core`, so
-/// it keeps its own copy; the fields are identical and the conversion in
-/// `modular.rs` is field-by-field).
+/// Statistics of one formula solved during CSC satisfaction. `modsyn`
+/// reports these per attempt (it re-exports this type as
+/// `modsyn::FormulaStat`), and a cached module solve replays them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoredFormula {
+pub struct FormulaStat {
     /// Number of state signals attempted.
     pub state_signals: usize,
     /// Clauses in the formula.
@@ -66,7 +66,8 @@ pub struct StoredFormula {
     pub variables: usize,
     /// Whether this formula was satisfiable.
     pub satisfiable: bool,
-    /// SAT solver counters for the attempt.
+    /// SAT solver counters for the attempt (all zero on the BDD path,
+    /// which never runs the solver).
     pub solver: SolverStats,
 }
 
@@ -77,7 +78,7 @@ pub struct ModuleEntry {
     /// The state-signal assignments over the module's quotient states.
     pub assignments: Vec<StateSignalAssignment>,
     /// Formula statistics of every attempt (replayed into the report).
-    pub formulas: Vec<StoredFormula>,
+    pub formulas: Vec<FormulaStat>,
     /// Provenance of each inserted signal.
     pub provenance: Vec<Provenance>,
 }

@@ -13,7 +13,7 @@ use modsyn_obs::Json;
 use modsyn_sat::SolverStats;
 use modsyn_sg::{Quat, StateSignalAssignment};
 
-use crate::provenance::{ClauseFamilies, ModuleEntry, Provenance, StoredFormula, SynthRecord};
+use crate::provenance::{ClauseFamilies, FormulaStat, ModuleEntry, Provenance, SynthRecord};
 use crate::store::SynthStore;
 use crate::wal::StoreMutation;
 
@@ -187,7 +187,7 @@ fn assignment_from_json(doc: &Json) -> Result<StateSignalAssignment, String> {
 
 /// Field order here is the wire contract; `solver_from_json` reads the same
 /// nine [`SolverStats`] counters back.
-fn formula_to_json(f: &StoredFormula) -> Json {
+fn formula_to_json(f: &FormulaStat) -> Json {
     Json::obj([
         ("state_signals", Json::from(f.state_signals)),
         ("clauses", Json::from(f.clauses)),
@@ -210,11 +210,11 @@ fn formula_to_json(f: &StoredFormula) -> Json {
     ])
 }
 
-fn formula_from_json(doc: &Json) -> Result<StoredFormula, String> {
+fn formula_from_json(doc: &Json) -> Result<FormulaStat, String> {
     let solver = doc
         .get("solver")
         .ok_or_else(|| "formula missing `solver`".to_string())?;
-    Ok(StoredFormula {
+    Ok(FormulaStat {
         state_signals: uint(doc, "state_signals")? as usize,
         clauses: uint(doc, "clauses")? as usize,
         variables: uint(doc, "variables")? as usize,
@@ -343,7 +343,7 @@ mod tests {
                     name: "csc0".into(),
                     values: vec![Quat::Zero, Quat::Up, Quat::One, Quat::Down],
                 }],
-                formulas: vec![StoredFormula {
+                formulas: vec![FormulaStat {
                     state_signals: 1,
                     clauses: 42,
                     variables: 8,

@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use modsyn_fault::fnv1a64;
 use modsyn_fault::{site, FaultHook, Faults};
 use modsyn_sg::{EdgeLabel, StateGraph};
-use modsyn_stg::fnv1a64;
 
 use crate::durable::DurableStore;
 use crate::provenance::{ModuleEntry, SynthRecord};
@@ -456,7 +456,7 @@ mod tests {
     fn entry(n: usize) -> ModuleEntry {
         ModuleEntry {
             assignments: Vec::new(),
-            formulas: vec![crate::StoredFormula {
+            formulas: vec![crate::FormulaStat {
                 state_signals: n,
                 ..Default::default()
             }],

@@ -40,9 +40,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use modsyn_fault::fnv1a64;
 use modsyn_fault::{site, FaultHook, Faults};
 use modsyn_obs::{parse_json, Json};
-use modsyn_stg::fnv1a64;
 
 use crate::provenance::{ModuleEntry, SynthRecord};
 use crate::snapshot;
@@ -417,14 +417,14 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::StoredFormula;
+    use crate::provenance::FormulaStat;
 
     fn module(n: usize) -> StoreMutation {
         StoreMutation::Module {
             key: n as u64,
             entry: Arc::new(ModuleEntry {
                 assignments: Vec::new(),
-                formulas: vec![StoredFormula {
+                formulas: vec![FormulaStat {
                     state_signals: n,
                     ..Default::default()
                 }],

@@ -6,7 +6,7 @@
 //!         [--max-body BYTES] [--limit N] [--stats] [--trace-json FILE]
 //!         [--faults SPEC] [--fault-seed N]
 //!         [--breaker-threshold F] [--breaker-cooldown-ms T]
-//!         [--access-log off|stderr|FILE] [--flight-slots N]
+//!         [--access-log off|stderr|FILE]
 //!         [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]
 //! ```
 //!
@@ -19,7 +19,7 @@
 //! `GET /debug/flight[?trace=HEX][&limit=N]`; `POST /shutdown`. Every 200
 //! from `/synth` is certified by the independent oracle before it is
 //! written, carries an `X-Modsyn-Trace` id, and leaves its span chain in
-//! the always-on flight recorder.
+//! the always-on flight recorder, which keeps the newest 32,768 events.
 //!
 //! On exit, `--stats` renders the serving trace to stderr and
 //! `--trace-json FILE` writes it as JSON, mirroring the `modsyn` CLI.
@@ -29,8 +29,7 @@
 //! picks the plan's decision stream. `--breaker-threshold` and
 //! `--breaker-cooldown-ms` tune the per-method circuit breaker.
 //! `--access-log` steers the per-request JSON log (the daemon defaults to
-//! `stderr`; embedded servers default to off); `--flight-slots` sizes the
-//! flight recorder's per-shard ring.
+//! `stderr`; embedded servers default to off).
 //!
 //! All serving state — module solves, certified response bodies and their
 //! provenance — lives in one synthesis store bounded by `--store-bytes`
@@ -64,14 +63,15 @@ fn usage() -> &'static str {
      [--store-bytes N] [--timeout-ms T] [--max-body BYTES] \
      [--limit N] [--stats] [--trace-json FILE] [--faults SPEC] [--fault-seed N] \
      [--breaker-threshold F] [--breaker-cooldown-ms T] \
-     [--access-log off|stderr|FILE] [--flight-slots N] \
+     [--access-log off|stderr|FILE] \
      [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]\n\
      \n\
      Serves POST /synth (body: .g STG; query: method, timeout_ms),\n\
      POST /synth/incr (query: base=<digest-hex>), GET /explain (query: digest,\n\
      signal), GET /metrics, GET /healthz, GET /readyz, GET /debug/flight,\n\
      POST /shutdown.\n\
-     Every 200 is oracle-certified and trace-stamped (X-Modsyn-Trace).\n\
+     Every 200 is oracle-certified and trace-stamped (X-Modsyn-Trace);\n\
+     GET /debug/flight replays the newest 32,768 flight-recorder events.\n\
      --store-bytes bounds the synthesis store (module solves and certified\n\
      responses, default 64 MiB); the least recently used entries are evicted.\n\
      --durable DIR persists the store: a checksummed write-ahead journal plus\n\
@@ -171,11 +171,6 @@ fn parse_args() -> Result<Args, String> {
                     "stderr" => AccessLog::Stderr,
                     path => AccessLog::File(path.into()),
                 };
-            }
-            "--flight-slots" => {
-                config.flight_slots = value("--flight-slots")?
-                    .parse()
-                    .map_err(|_| "bad --flight-slots value")?;
             }
             "--durable" => {
                 let dir = value("--durable")?;

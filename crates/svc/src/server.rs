@@ -48,12 +48,14 @@
 //! ## Always-on observability
 //!
 //! The tracer handed to [`Server::bind`] is extended with a
-//! [`FlightRecorder`] (fixed-memory, lock-free; dumped by
-//! `GET /debug/flight`) and the metrics block's histogram registry
-//! (per-endpoint × per-method request latency, queue wait, synthesis cpu
-//! time, pool wait, solver effort — rendered as quantile lines on
-//! `GET /metrics`). Both stay on in production; neither allocates or
-//! locks on the hot path.
+//! [`FlightRecorder`] (the newest 32,768 events in one ring behind one
+//! mutex; dumped by `GET /debug/flight`) and the metrics block's histogram
+//! registry (per-endpoint × per-method request latency, queue wait,
+//! synthesis cpu time, pool wait, solver effort — rendered as quantile
+//! lines on `GET /metrics`). Both stay on in production. Every flight
+//! event takes the ring's lock and every histogram observation the
+//! registry's, and each synthesis job formats its `synth_cpu_us:<method>`
+//! histogram name.
 //!
 //! ## Drain
 //!
@@ -70,7 +72,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use modsyn::{certify_report, Method, RetryPolicy, SynthesisError, SynthesisOptions};
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::{site, FaultHook, Faults, SplitMix64};
 use modsyn_obs::{FlightEvent, FlightKind, FlightRecorder, Json, Tracer};
 use modsyn_par::{CancelToken, WorkerPool};
 use modsyn_petri::NetClass;
@@ -130,9 +132,6 @@ pub struct ServerConfig {
     /// store's `cache.evict-storm` site, and threaded into each synthesis
     /// run's `sat.*` sites. Inert by default.
     pub faults: Faults,
-    /// Flight-recorder ring capacity per shard (the recorder keeps
-    /// [`modsyn_obs::DEFAULT_SHARDS`] shards of this many slots).
-    pub flight_slots: usize,
     /// Per-request access-log destination.
     pub access_log: AccessLog,
     /// Store persistence: a write-ahead journal plus atomic snapshot
@@ -160,7 +159,6 @@ impl Default for ServerConfig {
             backtrack_limit: None,
             breaker: BreakerConfig::default(),
             faults: Faults::none(),
-            flight_slots: modsyn_obs::DEFAULT_SLOTS,
             access_log: AccessLog::Off,
             durable: None,
         }
@@ -169,15 +167,6 @@ impl Default for ServerConfig {
 
 /// The default [`ServerConfig::store_bytes`]: 64 MiB.
 const DEFAULT_STORE_BYTES: usize = 64 << 20;
-
-/// The splitmix64 finalizer: a cheap bijective mixer good enough to make
-/// sequential trace ids look unrelated.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 #[derive(Debug)]
 enum AccessSink {
@@ -219,10 +208,12 @@ impl Shared {
         self.tracer.flight_event(FlightKind::Fault, at, 1);
     }
 
-    /// A fresh nonzero trace id (0 means "untraced" throughout).
+    /// A fresh nonzero trace id (0 means "untraced" throughout): one
+    /// SplitMix64 step over the salted counter, so sequential ids look
+    /// unrelated.
     fn next_trace(&self) -> u64 {
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        mix64(self.trace_salt ^ seq).max(1)
+        SplitMix64::new(self.trace_salt ^ seq).next_u64().max(1)
     }
 
     /// Writes one structured access-log line, if a sink is configured.
@@ -286,7 +277,7 @@ impl ServerHandle {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// The always-on flight recorder (the same rings `GET /debug/flight`
+    /// The always-on flight recorder (the ring `GET /debug/flight`
     /// dumps).
     pub fn flight(&self) -> FlightRecorder {
         self.shared.flight.clone()
@@ -321,7 +312,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new());
-        let flight = FlightRecorder::with_capacity(modsyn_obs::DEFAULT_SHARDS, config.flight_slots);
+        let flight = FlightRecorder::new();
         let tracer = tracer
             .with_flight(flight.clone())
             .with_histograms(metrics.hists.clone());
@@ -344,7 +335,7 @@ impl Server {
             let nanos = std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_nanos() as u64);
-            mix64(nanos ^ u64::from(std::process::id()))
+            SplitMix64::new(nanos ^ u64::from(std::process::id())).next_u64()
         };
         let now = Instant::now();
         let breakers = [(); 4].map(|()| CircuitBreaker::new(config.breaker, now));

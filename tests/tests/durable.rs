@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use modsyn_fault::{Faults, SplitMix64};
 use modsyn_obs::Tracer;
 use modsyn_store::{
-    encode_frame, record_key, scan_bytes, DurableConfig, DurableStore, ModuleEntry, RecoveryReport,
-    StoreMutation, StoredFormula, SynthRecord, SynthStore, SNAP_FILE, WAL_HEADER,
+    encode_frame, record_key, scan_bytes, DurableConfig, DurableStore, FormulaStat, ModuleEntry,
+    RecoveryReport, StoreMutation, SynthRecord, SynthStore, SNAP_FILE, WAL_HEADER,
 };
 use modsyn_svc::client;
 use modsyn_svc::{Server, ServerConfig, ServerHandle};
@@ -37,7 +37,7 @@ fn arbitrary_mutation(rng: &mut SplitMix64) -> StoreMutation {
             key: rng.next_u64(),
             entry: Arc::new(ModuleEntry {
                 assignments: Vec::new(),
-                formulas: vec![StoredFormula {
+                formulas: vec![FormulaStat {
                     state_signals: rng.below(7),
                     clauses: rng.below(1000),
                     ..Default::default()
@@ -135,7 +135,7 @@ fn module(n: usize) -> StoreMutation {
         key: n as u64,
         entry: Arc::new(ModuleEntry {
             assignments: Vec::new(),
-            formulas: vec![StoredFormula {
+            formulas: vec![FormulaStat {
                 state_signals: n,
                 ..Default::default()
             }],
