@@ -10,7 +10,7 @@
 //! expansion, least area).
 //!
 //! The manager is deliberately simple: an arena of `(var, lo, hi)` nodes
-//! with a unique table, memoised `AND`/`OR`/`NOT`/ITE, conversion from
+//! with a unique table, memoised `AND`/`OR`/`NOT`, conversion from
 //! [`modsyn_sat::CnfFormula`], satisfying-assignment counting and
 //! extraction, and a node budget that fails fast on blow-ups.
 //!

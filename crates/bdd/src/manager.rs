@@ -226,18 +226,6 @@ impl BddManager {
         Ok(r)
     }
 
-    /// If-then-else `i ? t : e`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the node budget.
-    pub fn ite(&mut self, i: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, BddError> {
-        let it = self.and(i, t)?;
-        let ni = self.not(i)?;
-        let nie = self.and(ni, e)?;
-        self.or(it, nie)
-    }
-
     /// Evaluates `f` under a complete assignment.
     ///
     /// # Panics
@@ -358,11 +346,15 @@ mod tests {
 
     #[test]
     fn ite_matches_truth_table() {
+        // `i ? t : e` composed as `(i ∧ t) ∨ (¬i ∧ e)`.
         let mut m = BddManager::new(3);
         let i = m.var(0).unwrap();
         let t = m.var(1).unwrap();
         let e = m.var(2).unwrap();
-        let f = m.ite(i, t, e).unwrap();
+        let it = m.and(i, t).unwrap();
+        let ni = m.not(i).unwrap();
+        let nie = m.and(ni, e).unwrap();
+        let f = m.or(it, nie).unwrap();
         for bits in 0..8u8 {
             let a = [bits & 1 == 1, bits & 2 == 2, bits & 4 == 4];
             let expect = if a[0] { a[1] } else { a[2] };

@@ -30,7 +30,7 @@ use modsyn::{
 };
 use modsyn_obs::Json;
 use modsyn_sat::SolverOptions;
-use modsyn_sg::{derive, StateGraph};
+use modsyn_sg::derive;
 use modsyn_stg::{benchmarks, output_module_digests, stg_digest, write_g, Stg};
 use modsyn_store::{graph_key_text, pulse_edit, rename_edit};
 use modsyn_svc::render_report;
@@ -313,15 +313,6 @@ pub fn incr_json(seed: usize, rows: &[IncrMeasurement]) -> Json {
         ("backtrack_limit", Json::from(TABLE1_BACKTRACK_LIMIT)),
         ("rows", Json::Arr(records)),
     ])
-}
-
-/// Re-exported for the smoke tests: the state graph a certification needs.
-///
-/// # Errors
-///
-/// Propagates derivation failures from [`derive()`].
-pub fn derive_spec(stg: &Stg) -> Result<StateGraph, modsyn_sg::SgError> {
-    derive(stg, &table1_options().derive)
 }
 
 #[cfg(test)]

@@ -796,15 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_specs_agree_with_stg_crate() {
-        for row in &PAPER_TABLE1 {
-            let spec = modsyn_stg::benchmarks::paper_spec(row.name).unwrap();
-            assert_eq!(spec.initial_states, row.initial_states, "{}", row.name);
-            assert_eq!(spec.initial_signals, row.initial_signals, "{}", row.name);
-        }
-    }
-
-    #[test]
     fn run_row_solves_a_small_benchmark() {
         let m = run_row("vbe-ex1", Method::Modular, TABLE1_BACKTRACK_LIMIT);
         assert!(matches!(m, Measured::Solved { .. }), "{}", m.cell());

@@ -1,146 +1,12 @@
-//! The synthesised circuit as an executable object: closed-loop simulation
-//! against the specification and hazard analysis/removal (the paper's
+//! Hazard analysis and removal on the synthesised covers (the paper's
 //! Section 3.5 post-processing).
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
 use modsyn_logic::{complement, expand, Cover, Cube};
 use modsyn_sg::{EdgeLabel, StateGraph};
 
 use crate::logic_fn::{unreachable_codes, SignalFunction};
-use crate::SynthesisError;
-
-/// A gate-level view of the synthesised controller: one SOP next-state
-/// function per non-input signal, evaluated over all signal values.
-#[derive(Debug, Clone)]
-pub struct Circuit {
-    /// Signal names in code-bit order (inputs included).
-    names: Vec<String>,
-    /// Whether each signal is driven by the circuit.
-    driven: Vec<bool>,
-    /// Function per signal index (`None` for inputs).
-    functions: Vec<Option<Cover>>,
-}
-
-impl Circuit {
-    /// Assembles a circuit from a synthesis result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError::CscUnresolved`] if some non-input signal
-    /// has no function (mismatched inputs).
-    pub fn new(graph: &StateGraph, functions: &[SignalFunction]) -> Result<Self, SynthesisError> {
-        let n = graph.signals().len();
-        let mut slots: Vec<Option<Cover>> = vec![None; n];
-        for f in functions {
-            if let Some(i) = graph.signal_index(&f.name) {
-                slots[i] = Some(f.sop.cover().clone());
-            }
-        }
-        let driven: Vec<bool> = graph
-            .signals()
-            .iter()
-            .map(|s| s.kind.is_non_input())
-            .collect();
-        if driven.iter().zip(&slots).any(|(&d, s)| d && s.is_none()) {
-            return Err(SynthesisError::CscUnresolved {
-                remaining_conflicts: 0,
-            });
-        }
-        Ok(Circuit {
-            names: graph.signals().iter().map(|s| s.name.clone()).collect(),
-            driven,
-            functions: slots,
-        })
-    }
-
-    /// Signal names, in code order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Evaluates every driven signal's next value for the given current
-    /// values; undriven (input) signals keep their value.
-    pub fn next_values(&self, values: &[bool]) -> Vec<bool> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| match f {
-                Some(cover) => cover.covers_minterm(values),
-                None => values[i],
-            })
-            .collect()
-    }
-
-    /// The set of driven signals currently commanded to change.
-    pub fn excited_outputs(&self, values: &[bool]) -> Vec<usize> {
-        let next = self.next_values(values);
-        (0..values.len())
-            .filter(|&i| self.driven[i] && next[i] != values[i])
-            .collect()
-    }
-}
-
-/// Result of [`closed_loop_check`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SimulationReport {
-    /// Distinct specification states visited.
-    pub states_visited: usize,
-    /// Transitions executed.
-    pub transitions: usize,
-    /// Mismatches: `(state, signal, expected_excited)` — the circuit
-    /// commanded (or failed to command) a change the specification does
-    /// not (or does) prescribe.
-    pub violations: Vec<(usize, usize, bool)>,
-}
-
-impl SimulationReport {
-    /// Whether the circuit tracked the specification exactly.
-    pub fn is_conforming(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Executes the circuit in lock-step with the specification state graph:
-/// from every reachable state, the set of outputs the gates command to
-/// change must equal the set the specification excites, and every fired
-/// transition must lead to a state where the codes still agree.
-///
-/// This complements [`crate::verify_logic`]: instead of comparing implied
-/// values per state, it *runs* the SOP network along every specification
-/// edge.
-pub fn closed_loop_check(graph: &StateGraph, circuit: &Circuit) -> SimulationReport {
-    let n = graph.signals().len();
-    let mut report = SimulationReport::default();
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    seen.insert(graph.initial());
-    queue.push_back(graph.initial());
-
-    while let Some(state) = queue.pop_front() {
-        report.states_visited += 1;
-        let values: Vec<bool> = (0..n).map(|i| graph.value(state, i)).collect();
-        let commanded: HashSet<usize> = circuit.excited_outputs(&values).into_iter().collect();
-        let specified: HashSet<usize> = (0..n)
-            .filter(|&i| {
-                graph.signals()[i].kind.is_non_input() && graph.excited(state, i).is_some()
-            })
-            .collect();
-        for &i in commanded.difference(&specified) {
-            report.violations.push((state, i, false));
-        }
-        for &i in specified.difference(&commanded) {
-            report.violations.push((state, i, true));
-        }
-        for e in graph.out_edges(state) {
-            report.transitions += 1;
-            if seen.insert(e.to) {
-                queue.push_back(e.to);
-            }
-        }
-    }
-    report
-}
 
 /// Result of [`hazard_report`].
 #[derive(Debug, Clone, Default)]
@@ -236,9 +102,11 @@ pub fn remove_static_hazards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::gate_netlist;
     use crate::logic_fn::{derive_logic, verify_logic};
     use crate::modular::modular_resolve;
     use crate::solve::CscSolveOptions;
+    use modsyn_check::{check_speed_independence, CheckError};
     use modsyn_sg::{derive, DeriveOptions};
     use modsyn_stg::benchmarks;
 
@@ -252,13 +120,13 @@ mod tests {
 
     #[test]
     fn circuit_conforms_in_closed_loop() {
-        for name in ["vbe-ex1", "nouse", "fifo", "sbuf-read-ctl"] {
+        // The hazard-repaired gates, run against the specification: what
+        // `modsyn --hazards` certifies.
+        for name in ["vbe-ex1", "nouse", "fifo", "sbuf-read-ctl", "wrdata"] {
             let (graph, functions) = synthesised(name);
-            let circuit = Circuit::new(&graph, &functions).unwrap();
-            let report = closed_loop_check(&graph, &circuit);
-            assert!(report.is_conforming(), "{name}: {:?}", report.violations);
-            assert_eq!(report.states_visited, graph.state_count(), "{name}");
-            assert_eq!(report.transitions, graph.edge_count(), "{name}");
+            let repaired = remove_static_hazards(&graph, &functions);
+            check_speed_independence(&gate_netlist(&graph, &repaired), &graph)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
@@ -273,9 +141,11 @@ mod tests {
                 .unwrap(),
             literals: 0,
         };
-        let circuit = Circuit::new(&graph, &functions).unwrap();
-        let report = closed_loop_check(&graph, &circuit);
-        assert!(!report.is_conforming());
+        let verdict = check_speed_independence(&gate_netlist(&graph, &functions), &graph);
+        assert!(
+            matches!(verdict, Err(CheckError::Nonconforming { .. })),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -313,18 +183,6 @@ mod tests {
         let first = remove_static_hazards(&graph, &functions);
         for _ in 0..8 {
             assert_eq!(remove_static_hazards(&graph, &functions), first);
-        }
-    }
-
-    #[test]
-    fn excited_outputs_follow_the_spec() {
-        let (graph, functions) = synthesised("vbe-ex1");
-        let circuit = Circuit::new(&graph, &functions).unwrap();
-        let n = graph.signals().len();
-        let values: Vec<bool> = (0..n).map(|i| graph.value(graph.initial(), i)).collect();
-        let excited = circuit.excited_outputs(&values);
-        for i in excited {
-            assert!(graph.excited(graph.initial(), i).is_some());
         }
     }
 }

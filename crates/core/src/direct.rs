@@ -7,19 +7,8 @@
 
 use modsyn_sg::{insert_state_signals, StateGraph};
 
-use crate::solve::{solve_csc_scoped_traced, CscSolveOptions, ResolveScope};
-use crate::{FormulaStat, SynthesisError};
-
-/// Result of [`direct_resolve`].
-#[derive(Debug, Clone)]
-pub struct DirectOutcome {
-    /// The expanded, CSC-satisfying state graph.
-    pub graph: StateGraph,
-    /// Names of the inserted state signals.
-    pub inserted: Vec<String>,
-    /// Statistics of the (single, large) formulas attempted.
-    pub formulas: Vec<FormulaStat>,
-}
+use crate::solve::{solve_csc_scoped_traced, CscOutcome, CscSolveOptions, ResolveScope};
+use crate::SynthesisError;
 
 /// Solves the CSC problem on the complete state graph in one SAT instance
 /// per signal count.
@@ -32,7 +21,7 @@ pub struct DirectOutcome {
 pub fn direct_resolve(
     initial: &StateGraph,
     options: &CscSolveOptions,
-) -> Result<DirectOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     direct_resolve_traced(initial, options, &modsyn_obs::Tracer::disabled())
 }
 
@@ -47,7 +36,7 @@ pub fn direct_resolve_traced(
     initial: &StateGraph,
     options: &CscSolveOptions,
     tracer: &modsyn_obs::Tracer,
-) -> Result<DirectOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     let _span = tracer.span("direct");
     tracer.gauge("states", initial.state_count() as f64);
     tracer.gauge("signals", initial.signals().len() as f64);
@@ -55,15 +44,11 @@ pub fn direct_resolve_traced(
     tracer.counter("inserted", solution.assignments.len() as u64);
     let graph = insert_state_signals(initial, &solution.assignments)?;
     debug_assert!(graph.csc_analysis().satisfies_csc());
-    Ok(DirectOutcome {
+    Ok(CscOutcome::undecomposed(
         graph,
-        inserted: solution
-            .assignments
-            .iter()
-            .map(|a| a.name.clone())
-            .collect(),
-        formulas: solution.formulas,
-    })
+        &solution.assignments,
+        solution.formulas,
+    ))
 }
 
 #[cfg(test)]

@@ -30,18 +30,8 @@ use modsyn_sat::{Heuristic, Lit, Outcome, SolverOptions};
 use modsyn_sg::{insert_state_signals, StateGraph};
 use modsyn_stg::Stg;
 
+use crate::solve::CscOutcome;
 use crate::{encode_csc, FormulaStat, SynthesisError};
-
-/// Result of [`lavagno_resolve`].
-#[derive(Debug, Clone)]
-pub struct LavagnoOutcome {
-    /// The expanded, CSC-satisfying state graph.
-    pub graph: StateGraph,
-    /// Names of the inserted state signals.
-    pub inserted: Vec<String>,
-    /// Per-attempt formula statistics.
-    pub formulas: Vec<FormulaStat>,
-}
 
 /// Options for the Lavagno-style flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +70,7 @@ pub fn lavagno_resolve(
     initial: &StateGraph,
     options: &LavagnoOptions,
     tracer: &Tracer,
-) -> Result<LavagnoOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     let _span = tracer.span("lavagno");
     // The theory stops at free choice: asymmetric-choice and general nets
     // are both outside it (`alex-nonfc` sits in the asymmetric tier).
@@ -89,11 +79,7 @@ pub fn lavagno_resolve(
     }
     let analysis = initial.csc_analysis();
     if analysis.satisfies_csc() {
-        return Ok(LavagnoOutcome {
-            graph: initial.clone(),
-            inserted: Vec::new(),
-            formulas: Vec::new(),
-        });
+        return Ok(CscOutcome::undecomposed(initial.clone(), &[], Vec::new()));
     }
 
     let start = std::time::Instant::now();
@@ -141,11 +127,7 @@ pub fn lavagno_resolve(
                 let assignments = encoding.decode(&model, "st", 0);
                 let graph = insert_state_signals(initial, &assignments)?;
                 debug_assert!(graph.csc_analysis().satisfies_csc());
-                return Ok(LavagnoOutcome {
-                    graph,
-                    inserted: assignments.iter().map(|a| a.name.clone()).collect(),
-                    formulas,
-                });
+                return Ok(CscOutcome::undecomposed(graph, &assignments, formulas));
             }
             Outcome::Unsatisfiable => m += 1,
             Outcome::BacktrackLimit => {

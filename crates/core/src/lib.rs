@@ -38,42 +38,39 @@ mod circuit;
 mod direct;
 mod encode;
 mod error;
-mod fsm;
 mod input_set;
 mod lavagno;
 mod logic_fn;
 mod modular;
 mod netlist;
+mod reject;
 mod retry;
 mod solve;
 mod synth;
 
 pub use checker::{certify_report, gate_netlist};
-pub use circuit::{
-    closed_loop_check, hazard_report, remove_static_hazards, Circuit, HazardSummary,
-    SimulationReport,
-};
-pub use direct::{direct_resolve, direct_resolve_traced, DirectOutcome};
+pub use circuit::{hazard_report, remove_static_hazards, HazardSummary};
+pub use direct::{direct_resolve, direct_resolve_traced};
 pub use encode::{encode_csc, encode_csc_partial, Encoding};
 pub use error::SynthesisError;
-pub use fsm::{compatible_pairs, maximal_compatibles, minimise_states, ClosedCover, Compatible};
 pub use input_set::{determine_input_set, determine_input_set_traced, immediate_inputs, InputSet};
-pub use lavagno::{lavagno_resolve, LavagnoOptions, LavagnoOutcome};
+pub use lavagno::{lavagno_resolve, LavagnoOptions};
 pub use logic_fn::{
     derive_logic, derive_logic_jobs_traced, derive_logic_shared, derive_logic_traced,
     derive_logic_with, total_literals, verify_logic, MinimizeMode, SignalFunction,
 };
 pub use modular::{
     modular_resolve, modular_resolve_jobs, modular_resolve_jobs_traced, modular_resolve_traced,
-    ModularOutcome, ModuleReport,
+    ModuleReport,
 };
 pub use netlist::to_verilog;
+pub use reject::Rejection;
 pub use retry::{
     escalation_ladder, synthesize_with_retry, synthesize_with_retry_traced, Attempt, RetryOutcome,
     RetryPolicy,
 };
 pub use solve::{
-    solve_csc, solve_csc_scoped, solve_csc_scoped_traced, CscSolution, CscSolveOptions,
+    solve_csc, solve_csc_scoped, solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOptions,
     ResolveScope,
 };
 pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, SynthesisReport};

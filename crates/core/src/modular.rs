@@ -8,7 +8,9 @@ use modsyn_sg::{insert_state_signals, Quat, StateGraph, StateSignalAssignment};
 use modsyn_store::{module_key, ModuleEntry, Provenance};
 
 use crate::input_set::{determine_input_set_traced, InputSet};
-use crate::solve::{solve_csc_scoped_traced, CscSolution, CscSolveOptions, ResolveScope};
+use crate::solve::{
+    solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOptions, ResolveScope, NAME_PREFIX,
+};
 use crate::{FormulaStat, SynthesisError};
 
 /// Per-output trace of the modular flow.
@@ -26,30 +28,6 @@ pub struct ModuleReport {
     pub inserted: usize,
 }
 
-/// Result of [`modular_resolve`]: the conflict-free expanded graph plus a
-/// full trace.
-#[derive(Debug, Clone)]
-pub struct ModularOutcome {
-    /// The expanded, CSC-satisfying state graph.
-    pub graph: StateGraph,
-    /// Names of all inserted state signals.
-    pub inserted: Vec<String>,
-    /// Statistics of every SAT formula solved (one small formula per
-    /// module attempt — the paper's headline complexity win).
-    pub formulas: Vec<FormulaStat>,
-    /// Per-output module traces.
-    pub modules: Vec<ModuleReport>,
-    /// Why each inserted state signal exists: the module that forced it,
-    /// the conflict pairs it resolves, the winning formula's shape.
-    pub provenance: Vec<Provenance>,
-    /// Module solves answered from the synthesis store (always 0 without
-    /// an attached store).
-    pub store_hits: u64,
-    /// Module solves that ran the SAT layer for real — the *dirty* module
-    /// count of an incremental run (0 without a store).
-    pub store_misses: u64,
-}
-
 /// Runs the paper's `modular_synthesis` loop over every output signal:
 /// derive the input set (Figure 2), build and solve the modular state graph
 /// (Figure 4), propagate the assignment back to the complete graph
@@ -65,7 +43,7 @@ pub struct ModularOutcome {
 pub fn modular_resolve(
     initial: &StateGraph,
     options: &CscSolveOptions,
-) -> Result<ModularOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     modular_resolve_traced(initial, options, &Tracer::disabled())
 }
 
@@ -87,7 +65,7 @@ pub fn modular_resolve_jobs(
     initial: &StateGraph,
     options: &CscSolveOptions,
     jobs: usize,
-) -> Result<ModularOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     modular_resolve_jobs_traced(initial, options, jobs, &Tracer::disabled())
 }
 
@@ -161,12 +139,8 @@ fn solve_module_via_store(
             graph,
             &format!(
                 "scope={scope_tag} offset={name_offset} solver={:?} engine={} extra={} \
-                 prefix={} min_area={}",
-                options.solver,
-                options.engine,
-                options.extra_signals,
-                options.name_prefix,
-                options.min_area
+                 prefix={NAME_PREFIX} min_area={}",
+                options.solver, options.engine, options.extra_signals, options.min_area
             ),
         )
     });
@@ -216,7 +190,7 @@ pub fn modular_resolve_traced(
     initial: &StateGraph,
     options: &CscSolveOptions,
     tracer: &Tracer,
-) -> Result<ModularOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     modular_resolve_jobs_traced(initial, options, 1, tracer)
 }
 
@@ -233,11 +207,11 @@ pub fn modular_resolve_jobs_traced(
     options: &CscSolveOptions,
     jobs: usize,
     tracer: &Tracer,
-) -> Result<ModularOutcome, SynthesisError> {
+) -> Result<CscOutcome, SynthesisError> {
     let _span = tracer.span("modular");
     let start = Instant::now();
     let mut graph = initial.clone();
-    let mut outcome = ModularOutcome {
+    let mut outcome = CscOutcome {
         graph: initial.clone(),
         inserted: Vec::new(),
         formulas: Vec::new(),
@@ -414,7 +388,7 @@ mod tests {
     use modsyn_sg::{derive, DeriveOptions};
     use modsyn_stg::benchmarks;
 
-    fn resolve(name: &str) -> ModularOutcome {
+    fn resolve(name: &str) -> CscOutcome {
         let stg = benchmarks::by_name(name).expect("known benchmark");
         let sg = derive(&stg, &DeriveOptions::default()).unwrap();
         modular_resolve(&sg, &CscSolveOptions::default()).unwrap_or_else(|e| panic!("{name}: {e}"))

@@ -8,10 +8,14 @@ use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_sat::{Outcome, SolverOptions, SolverStats};
 use modsyn_sg::{StateGraph, StateSignalAssignment};
-use modsyn_store::{ClauseFamilies, FormulaStat, StoreLink};
+use modsyn_store::{ClauseFamilies, FormulaStat, Provenance, StoreLink};
 
 use crate::encode::encode_csc_partial;
+use crate::modular::ModuleReport;
 use crate::SynthesisError;
+
+/// Prefix of the state signals the CSC solves insert (`csc0`, `csc1`, …).
+pub(crate) const NAME_PREFIX: &str = "csc";
 
 /// Which conflicts a [`solve_csc_scoped`] call must resolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +44,6 @@ pub struct CscSolveOptions {
     /// How many state signals beyond the lower bound to try before giving
     /// up with [`SynthesisError::NoSolution`].
     pub extra_signals: usize,
-    /// Prefix for generated state-signal names.
-    pub name_prefix: &'static str,
     /// Extract the assignment from a BDD of the constraint formula,
     /// minimising the number of excited states (the smallest expansion,
     /// hence the least area) — the BDD-based refinement the paper's
@@ -69,7 +71,6 @@ impl Default for CscSolveOptions {
             solver: SolverOptions::default(),
             engine: Engine::default(),
             extra_signals: 6,
-            name_prefix: "csc",
             min_area: false,
             cancel: CancelToken::never(),
             faults: Faults::none(),
@@ -143,6 +144,53 @@ pub struct CscSolution {
     pub resolved_pairs: Vec<(usize, usize)>,
     /// Clause-family breakdown of the winning formula.
     pub families: ClauseFamilies,
+}
+
+/// What every CSC resolver returns — modular, direct and Lavagno-style:
+/// the conflict-free expanded graph plus its trace. The two undecomposed
+/// resolvers leave `modules` and `provenance` empty and the store counts
+/// at 0.
+#[derive(Debug, Clone)]
+pub struct CscOutcome {
+    /// The expanded, CSC-satisfying state graph.
+    pub graph: StateGraph,
+    /// Names of all inserted state signals.
+    pub inserted: Vec<String>,
+    /// Statistics of every SAT formula solved (in the modular flow, one
+    /// small formula per module attempt — the paper's headline complexity
+    /// win).
+    pub formulas: Vec<FormulaStat>,
+    /// Per-output module traces.
+    pub modules: Vec<ModuleReport>,
+    /// Why each inserted state signal exists: the module that forced it,
+    /// the conflict pairs it resolves, the winning formula's shape.
+    pub provenance: Vec<Provenance>,
+    /// Module solves answered from the synthesis store (always 0 without
+    /// an attached store).
+    pub store_hits: u64,
+    /// Module solves that ran the SAT layer for real — the *dirty* module
+    /// count of an incremental run (0 without a store).
+    pub store_misses: u64,
+}
+
+impl CscOutcome {
+    /// The outcome of one undecomposed solve on the whole graph: no
+    /// modules, no provenance, no store traffic.
+    pub(crate) fn undecomposed(
+        graph: StateGraph,
+        assignments: &[StateSignalAssignment],
+        formulas: Vec<FormulaStat>,
+    ) -> CscOutcome {
+        CscOutcome {
+            graph,
+            inserted: assignments.iter().map(|a| a.name.clone()).collect(),
+            formulas,
+            modules: Vec::new(),
+            provenance: Vec::new(),
+            store_hits: 0,
+            store_misses: 0,
+        }
+    }
 }
 
 /// Finds state-signal assignments satisfying all CSC constraints of
@@ -271,7 +319,7 @@ pub fn solve_csc_scoped_traced(
                         satisfiable: true,
                         solver: SolverStats::default(),
                     });
-                    let assignments = encoding.decode(&model, options.name_prefix, name_offset);
+                    let assignments = encoding.decode(&model, NAME_PREFIX, name_offset);
                     return Ok(CscSolution {
                         assignments,
                         formulas,
@@ -318,7 +366,7 @@ pub fn solve_csc_scoped_traced(
         match outcome {
             Outcome::Satisfiable(model) => {
                 let model = shrink_excitation(&encoding, model);
-                let assignments = encoding.decode(&model, options.name_prefix, name_offset);
+                let assignments = encoding.decode(&model, NAME_PREFIX, name_offset);
                 return Ok(CscSolution {
                     assignments,
                     formulas,

@@ -17,7 +17,7 @@ use crate::logic_fn::{
     derive_logic_jobs_traced, total_literals, verify_logic, MinimizeMode, SignalFunction,
 };
 use crate::modular::{modular_resolve_jobs_traced, ModuleReport};
-use crate::solve::CscSolveOptions;
+use crate::solve::{CscOutcome, CscSolveOptions};
 use crate::{FormulaStat, SynthesisError};
 
 /// Which CSC-resolution method to run.
@@ -189,83 +189,7 @@ pub fn synthesize_traced(
     tracer.note("benchmark", stg.name());
     tracer.note("method", &options.method.to_string());
     let initial = derive_traced(stg, &options.derive, tracer)?;
-    struct Resolved {
-        graph: StateGraph,
-        inserted: Vec<String>,
-        formulas: Vec<FormulaStat>,
-        modules: Vec<ModuleReport>,
-        provenance: Vec<Provenance>,
-        store_hits: u64,
-        store_misses: u64,
-    }
-    let resolved = match options.method {
-        Method::Modular | Method::ModularMinArea => {
-            let solve = CscSolveOptions {
-                solver: options.solver,
-                engine: options.engine,
-                extra_signals: options.extra_signals,
-                name_prefix: "csc",
-                min_area: options.method == Method::ModularMinArea,
-                cancel: options.cancel.clone(),
-                faults: options.faults.clone(),
-                store: options.store.clone(),
-            };
-            let out = modular_resolve_jobs_traced(&initial, &solve, options.jobs, tracer)?;
-            Resolved {
-                graph: out.graph,
-                inserted: out.inserted,
-                formulas: out.formulas,
-                modules: out.modules,
-                provenance: out.provenance,
-                store_hits: out.store_hits,
-                store_misses: out.store_misses,
-            }
-        }
-        Method::Direct => {
-            let solve = CscSolveOptions {
-                solver: options.solver,
-                engine: options.engine,
-                extra_signals: options.extra_signals,
-                name_prefix: "csc",
-                min_area: false,
-                cancel: options.cancel.clone(),
-                faults: options.faults.clone(),
-                store: StoreLink::none(),
-            };
-            let out = direct_resolve_traced(&initial, &solve, tracer)?;
-            Resolved {
-                graph: out.graph,
-                inserted: out.inserted,
-                formulas: out.formulas,
-                modules: Vec::new(),
-                provenance: Vec::new(),
-                store_hits: 0,
-                store_misses: 0,
-            }
-        }
-        Method::Lavagno => {
-            let out = lavagno_resolve(
-                stg,
-                &initial,
-                &LavagnoOptions {
-                    max_backtracks: options.solver.max_backtracks,
-                    extra_signals: options.extra_signals.min(3),
-                    cancel: options.cancel.clone(),
-                },
-                tracer,
-            )?;
-            Resolved {
-                graph: out.graph,
-                inserted: out.inserted,
-                formulas: out.formulas,
-                modules: Vec::new(),
-                provenance: Vec::new(),
-                store_hits: 0,
-                store_misses: 0,
-            }
-        }
-    };
-    let Resolved {
+    let CscOutcome {
         graph,
         inserted,
         formulas,
@@ -273,7 +197,42 @@ pub fn synthesize_traced(
         provenance,
         store_hits,
         store_misses,
-    } = resolved;
+    } = match options.method {
+        Method::Modular | Method::ModularMinArea => {
+            let solve = CscSolveOptions {
+                solver: options.solver,
+                engine: options.engine,
+                extra_signals: options.extra_signals,
+                min_area: options.method == Method::ModularMinArea,
+                cancel: options.cancel.clone(),
+                faults: options.faults.clone(),
+                store: options.store.clone(),
+            };
+            modular_resolve_jobs_traced(&initial, &solve, options.jobs, tracer)?
+        }
+        Method::Direct => {
+            let solve = CscSolveOptions {
+                solver: options.solver,
+                engine: options.engine,
+                extra_signals: options.extra_signals,
+                min_area: false,
+                cancel: options.cancel.clone(),
+                faults: options.faults.clone(),
+                store: StoreLink::none(),
+            };
+            direct_resolve_traced(&initial, &solve, tracer)?
+        }
+        Method::Lavagno => lavagno_resolve(
+            stg,
+            &initial,
+            &LavagnoOptions {
+                max_backtracks: options.solver.max_backtracks,
+                extra_signals: options.extra_signals.min(3),
+                cancel: options.cancel.clone(),
+            },
+            tracer,
+        )?,
+    };
 
     let functions = derive_logic_jobs_traced(&graph, options.minimize, options.jobs, tracer)?;
     debug_assert!(verify_logic(&graph, &functions));

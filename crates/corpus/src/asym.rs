@@ -14,7 +14,7 @@
 //! These probes exist to be *rejected, typed*: the corpus pipeline asserts
 //! that every theory-scoped method maps them to
 //! [`modsyn::SynthesisError::NotFreeChoice`]-style errors — no panics, no
-//! silent wrong answers (see [`crate::reject`]).
+//! silent wrong answers (see [`crate::Rejection`]).
 
 use modsyn_fault::SplitMix64;
 use modsyn_petri::NetClass;

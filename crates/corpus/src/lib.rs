@@ -16,17 +16,17 @@
 //!   typed* — they pin the exact boundary where the paper's theory stops.
 //! * [`skeleton`] derives STGs from concurrent-program skeletons: channel
 //!   rendezvous, staged pipelines, mutex pairs, fork/join barriers.
-//! * [`reject`] is the closed rejection taxonomy (aligned with the serving
-//!   layer's 422 tags), and [`verdict`] runs cases through the synthesis
-//!   methods enforcing the three-valued contract: certified, typed
-//!   rejection, or violation — no panics, no silent wrong answers.
+//! * [`Rejection`] (defined in `modsyn`, re-exported here) is the closed
+//!   rejection taxonomy, the same one the serving layer's 422s carry, and
+//!   [`verdict`] runs cases through the synthesis methods enforcing the
+//!   three-valued contract: certified, typed rejection, or violation — no
+//!   panics, no silent wrong answers.
 //!
 //! The `corpus` binary in `modsyn-bench` drives seed sweeps through this
 //! crate into `BENCH_corpus.json`, guarded by `benchguard --corpus-only`.
 
 pub mod asym;
 pub mod compose;
-pub mod reject;
 pub mod skeleton;
 pub mod verdict;
 
@@ -35,7 +35,7 @@ pub use compose::{
     check_certificate, gen_corpus, Certificate, CertificateViolation, CorpusNode, CorpusRecipe,
     Unit,
 };
-pub use reject::Rejection;
+pub use modsyn::Rejection;
 pub use skeleton::Skeleton;
 pub use verdict::{evaluate_case, CaseReport, EvalOptions, Expectation, MethodOutcome, Verdict};
 

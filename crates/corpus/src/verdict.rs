@@ -28,7 +28,7 @@ use modsyn_sat::SolverOptions;
 use modsyn_sg::{derive, StateGraph};
 use modsyn_stg::{parse_g, write_g, Stg};
 
-use crate::reject::Rejection;
+use modsyn::Rejection;
 
 /// What the corpus expects of a case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -28,20 +28,12 @@ use modsyn_svc::client::{self, BackoffPolicy, ClientResponse};
 #[derive(Debug, Clone)]
 pub struct FleetRouter {
     addrs: Vec<SocketAddr>,
-    /// Distinguishes independent fleets; 0 is fine for a single fleet.
-    salt: u64,
 }
 
 impl FleetRouter {
     /// A router over `addrs` (typically [`crate::Supervisor::addrs`]).
     pub fn new(addrs: Vec<SocketAddr>) -> FleetRouter {
-        FleetRouter { addrs, salt: 0 }
-    }
-
-    /// Replaces the fleet salt (independent fleets shuffle differently).
-    pub fn with_salt(mut self, salt: u64) -> FleetRouter {
-        self.salt = salt;
-        self
+        FleetRouter { addrs }
     }
 
     /// The replica addresses, in configuration order.
@@ -50,12 +42,11 @@ impl FleetRouter {
     }
 
     /// The failover order for `digest`: every replica, highest rendezvous
-    /// score first. Deterministic in (digest, salt, addrs).
+    /// score first. Deterministic in (digest, addrs).
     pub fn order(&self, digest: u64) -> Vec<SocketAddr> {
         let mut scored: Vec<(u64, usize)> = (0..self.addrs.len())
             .map(|i| {
-                let mut rng =
-                    SplitMix64::new(digest ^ (i as u64).wrapping_mul(0x9E37_79B9) ^ self.salt);
+                let mut rng = SplitMix64::new(digest ^ (i as u64).wrapping_mul(0x9E37_79B9));
                 (rng.next_u64(), i)
             })
             .collect();
@@ -157,14 +148,6 @@ mod tests {
                 assert_eq!(degraded.primary(d).unwrap(), first);
             }
         }
-    }
-
-    #[test]
-    fn salt_separates_fleets() {
-        let a = FleetRouter::new(addrs(4));
-        let b = FleetRouter::new(addrs(4)).with_salt(7);
-        let differs = (0..64u64).any(|d| a.order(d) != b.order(d));
-        assert!(differs, "salted fleet must shuffle differently");
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueues `f` and returns a handle to its result. `label` names the
     /// job's observability span.
     pub fn submit<T, F>(&self, label: &str, f: F) -> JobHandle<T>

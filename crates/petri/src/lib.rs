@@ -38,7 +38,6 @@
 mod analysis;
 mod error;
 mod ids;
-mod invariants;
 mod liveness;
 mod marking;
 mod net;

@@ -54,11 +54,6 @@ impl Marking {
         self.tokens.iter().sum()
     }
 
-    /// Whether `place` holds at least one token.
-    pub fn is_marked(&self, place: PlaceId) -> bool {
-        self.tokens[place.index()] > 0
-    }
-
     /// Whether transition `t` is enabled: every fan-in place is marked.
     pub fn enables(&self, net: &PetriNet, t: TransitionId) -> bool {
         net.transition(t)

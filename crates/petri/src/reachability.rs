@@ -133,52 +133,12 @@ impl PetriNet {
 
         Ok(ReachabilityGraph { markings, edges })
     }
-
-    /// [`PetriNet::reachability`] wrapped in a `petri.reach` observability
-    /// span recording the explored marking and edge counts. With a disabled
-    /// tracer this is exactly [`PetriNet::reachability`].
-    pub fn reachability_traced(
-        &self,
-        options: &ReachabilityOptions,
-        tracer: &modsyn_obs::Tracer,
-    ) -> Result<ReachabilityGraph, PetriError> {
-        if !tracer.is_enabled() {
-            return self.reachability(options);
-        }
-        let _span = tracer.span("petri.reach");
-        let result = self.reachability(options);
-        match &result {
-            Ok(graph) => {
-                tracer.gauge("markings", graph.markings.len() as f64);
-                tracer.gauge("edges", graph.edges.len() as f64);
-            }
-            Err(e) => tracer.note("error", &e.to_string()),
-        }
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PlaceId;
-
-    #[test]
-    fn reachability_traced_records_graph_size() {
-        let net = two_independent_cycles();
-        let tracer = modsyn_obs::Tracer::enabled();
-        let graph = net
-            .reachability_traced(&ReachabilityOptions::default(), &tracer)
-            .unwrap();
-        let report = tracer.report();
-        let spans = report.spans_with_prefix("petri.reach");
-        assert_eq!(spans.len(), 1);
-        assert_eq!(
-            spans[0].gauge("markings"),
-            Some(graph.markings.len() as f64)
-        );
-        assert_eq!(spans[0].gauge("edges"), Some(graph.edges.len() as f64));
-    }
 
     /// Two independent 2-cycles: 2 x 2 = 4 reachable markings.
     fn two_independent_cycles() -> PetriNet {

@@ -45,11 +45,6 @@ impl CnfFormula {
         v
     }
 
-    /// Allocates `n` fresh variables and returns them in order.
-    pub fn new_vars(&mut self, n: usize) -> Vec<Var> {
-        (0..n).map(|_| self.new_var()).collect()
-    }
-
     /// Adds a clause.
     ///
     /// The clause is sorted and deduplicated; tautologies are dropped. An

@@ -25,7 +25,6 @@
 
 mod large;
 mod medium;
-mod scalable;
 mod small;
 
 pub use large::{mmu0, mmu1, mr0, mr1, sbuf_ram_write, vbe4a};
@@ -33,141 +32,9 @@ pub use medium::{
     alex_nonfc, alloc_outbound, atod, nak_pa, pa, pe_rcv_ifc_fc, ram_read_sbuf, sbuf_read_ctl,
     sbuf_send_ctl, sbuf_send_pkt2, wrdata,
 };
-pub use scalable::{master_read, pipeline};
 pub use small::{fifo, nousc_ser, nouse, sendr_done, vbe_ex1, vbe_ex2};
 
 use crate::Stg;
-
-/// Paper-reported specification columns for one Table-1 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PaperSpec {
-    /// Benchmark name as printed in Table 1.
-    pub name: &'static str,
-    /// "Initial no. of states" column.
-    pub initial_states: usize,
-    /// "Initial no. of signal" column.
-    pub initial_signals: usize,
-}
-
-/// The specification columns of Table 1, in the paper's row order
-/// (largest first).
-pub const PAPER_SPECS: [PaperSpec; 23] = [
-    PaperSpec {
-        name: "mr0",
-        initial_states: 302,
-        initial_signals: 11,
-    },
-    PaperSpec {
-        name: "mr1",
-        initial_states: 190,
-        initial_signals: 8,
-    },
-    PaperSpec {
-        name: "mmu0",
-        initial_states: 174,
-        initial_signals: 8,
-    },
-    PaperSpec {
-        name: "mmu1",
-        initial_states: 82,
-        initial_signals: 8,
-    },
-    PaperSpec {
-        name: "sbuf-ram-write",
-        initial_states: 58,
-        initial_signals: 10,
-    },
-    PaperSpec {
-        name: "vbe4a",
-        initial_states: 58,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "nak-pa",
-        initial_states: 56,
-        initial_signals: 9,
-    },
-    PaperSpec {
-        name: "pe-rcv-ifc-fc",
-        initial_states: 46,
-        initial_signals: 8,
-    },
-    PaperSpec {
-        name: "ram-read-sbuf",
-        initial_states: 36,
-        initial_signals: 10,
-    },
-    PaperSpec {
-        name: "alex-nonfc",
-        initial_states: 24,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "sbuf-send-pkt2",
-        initial_states: 21,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "sbuf-send-ctl",
-        initial_states: 20,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "atod",
-        initial_states: 20,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "pa",
-        initial_states: 18,
-        initial_signals: 4,
-    },
-    PaperSpec {
-        name: "alloc-outbound",
-        initial_states: 17,
-        initial_signals: 7,
-    },
-    PaperSpec {
-        name: "wrdata",
-        initial_states: 16,
-        initial_signals: 4,
-    },
-    PaperSpec {
-        name: "fifo",
-        initial_states: 16,
-        initial_signals: 4,
-    },
-    PaperSpec {
-        name: "sbuf-read-ctl",
-        initial_states: 14,
-        initial_signals: 6,
-    },
-    PaperSpec {
-        name: "nouse",
-        initial_states: 12,
-        initial_signals: 3,
-    },
-    PaperSpec {
-        name: "vbe-ex2",
-        initial_states: 8,
-        initial_signals: 2,
-    },
-    PaperSpec {
-        name: "nousc-ser",
-        initial_states: 8,
-        initial_signals: 3,
-    },
-    PaperSpec {
-        name: "sendr-done",
-        initial_states: 7,
-        initial_signals: 3,
-    },
-    PaperSpec {
-        name: "vbe-ex1",
-        initial_states: 5,
-        initial_signals: 2,
-    },
-];
 
 /// Builds every benchmark, in Table-1 row order.
 pub fn all() -> Vec<(&'static str, Stg)> {
@@ -203,29 +70,10 @@ pub fn by_name(name: &str) -> Option<Stg> {
     all().into_iter().find(|(n, _)| *n == name).map(|(_, s)| s)
 }
 
-/// The paper specification row for a benchmark name.
-pub fn paper_spec(name: &str) -> Option<PaperSpec> {
-    PAPER_SPECS.iter().copied().find(|s| s.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use modsyn_petri::ReachabilityOptions;
-
-    #[test]
-    fn every_row_has_a_generator_and_matching_signal_count() {
-        let all = all();
-        assert_eq!(all.len(), PAPER_SPECS.len());
-        for (name, stg) in &all {
-            let spec = paper_spec(name).unwrap_or_else(|| panic!("no spec for {name}"));
-            assert_eq!(
-                stg.signal_count(),
-                spec.initial_signals,
-                "{name}: signal count deviates from Table 1"
-            );
-        }
-    }
 
     #[test]
     fn every_benchmark_is_structurally_valid() {
@@ -243,28 +91,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(g.is_safe(), "{name}: not 1-safe");
             assert!(g.deadlocks().is_empty(), "{name}: deadlock");
-        }
-    }
-
-    #[test]
-    fn state_counts_land_in_the_paper_band() {
-        // Within a factor of 2 of the paper's initial state count; the exact
-        // measured numbers are recorded in EXPERIMENTS.md.
-        for (name, stg) in all() {
-            let spec = paper_spec(name).unwrap();
-            let n = stg
-                .net()
-                .reachability(&ReachabilityOptions::default())
-                .unwrap()
-                .markings
-                .len();
-            let lo = spec.initial_states.div_ceil(2);
-            let hi = spec.initial_states * 2;
-            assert!(
-                (lo..=hi).contains(&n),
-                "{name}: {n} states, paper {} (band {lo}..={hi})",
-                spec.initial_states
-            );
         }
     }
 

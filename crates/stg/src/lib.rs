@@ -42,7 +42,6 @@
 
 pub mod benchmarks;
 mod digest;
-mod dot;
 mod dsl;
 mod error;
 mod parser;
@@ -52,7 +51,6 @@ mod validate;
 mod writer;
 
 pub use digest::{combined_module_digest, module_digest, output_module_digests, stg_digest};
-pub use dot::to_dot;
 pub use dsl::{Frag, StgBuilder};
 pub use error::StgError;
 pub use parser::{parse_g, parse_g_traced};

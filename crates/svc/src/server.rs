@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use modsyn::{certify_report, Method, RetryPolicy, SynthesisError, SynthesisOptions};
+use modsyn::{certify_report, Method, Rejection, RetryPolicy, SynthesisError, SynthesisOptions};
 use modsyn_fault::{site, FaultHook, Faults, SplitMix64};
 use modsyn_obs::{FlightEvent, FlightKind, FlightRecorder, Json, Tracer};
 use modsyn_par::{CancelToken, WorkerPool};
@@ -1301,7 +1301,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
             error_response(
                 422,
                 "Unprocessable Entity",
-                synth_error_tag(&e),
+                Rejection::of(&e).tag(),
                 &e.to_string(),
             )
             .with_header("X-Modsyn-Class", class_tag(net_class))
@@ -1385,20 +1385,6 @@ fn class_tag(class: NetClass) -> &'static str {
         NetClass::FreeChoice => "free-choice",
         NetClass::AsymmetricChoice => "asymmetric-choice",
         NetClass::General => "general",
-    }
-}
-
-fn synth_error_tag(e: &SynthesisError) -> &'static str {
-    match e {
-        SynthesisError::Sg(_) => "state-graph",
-        SynthesisError::BacktrackLimit { .. } => "backtrack-limit",
-        SynthesisError::NoSolution { .. } => "no-solution",
-        SynthesisError::NotFreeChoice => "not-free-choice",
-        SynthesisError::StateSplittingRequired => "state-splitting-required",
-        SynthesisError::CscUnresolved { .. } => "csc-unresolved",
-        SynthesisError::Aborted { .. } => "aborted",
-        SynthesisError::Exhausted { .. } => "exhausted",
-        _ => "synthesis-failed",
     }
 }
 

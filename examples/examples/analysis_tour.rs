@@ -1,13 +1,10 @@
 //! A tour of the analysis substrates on one benchmark: Petri-net
-//! invariants, state-graph conflicts, FSM minimisation, shared-PLA logic
+//! structure, state-graph conflicts, modular synthesis, shared-PLA logic
 //! and Verilog output.
 //!
 //! Run with: `cargo run --release -p modsyn-examples --example analysis_tour [benchmark]`
 
-use modsyn::{
-    derive_logic, derive_logic_shared, minimise_states, modular_resolve, to_verilog,
-    CscSolveOptions,
-};
+use modsyn::{derive_logic, derive_logic_shared, modular_resolve, to_verilog, CscSolveOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 
@@ -18,19 +15,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stg = benchmarks::by_name(&name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
     println!("== {name} ==\n{stg}");
 
-    // Structural layer: classification and invariants.
+    // Structural layer: classification.
     let report = stg.net().structural_report();
     println!(
         "\nstructure: {} ({} choice places, {} synchronisations)",
         report.class, report.choice_places, report.merge_transitions
-    );
-    let s_inv = stg.net().place_invariants();
-    let t_inv = stg.net().transition_invariants();
-    println!(
-        "invariants: {} place (S), {} transition (T); unit-covered: {}",
-        s_inv.len(),
-        t_inv.len(),
-        stg.net().covered_by_unit_invariants()
     );
 
     // Behavioural layer: state graph and conflicts.
@@ -42,12 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sg.edge_count(),
         csc.csc_pairs.len(),
         csc.lower_bound
-    );
-    let cover = minimise_states(&sg, 50_000);
-    println!(
-        "flow-table minimisation: {} -> {} rows",
-        sg.state_count(),
-        cover.reduced_states()
     );
 
     // Synthesis layer.

@@ -1,13 +1,15 @@
 //! The complete production flow on one benchmark: minimum-area synthesis
-//! (BDD-backed), static-hazard removal, and a closed-loop simulation of the
-//! resulting gate network against the specification.
+//! (BDD-backed), static-hazard removal, and a closed-loop check of the
+//! resulting gate network against the specification (the oracle's
+//! speed-independence judgement: conformance and persistence).
 //!
 //! Run with: `cargo run --release -p modsyn-examples --example full_flow [benchmark]`
 
 use modsyn::{
-    closed_loop_check, derive_logic, hazard_report, modular_resolve, remove_static_hazards,
-    Circuit, CscSolveOptions,
+    derive_logic, gate_netlist, hazard_report, modular_resolve, remove_static_hazards,
+    CscSolveOptions,
 };
+use modsyn_check::check_speed_independence;
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 
@@ -51,14 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.total_hazards()
     );
 
-    // 4. Execute the gate network in lock-step with the specification.
-    let circuit = Circuit::new(&resolved.graph, &repaired)?;
-    let sim = closed_loop_check(&resolved.graph, &circuit);
+    // 4. Run the gate network in closed loop with the specification.
+    let verdict =
+        check_speed_independence(&gate_netlist(&resolved.graph, &repaired), &resolved.graph);
     println!(
-        "closed-loop simulation: {} states, {} transitions, conforming: {}",
-        sim.states_visited,
-        sim.transitions,
-        sim.is_conforming()
+        "# closed-loop check: {} states, {} transitions, conforming: {}",
+        resolved.graph.state_count(),
+        resolved.graph.edge_count(),
+        verdict.is_ok()
     );
 
     println!("\nhazard-free implementation:");

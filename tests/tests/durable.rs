@@ -28,9 +28,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One seeded, arbitrary store mutation — the hand-rolled stand-in for a
-/// proptest generator (the proptest dependency is gated off for offline
-/// builds).
+/// One seeded, arbitrary store mutation.
 fn arbitrary_mutation(rng: &mut SplitMix64) -> StoreMutation {
     match rng.below(2) {
         0 => StoreMutation::Module {

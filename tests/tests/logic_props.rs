@@ -1,29 +1,32 @@
-//! Property tests (gated): enable with `--features proptest-tests` after
-//! re-adding the proptest dev-dependency (needs network; see Cargo.toml).
-#![cfg(feature = "proptest-tests")]
-//! Property-based tests for the two-level minimiser.
+//! Seeded property tests for the two-level minimiser: every property runs
+//! on a fixed SplitMix64 stream, so a failing case number reproduces
+//! exactly. COMPLEMENT and TAUTOLOGY are checked against brute force by
+//! `complement_and_tautology_match_brute_force` in
+//! `crates/logic/tests/kernels.rs`.
 
-use modsyn_logic::{complement, is_tautology, minimize, Cover, Cube};
-use proptest::prelude::*;
+use modsyn_fault::SplitMix64;
+use modsyn_logic::{complement, minimize, Cover, Cube};
 
-/// Strategy: a random cover over `n` variables.
-fn cover_strategy(n: usize) -> impl Strategy<Value = Cover> {
-    proptest::collection::vec(proptest::collection::vec(0u8..3, n..=n), 0..8).prop_map(
-        move |rows| {
-            let cubes = rows.into_iter().map(|row| {
-                let mut c = Cube::full(n);
-                for (v, &code) in row.iter().enumerate() {
-                    match code {
-                        0 => c.set_literal(v, Some(false)),
-                        1 => c.set_literal(v, Some(true)),
-                        _ => {}
-                    }
+/// Cases drawn per property.
+const CASES: usize = 48;
+
+/// A random cover over `n` variables: up to 7 cubes, each variable a
+/// negative literal, a positive literal or absent with equal odds.
+fn random_cover(rng: &mut SplitMix64, n: usize) -> Cover {
+    let cubes: Vec<Cube> = (0..rng.below(8))
+        .map(|_| {
+            let mut c = Cube::full(n);
+            for v in 0..n {
+                match rng.below(3) {
+                    0 => c.set_literal(v, Some(false)),
+                    1 => c.set_literal(v, Some(true)),
+                    _ => {}
                 }
-                c
-            });
-            Cover::from_cubes(n, cubes)
-        },
-    )
+            }
+            c
+        })
+        .collect();
+    Cover::from_cubes(n, cubes)
 }
 
 fn minterms(n: usize) -> Vec<Vec<bool>> {
@@ -32,42 +35,51 @@ fn minterms(n: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn minimize_preserves_semantics(on in cover_strategy(4)) {
-        let dc = Cover::empty(4);
-        let r = minimize(&on, &dc);
+#[test]
+fn minimize_preserves_semantics() {
+    let mut rng = SplitMix64::new(0x10_9c01);
+    for case in 0..CASES {
+        let on = random_cover(&mut rng, 4);
+        let r = minimize(&on, &Cover::empty(4));
         for m in minterms(4) {
-            prop_assert_eq!(
+            assert_eq!(
                 r.cover.covers_minterm(&m),
                 on.covers_minterm(&m),
-                "differs on {:?}", m
+                "case {case}: differs on {m:?}"
             );
         }
     }
+}
 
-    #[test]
-    fn minimize_never_increases_cost(on in cover_strategy(4)) {
+#[test]
+fn minimize_never_increases_cost() {
+    let mut rng = SplitMix64::new(0x10_9c02);
+    for case in 0..CASES {
+        let on = random_cover(&mut rng, 4);
         let r = minimize(&on, &Cover::empty(4));
-        prop_assert!(r.cover.cube_count() <= on.cube_count().max(1));
-        prop_assert!(r.cover.literal_count() <= on.literal_count());
+        assert!(
+            r.cover.cube_count() <= on.cube_count().max(1),
+            "case {case}"
+        );
+        assert!(r.cover.literal_count() <= on.literal_count(), "case {case}");
     }
+}
 
-    #[test]
-    fn minimize_result_is_prime_and_irredundant(on in cover_strategy(4)) {
-        let dc = Cover::empty(4);
-        let r = minimize(&on, &dc);
-        let off = complement(&on.union(&dc));
+#[test]
+fn minimize_result_is_prime_and_irredundant() {
+    let mut rng = SplitMix64::new(0x10_9c03);
+    for case in 0..CASES {
+        let on = random_cover(&mut rng, 4);
+        let r = minimize(&on, &Cover::empty(4));
+        let off = complement(&on);
         for (i, c) in r.cover.cubes().iter().enumerate() {
             // Prime: raising any literal hits the OFF-set.
             for (v, _) in c.literals() {
                 let mut raised = c.clone();
                 raised.set_literal(v, None);
-                prop_assert!(
+                assert!(
                     off.cubes().iter().any(|oc| oc.intersects(&raised)),
-                    "cube {} not prime", c
+                    "case {case}: cube {c} not prime"
                 );
             }
             // Irredundant: dropping the cube loses coverage.
@@ -80,26 +92,19 @@ proptest! {
                     .filter(|&(j, _)| j != i)
                     .map(|(_, x)| x.clone()),
             );
-            prop_assert!(!rest.covers_cube(c), "cube {} redundant", c);
+            assert!(!rest.covers_cube(c), "case {case}: cube {c} redundant");
         }
     }
+}
 
-    #[test]
-    fn complement_is_exact(f in cover_strategy(4)) {
-        let g = complement(&f);
-        for m in minterms(4) {
-            prop_assert_ne!(f.covers_minterm(&m), g.covers_minterm(&m));
-        }
-    }
-
-    #[test]
-    fn tautology_matches_brute_force(f in cover_strategy(4)) {
-        let brute = minterms(4).iter().all(|m| f.covers_minterm(m));
-        prop_assert_eq!(is_tautology(&f), brute);
-    }
-
-    #[test]
-    fn dont_cares_only_shrink_cost(on in cover_strategy(4), dc in cover_strategy(4)) {
+/// Don't-cares bound where the result may go, not its cost: espresso is a
+/// heuristic, and a larger DC-set can steer EXPAND to more literals.
+#[test]
+fn dont_cares_keep_the_result_between_on_and_on_or_dc() {
+    let mut rng = SplitMix64::new(0x10_9c04);
+    for case in 0..CASES {
+        let on = random_cover(&mut rng, 4);
+        let dc = random_cover(&mut rng, 4);
         // Remove overlap so ON and DC are disjoint.
         let dc = Cover::from_cubes(
             4,
@@ -108,17 +113,14 @@ proptest! {
                 .filter(|c| !on.cubes().iter().any(|oc| oc.intersects(c)))
                 .cloned(),
         );
-        let plain = minimize(&on, &Cover::empty(4));
         let with_dc = minimize(&on, &dc);
-        prop_assert!(with_dc.cover.literal_count() <= plain.cover.literal_count());
-        // Result stays within ON ∪ DC and covers ON.
         let allowed = on.union(&dc);
         for m in minterms(4) {
             if on.covers_minterm(&m) {
-                prop_assert!(with_dc.cover.covers_minterm(&m));
+                assert!(with_dc.cover.covers_minterm(&m), "case {case}: lost {m:?}");
             }
             if with_dc.cover.covers_minterm(&m) {
-                prop_assert!(allowed.covers_minterm(&m));
+                assert!(allowed.covers_minterm(&m), "case {case}: {m:?} is OFF");
             }
         }
     }

@@ -1,9 +1,12 @@
-//! End-to-end integration: STG benchmarks through the full modular flow.
+//! End-to-end integration: STG benchmarks through the full modular flow,
+//! and the benchmark suite against Table 1's specification columns.
 
 use modsyn::{
     derive_logic, modular_resolve, synthesize, total_literals, verify_logic, CscSolveOptions,
     Method, SynthesisOptions,
 };
+use modsyn_bench::{paper_row, PAPER_TABLE1};
+use modsyn_petri::ReachabilityOptions;
 use modsyn_sg::{derive, DeriveOptions, EdgeLabel};
 use modsyn_stg::benchmarks;
 
@@ -130,5 +133,41 @@ fn state_signal_names_are_unique_and_sequential() {
     // And they appear in the final graph's signal list.
     for name in &out.inserted {
         assert!(out.graph.signal_index(name).is_some());
+    }
+}
+
+#[test]
+fn every_row_has_a_generator_and_matching_signal_count() {
+    let all = benchmarks::all();
+    assert_eq!(all.len(), PAPER_TABLE1.len());
+    for (name, stg) in &all {
+        let row = paper_row(name).unwrap_or_else(|| panic!("no Table-1 row for {name}"));
+        assert_eq!(
+            stg.signal_count(),
+            row.initial_signals,
+            "{name}: signal count deviates from Table 1"
+        );
+    }
+}
+
+#[test]
+fn state_counts_land_in_the_paper_band() {
+    // Within a factor of 2 of the paper's initial state count; the exact
+    // measured numbers are recorded in EXPERIMENTS.md.
+    for (name, stg) in benchmarks::all() {
+        let row = paper_row(name).unwrap();
+        let n = stg
+            .net()
+            .reachability(&ReachabilityOptions::default())
+            .unwrap()
+            .markings
+            .len();
+        let lo = row.initial_states.div_ceil(2);
+        let hi = row.initial_states * 2;
+        assert!(
+            (lo..=hi).contains(&n),
+            "{name}: {n} states, paper {} (band {lo}..={hi})",
+            row.initial_states
+        );
     }
 }

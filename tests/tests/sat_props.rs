@@ -1,15 +1,12 @@
 //! Differential tests for the SAT substrate.
 //!
-//! The ungated part cross-checks three independent deciders on seeded
-//! random small CNFs — [`modsyn_sat::solve_exhaustive`] (brute force over
+//! The tests cross-check three independent deciders on seeded random
+//! small CNFs — [`modsyn_sat::solve_exhaustive`] (brute force over
 //! all assignments, the ground truth), the DPLL engine under every
 //! heuristic × learning combination, and the CDCL engine — so a bug in
 //! any one of them shows up as a verdict disagreement with a reproducible
 //! seed. Both engines must also drive the public `synthesize` entry point
-//! to an oracle-certified circuit. The proptest versions of these
-//! properties remain at the bottom, gated behind `--features
-//! proptest-tests` (the dependency needs network access to fetch; see
-//! `Cargo.toml`).
+//! to an oracle-certified circuit.
 
 use modsyn_fault::SplitMix64;
 use modsyn_par::CancelToken;
@@ -188,88 +185,6 @@ fn exhaustive_model_satisfies_the_formula() {
         let f = random_cnf(&mut rng, 6);
         if let Outcome::Satisfiable(model) = solve_exhaustive(&f) {
             assert!(model.check(&f), "case {case}");
-        }
-    }
-}
-
-#[cfg(feature = "proptest-tests")]
-mod proptests {
-    use modsyn_sat::{
-        parse_dimacs, solve, write_dimacs, CnfFormula, Heuristic, Lit, Outcome, SolverOptions, Var,
-    };
-    use proptest::prelude::*;
-
-    /// Strategy: a random CNF over `n` variables as (var, polarity) clause
-    /// lists.
-    fn cnf_strategy(n: usize) -> impl Strategy<Value = CnfFormula> {
-        proptest::collection::vec(
-            proptest::collection::vec((0..n, proptest::bool::ANY), 1..4),
-            0..24,
-        )
-        .prop_map(move |clauses| {
-            let mut f = CnfFormula::new(n);
-            for clause in clauses {
-                f.add_clause(
-                    clause
-                        .into_iter()
-                        .map(|(v, pol)| Lit::with_polarity(Var::new(v), pol)),
-                );
-            }
-            f
-        })
-    }
-
-    fn brute_force_sat(f: &CnfFormula) -> bool {
-        let n = f.num_vars();
-        (0u32..(1 << n)).any(|bits| {
-            let assignment: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
-            f.evaluate(&assignment)
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn solver_agrees_with_brute_force(f in cnf_strategy(6)) {
-            let expected = brute_force_sat(&f);
-            let out = solve(&f, SolverOptions::default());
-            prop_assert_eq!(out.is_sat(), expected);
-            if let Outcome::Satisfiable(model) = out {
-                prop_assert!(model.check(&f));
-            }
-        }
-
-        #[test]
-        fn engines_and_heuristics_agree(f in cnf_strategy(6)) {
-            let reference = solve(&f, SolverOptions::default()).is_sat();
-            for heuristic in [
-                Heuristic::FirstUnassigned,
-                Heuristic::JeroslowWang,
-                Heuristic::Moms,
-                Heuristic::Activity,
-            ] {
-                for learning in [false, true] {
-                    let opts = SolverOptions { heuristic, learning, ..Default::default() };
-                    prop_assert_eq!(
-                        solve(&f, opts).is_sat(),
-                        reference,
-                        "{:?} learning={}", heuristic, learning
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn dimacs_round_trip_preserves_formula(f in cnf_strategy(5)) {
-            let text = write_dimacs(&f);
-            let again = parse_dimacs(&text).unwrap();
-            prop_assert_eq!(again.num_vars(), f.num_vars());
-            prop_assert_eq!(again.clause_count(), f.clause_count());
-            prop_assert_eq!(
-                solve(&again, SolverOptions::default()).is_sat(),
-                solve(&f, SolverOptions::default()).is_sat()
-            );
         }
     }
 }

@@ -8,6 +8,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use modsyn_obs::Tracer;
+use modsyn_stg::{Frag, SignalKind, StgBuilder};
 use modsyn_svc::client::{self, ClientResponse};
 use modsyn_svc::{Limits, Server, ServerConfig, ServerHandle};
 
@@ -346,6 +347,34 @@ fn unsolvable_inputs_are_422_not_500() {
         response.text()
     );
     assert_eq!(metric(&handle, "modsynd_synth_failures_total"), 1);
+    stop(&handle, thread);
+}
+
+#[test]
+fn state_graph_rejections_use_the_rejection_tags() {
+    // A ring of 65 pulses: more signals than the packed 64-bit state code
+    // holds. The 422 carries the same tag as `Rejection::of` in-process.
+    let mut b = StgBuilder::new("wide");
+    let pulses: Vec<Frag> = (0..65)
+        .map(|i| {
+            let kind = if i == 0 {
+                SignalKind::Input
+            } else {
+                SignalKind::Output
+            };
+            let s = b.signal(format!("s{i}"), kind).expect("unique names");
+            Frag::seq([Frag::rise(s), Frag::fall(s)])
+        })
+        .collect();
+    let wide = b.cycle(Frag::seq(pulses)).expect("well-formed cycle");
+    let (handle, thread) = start(ServerConfig::default());
+    let response = post_synth(&handle, &modsyn_stg::write_g(&wide));
+    assert_eq!(response.status, 422, "{}", response.text());
+    assert!(
+        response.text().contains("\"error\":\"too-many-signals\""),
+        "{}",
+        response.text()
+    );
     stop(&handle, thread);
 }
 
