@@ -11,7 +11,7 @@ use crate::input_set::{determine_input_set_traced, InputSet};
 use crate::solve::{
     solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOptions, ResolveScope, NAME_PREFIX,
 };
-use crate::{FormulaStat, SynthesisError};
+use crate::SynthesisError;
 
 /// Per-output trace of the modular flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,23 +102,14 @@ fn provenance_of(solution: &CscSolution, module_output: &str, key: u64) -> Vec<P
         .collect()
 }
 
-/// One module (or residual) solve, answered by the store when possible.
-struct ModuleSolve {
-    assignments: Vec<StateSignalAssignment>,
-    formulas: Vec<FormulaStat>,
-    provenance: Vec<Provenance>,
-    /// `Some(true)` = store hit, `Some(false)` = solved and recorded,
-    /// `None` = no store attached.
-    hit: Option<bool>,
-}
-
 /// Consults `options.store` before running the SAT layer on `graph`.
 ///
 /// The content key covers the **exact** graph rendering plus every
 /// solver-relevant parameter (scope, name offset, solver options), so a hit
 /// replays assignments the solver would have reproduced bit-for-bit — the
 /// store can only change *where* the answer comes from, never what it is.
-/// Misses solve for real, derive provenance, and record the entry.
+/// Misses solve for real, derive provenance, and record the entry. The
+/// session counts hits and misses.
 fn solve_module_via_store(
     graph: &StateGraph,
     options: &CscSolveOptions,
@@ -126,7 +117,7 @@ fn solve_module_via_store(
     scope: ResolveScope,
     module_output: &str,
     tracer: &Tracer,
-) -> Result<ModuleSolve, SynthesisError> {
+) -> Result<ModuleEntry, SynthesisError> {
     let session = options.store.session();
     let key = session.map(|_| {
         let scope_tag = match scope {
@@ -147,33 +138,21 @@ fn solve_module_via_store(
     if let (Some(session), Some(key)) = (session, key) {
         if let Some(entry) = session.get_module(key) {
             tracer.note("store", "hit");
-            return Ok(ModuleSolve {
-                assignments: entry.assignments.clone(),
-                formulas: entry.formulas.clone(),
-                provenance: entry.provenance.clone(),
-                hit: Some(true),
-            });
+            return Ok(ModuleEntry::clone(&entry));
         }
         tracer.note("store", "miss");
     }
     let solution = solve_csc_scoped_traced(graph, options, name_offset, scope, tracer)?;
     let provenance = provenance_of(&solution, module_output, key.unwrap_or(0));
-    if let (Some(session), Some(key)) = (session, key) {
-        session.put_module(
-            key,
-            ModuleEntry {
-                assignments: solution.assignments.clone(),
-                formulas: solution.formulas.clone(),
-                provenance: provenance.clone(),
-            },
-        );
-    }
-    Ok(ModuleSolve {
+    let entry = ModuleEntry {
         assignments: solution.assignments,
         formulas: solution.formulas,
         provenance,
-        hit: key.map(|_| false),
-    })
+    };
+    if let (Some(session), Some(key)) = (session, key) {
+        session.put_module(key, entry.clone());
+    }
+    Ok(entry)
 }
 
 /// [`modular_resolve`] with observability: the whole flow runs under a
@@ -217,8 +196,6 @@ pub fn modular_resolve_jobs_traced(
         formulas: Vec::new(),
         modules: Vec::new(),
         provenance: Vec::new(),
-        store_hits: 0,
-        store_misses: 0,
     };
 
     // The paper iterates over the output signals of the original STG;
@@ -309,11 +286,6 @@ pub fn modular_resolve_jobs_traced(
         );
         tracer.counter("inserted", solution.assignments.len() as u64);
         drop(module_span);
-        match solution.hit {
-            Some(true) => outcome.store_hits += 1,
-            Some(false) => outcome.store_misses += 1,
-            None => {}
-        }
         outcome
             .provenance
             .extend(solution.provenance.iter().cloned());
@@ -362,11 +334,6 @@ pub fn modular_resolve_jobs_traced(
         )?;
         tracer.counter("inserted", solution.assignments.len() as u64);
         drop(residual);
-        match solution.hit {
-            Some(true) => outcome.store_hits += 1,
-            Some(false) => outcome.store_misses += 1,
-            None => {}
-        }
         outcome
             .provenance
             .extend(solution.provenance.iter().cloned());
@@ -462,13 +429,13 @@ mod tests {
         let cold = modular_resolve(
             &sg,
             &CscSolveOptions {
-                store: StoreLink::to(cold_session),
+                store: StoreLink::to(cold_session.clone()),
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(cold.store_hits, 0, "first run must miss everywhere");
-        assert!(cold.store_misses > 0);
+        assert_eq!(cold_session.hits(), 0, "first run must miss everywhere");
+        assert!(cold_session.misses() > 0);
         assert!(!cold.provenance.is_empty());
         for p in &cold.provenance {
             assert_ne!(p.module_key, 0);
@@ -480,13 +447,13 @@ mod tests {
         let warm = modular_resolve(
             &sg,
             &CscSolveOptions {
-                store: StoreLink::to(warm_session),
+                store: StoreLink::to(warm_session.clone()),
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(warm.store_misses, 0, "identical input must be all hits");
-        assert_eq!(warm.store_hits, cold.store_misses);
+        assert_eq!(warm_session.misses(), 0, "identical input must be all hits");
+        assert_eq!(warm_session.hits(), cold_session.misses());
 
         // The store may only change where answers come from, never what
         // they are: with and without a store, cold and warm, everything an

@@ -386,24 +386,20 @@ mod tests {
 
     #[test]
     fn non_retryable_errors_return_unchanged_immediately() {
-        // vbe-ex1 with zero extra signals still solves; use an STG the
-        // lavagno baseline rejects to get a deterministic non-retryable
-        // error on the first rung.
-        let stg = benchmarks::by_name("master-read").unwrap_or_else(benchmarks::vbe_ex1);
+        // The lavagno baseline rejects alex-nonfc as not free-choice: a
+        // deterministic error no rung can change. The limit gives the
+        // ladder rungs to climb, so a retried error would come back as
+        // `Exhausted`, and a wrapped one would differ too.
+        let stg = benchmarks::by_name("alex-nonfc").expect("known benchmark");
         let base = SynthesisOptions {
             method: Method::Lavagno,
-            ..Default::default()
+            ..limited(100)
         };
-        match crate::synthesize(&stg, &base) {
-            Err(expected) => {
-                let err = synthesize_with_retry(&stg, &base, &RetryPolicy::default()).unwrap_err();
-                assert_eq!(err, expected, "error must pass through unwrapped");
-            }
-            Ok(_) => {
-                // The instance is lavagno-solvable on this seed corpus;
-                // nothing to assert.
-            }
-        }
+        assert!(escalation_ladder(&base, &RetryPolicy::default()).len() > 1);
+        let expected = crate::synthesize(&stg, &base).unwrap_err();
+        assert_eq!(expected, SynthesisError::NotFreeChoice);
+        let err = synthesize_with_retry(&stg, &base, &RetryPolicy::default()).unwrap_err();
+        assert_eq!(err, expected, "error must pass through unwrapped");
     }
 
     #[test]

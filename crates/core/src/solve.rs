@@ -148,8 +148,7 @@ pub struct CscSolution {
 
 /// What every CSC resolver returns — modular, direct and Lavagno-style:
 /// the conflict-free expanded graph plus its trace. The two undecomposed
-/// resolvers leave `modules` and `provenance` empty and the store counts
-/// at 0.
+/// resolvers leave `modules` and `provenance` empty.
 #[derive(Debug, Clone)]
 pub struct CscOutcome {
     /// The expanded, CSC-satisfying state graph.
@@ -165,17 +164,11 @@ pub struct CscOutcome {
     /// Why each inserted state signal exists: the module that forced it,
     /// the conflict pairs it resolves, the winning formula's shape.
     pub provenance: Vec<Provenance>,
-    /// Module solves answered from the synthesis store (always 0 without
-    /// an attached store).
-    pub store_hits: u64,
-    /// Module solves that ran the SAT layer for real — the *dirty* module
-    /// count of an incremental run (0 without a store).
-    pub store_misses: u64,
 }
 
 impl CscOutcome {
     /// The outcome of one undecomposed solve on the whole graph: no
-    /// modules, no provenance, no store traffic.
+    /// modules, no provenance.
     pub(crate) fn undecomposed(
         graph: StateGraph,
         assignments: &[StateSignalAssignment],
@@ -187,8 +180,6 @@ impl CscOutcome {
             formulas,
             modules: Vec::new(),
             provenance: Vec::new(),
-            store_hits: 0,
-            store_misses: 0,
         }
     }
 }

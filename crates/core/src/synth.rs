@@ -143,10 +143,6 @@ pub struct SynthesisReport {
     /// module that forced it, the conflict pairs it resolves, the winning
     /// formula's clause families. Feeds `GET /explain` and `--explain`.
     pub provenance: Vec<Provenance>,
-    /// Module solves answered from the synthesis store (0 without one).
-    pub store_hits: u64,
-    /// Module solves run for real — the dirty count of an incremental run.
-    pub store_misses: u64,
 }
 
 impl SynthesisReport {
@@ -195,8 +191,6 @@ pub fn synthesize_traced(
         formulas,
         modules,
         provenance,
-        store_hits,
-        store_misses,
     } = match options.method {
         Method::Modular | Method::ModularMinArea => {
             let solve = CscSolveOptions {
@@ -251,8 +245,6 @@ pub fn synthesize_traced(
         inserted,
         graph,
         provenance,
-        store_hits,
-        store_misses,
     })
 }
 

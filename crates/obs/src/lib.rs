@@ -18,8 +18,8 @@
 //!   of compact trace-tagged events behind one mutex, drainable at any
 //!   moment (`/debug/flight` in `modsynd`).
 //! * [`Histogram`] / [`HistogramRegistry`] — log-scale fixed-bucket
-//!   latency histograms with mergeable snapshots and percentile queries
-//!   (the `p50/p90/p99/max` lines on `GET /metrics`).
+//!   latency histograms, named in one locked registry, with percentile
+//!   queries (the `p50/p90/p99/max` lines on `GET /metrics`).
 //!
 //! A [`Tracer`] ties the three planes together: the event sink is opt-in,
 //! while a flight recorder, histogram registry and per-request trace id
@@ -54,10 +54,7 @@ mod report;
 mod tracer;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
-pub use hist::{
-    bucket_floor, bucket_index, Histogram, HistogramRegistry, HistogramSnapshot, BUCKETS,
-    SUB_BUCKETS,
-};
+pub use hist::{Histogram, HistogramRegistry};
 pub use json::{escape_into, parse_json, Json, JsonError};
 pub use report::{Report, SpanNode};
 pub use tracer::{Event, FlightSpanGuard, SpanGuard, Tracer};

@@ -10,13 +10,12 @@
 //! ```
 //!
 //! **Writes** go journal-first: [`DurableStore::append`] frames the
-//! entry into `store.wal` (fsync'd on the [`DurableConfig::fsync_every`]
-//! cadence) before the caller applies it in memory. Every
-//! [`DurableConfig::checkpoint_every`] frames (and on graceful drain) a
-//! **checkpoint** writes the store's live entries to a fresh snapshot
-//! atomically — temp file, fsync, rename — rotates the old snapshot to the
-//! previous generation, and compacts the journal down to the frames the
-//! snapshot does not yet cover. Evicted entries are simply absent from the
+//! entry into `store.wal` and fsyncs it before the caller applies it in
+//! memory. Every [`DurableConfig::checkpoint_every`] frames (and on
+//! graceful drain) a **checkpoint** writes the store's live entries to a
+//! fresh snapshot atomically — temp file, fsync, rename — rotates the old
+//! snapshot to the previous generation, and compacts the journal down to
+//! the frames the snapshot does not yet cover. Evicted entries are simply absent from the
 //! snapshot; eviction itself is never journaled.
 //!
 //! **Recovery** ([`DurableStore::open`]) is the reverse: load the newest
@@ -25,8 +24,9 @@
 //! never a bind failure), then replay the journal suffix above the
 //! snapshot's watermark, truncating any torn tail. A directory written by
 //! an older format version recovers the same way, as a cold start. The
-//! typed [`RecoveryReport`] says exactly what happened; the daemon
-//! surfaces it in `/metrics` and the flight recorder.
+//! typed [`RecoveryReport`] says exactly what happened; the store keeps
+//! it ([`DurableStore::recovery`]), and the daemon's `/metrics` renders
+//! it from there.
 //!
 //! ## Invariants
 //!
@@ -65,26 +65,23 @@ pub const WAL_FILE: &str = "store.wal";
 pub struct DurableConfig {
     /// The store directory (created if missing).
     pub dir: PathBuf,
-    /// fsync the journal every N appends (1 = every mutation is durable
-    /// before it is applied; the chaos matrix runs at 1).
-    pub fsync_every: u64,
     /// Checkpoint (snapshot + journal compaction) every N appended frames.
     pub checkpoint_every: u64,
 }
 
 impl DurableConfig {
-    /// Defaults: fsync every append, checkpoint every 256 frames.
+    /// Defaults: checkpoint every 256 frames.
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
-            fsync_every: 1,
             checkpoint_every: 256,
         }
     }
 }
 
-/// What startup recovery found, typed. Rendered into `/metrics`
-/// (`modsynd_recovery_*`) and the flight recorder.
+/// What startup recovery found, typed. The [`DurableStore`] keeps it;
+/// the daemon renders it as the `modsynd_recovery_*` lines of `/metrics`
+/// and notes it in the flight recorder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// A snapshot generation loaded (false = cold start).
@@ -141,14 +138,16 @@ pub struct DurableStore {
     /// checkpoint watermark. Appenders bump it *after* applying.
     applied: AtomicU64,
     checkpoints: AtomicU64,
+    recovery: RecoveryReport,
 }
 
 impl DurableStore {
     /// Opens the directory and runs recovery: newest valid snapshot
     /// generation (fault site `store.snapshot-corrupt` can force the
     /// fallback), journal suffix replay with torn-tail truncation, then
-    /// the journal reopens for appending. Returns the handle, the
-    /// recovered state for the caller to load, and the typed report.
+    /// the journal reopens for appending. Returns the handle, which keeps
+    /// the typed [`RecoveryReport`], and the recovered state for the
+    /// caller to load.
     ///
     /// # Errors
     ///
@@ -157,7 +156,7 @@ impl DurableStore {
     pub fn open(
         config: DurableConfig,
         faults: Faults,
-    ) -> std::io::Result<(Arc<DurableStore>, SnapshotData, RecoveryReport)> {
+    ) -> std::io::Result<(Arc<DurableStore>, SnapshotData)> {
         std::fs::create_dir_all(&config.dir)?;
         let mut report = RecoveryReport::default();
         let mut data = SnapshotData::default();
@@ -194,25 +193,25 @@ impl DurableStore {
         }
 
         let next_seq = report.wal_seq.max(scan.last_seq) + 1;
-        let wal = Wal::open(
-            &wal_path,
-            next_seq,
-            scan.valid_len,
-            config.fsync_every,
-            faults,
-        )?;
+        let wal = Wal::open(&wal_path, next_seq, scan.valid_len, faults)?;
         let durable = Arc::new(DurableStore {
             config,
             wal,
             applied: AtomicU64::new(report.wal_seq),
             checkpoints: AtomicU64::new(0),
+            recovery: report,
         });
-        Ok((durable, data, report))
+        Ok((durable, data))
     }
 
     /// The tuning this store was opened with.
     pub fn config(&self) -> &DurableConfig {
         &self.config
+    }
+
+    /// What [`DurableStore::open`]'s recovery found.
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// Journals one encoded entry ([`StoreMutation::payload`]) write-ahead
@@ -293,15 +292,6 @@ impl DurableStore {
         Ok(true)
     }
 
-    /// Forces unsynced journal frames to disk.
-    ///
-    /// # Errors
-    ///
-    /// The sync failure verbatim.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.wal.sync()
-    }
-
     /// Journal frames appended over this handle's life.
     pub fn wal_appends(&self) -> u64 {
         self.wal.appends()
@@ -368,14 +358,15 @@ mod tests {
         let dir = temp_dir("replay");
         let config = DurableConfig::new(&dir);
         {
-            let (d, data, report) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-            assert!(!report.snapshot_loaded);
+            let (d, data) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+            assert!(!d.recovery().snapshot_loaded);
             assert_eq!(data, SnapshotData::default());
             for n in 1..=3 {
                 d.record(&module(n), || {});
             }
         } // dropped, no checkpoint — the simulated kill -9
-        let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
+        let report = d.recovery();
         assert_eq!(report.frames_replayed, 3);
         assert_eq!(report.frames_truncated, 0);
         assert_eq!(data.entries, (1..=3).map(module).collect::<Vec<_>>());
@@ -387,7 +378,7 @@ mod tests {
         let dir = temp_dir("checkpoint");
         let config = DurableConfig::new(&dir);
         let store = SynthStore::new();
-        let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         for n in 1..=4 {
             let m = module(n);
             d.record(&m, || store.insert(m.clone()));
@@ -401,7 +392,8 @@ mod tests {
         d.checkpoint(&store).unwrap();
         assert!(dir.join(SNAP_PREV_FILE).exists());
 
-        let (_d2, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        let (d2, data) = DurableStore::open(config, Faults::none()).unwrap();
+        let report = d2.recovery();
         assert!(report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 0);
         assert_eq!(report.frames_replayed, 0, "journal fully compacted");
@@ -414,7 +406,7 @@ mod tests {
         let dir = temp_dir("fallback");
         let config = DurableConfig::new(&dir);
         let store = SynthStore::new();
-        let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         d.record(&module(1), || store.put_module(1, entry(1)));
         d.checkpoint(&store).unwrap();
         d.record(&module(2), || store.put_module(2, entry(2)));
@@ -427,7 +419,8 @@ mod tests {
         bytes.truncate(mid);
         std::fs::write(&snap, &bytes).unwrap();
 
-        let (_d, data, report) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let report = d.recovery();
         assert!(report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 1, "previous generation used");
         assert_eq!(data.entries, vec![module(1)], "older but consistent state");
@@ -435,7 +428,8 @@ mod tests {
         // Both generations corrupt: cold start, still no error.
         std::fs::write(dir.join(SNAP_FILE), b"{").unwrap();
         std::fs::write(dir.join(SNAP_PREV_FILE), b"garbage").unwrap();
-        let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
+        let report = d.recovery();
         assert!(!report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 2);
         assert!(data.entries.is_empty());
@@ -456,7 +450,8 @@ mod tests {
         std::fs::write(dir.join(WAL_FILE), &old_journal).unwrap();
 
         let config = DurableConfig::new(&dir);
-        let (d, data, report) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let report = d.recovery();
         assert!(!report.snapshot_loaded);
         assert_eq!(report.snapshot_fallbacks, 1);
         assert_eq!(report.frames_truncated, 1, "the old journal is discarded");
@@ -465,7 +460,8 @@ mod tests {
         // The journal restarts in the current format.
         d.record(&module(2), || {});
         drop(d);
-        let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
+        let report = d.recovery();
         assert_eq!(report.frames_replayed, 1);
         assert_eq!(data.entries, vec![module(2)]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -477,14 +473,15 @@ mod tests {
         let dir = temp_dir("inject");
         let config = DurableConfig::new(&dir);
         let store = SynthStore::new();
-        let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         d.record(&module(1), || store.put_module(1, entry(1)));
         d.checkpoint(&store).unwrap();
         drop(d);
         let faults = FaultPlan::new("test", 7)
             .rule(FaultRule::at(site::STORE_SNAPSHOT_CORRUPT).times(1))
             .arm();
-        let (_d, data, report) = DurableStore::open(config, faults.clone()).unwrap();
+        let (d, data) = DurableStore::open(config, faults.clone()).unwrap();
+        let report = d.recovery();
         assert_eq!(report.snapshot_fallbacks, 1);
         assert!(!report.snapshot_loaded, "no previous generation yet");
         assert!(data.entries.is_empty());
@@ -500,13 +497,14 @@ mod tests {
         let faults = FaultPlan::new("test", 7)
             .rule(FaultRule::at(site::STORE_WAL_TORN_WRITE).skip(1).times(1))
             .arm();
-        let (d, _, _) = DurableStore::open(config.clone(), faults).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), faults).unwrap();
         for n in 1..=4 {
             d.record(&module(n), || {});
         }
         assert_eq!(d.torn_injected(), 1);
         drop(d);
-        let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+        let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
+        let report = d.recovery();
         // Frame 1 is whole; frame 2 is torn; 3 and 4 are unreachable past
         // the tear. Recovery keeps the valid prefix only.
         assert_eq!(report.frames_replayed, 1);

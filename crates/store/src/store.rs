@@ -41,7 +41,6 @@ pub struct SynthStore {
     durable: Mutex<Option<Arc<DurableStore>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    dirty: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -103,7 +102,6 @@ impl SynthStore {
             durable: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            dirty: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -277,16 +275,6 @@ impl SynthStore {
     /// Store-wide module-lookup misses.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Modules re-solved on behalf of incremental requests.
-    pub fn dirty(&self) -> u64 {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` modules as dirty (re-solved during an incremental run).
-    pub fn add_dirty(&self, n: u64) {
-        self.dirty.fetch_add(n, Ordering::Relaxed);
     }
 }
 

@@ -30,9 +30,8 @@
 //! prefix before appending, so one torn tail never cascades. A journal
 //! with another header (an older format) scans as empty: a cold start.
 //!
-//! Durability is a configurable cadence: `fsync_every = 1` syncs every
-//! append (what the chaos matrix runs under), larger values trade the
-//! tail of the journal for throughput.
+//! Every append is fsync'd before it returns, so a frame is on disk before
+//! its entry is applied in memory — and before the daemon answers 200.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -231,7 +230,6 @@ pub fn scan_wal(path: &Path) -> std::io::Result<(Vec<(u64, StoreMutation)>, WalS
 struct WalFile {
     file: File,
     next_seq: u64,
-    unsynced: u64,
     since_checkpoint: u64,
 }
 
@@ -241,7 +239,6 @@ struct WalFile {
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalFile>,
-    fsync_every: u64,
     faults: Faults,
     appends: AtomicU64,
     fsyncs: AtomicU64,
@@ -269,7 +266,6 @@ impl Wal {
         path: &Path,
         next_seq: u64,
         valid_len: u64,
-        fsync_every: u64,
         faults: Faults,
     ) -> std::io::Result<Wal> {
         let mut file = OpenOptions::new()
@@ -291,10 +287,8 @@ impl Wal {
             inner: Mutex::new(WalFile {
                 file,
                 next_seq: next_seq.max(1),
-                unsynced: 0,
                 since_checkpoint: 0,
             }),
-            fsync_every: fsync_every.max(1),
             faults,
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -306,11 +300,11 @@ impl Wal {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends one frame carrying `payload` (write-ahead: call this
-    /// *before* applying the entry in memory) and returns its sequence
-    /// number. Under an armed `store.wal-torn-write` fault only half the
-    /// frame reaches the file — the simulated crash recovery later
-    /// truncates.
+    /// Appends and fsyncs one frame carrying `payload` (write-ahead: call
+    /// this *before* applying the entry in memory) and returns its
+    /// sequence number. Under an armed `store.wal-torn-write` fault only
+    /// half the frame reaches the file — the simulated crash recovery
+    /// later truncates.
     ///
     /// # Errors
     ///
@@ -329,29 +323,10 @@ impl Wal {
         };
         w.file.write_all(bytes)?;
         self.appends.fetch_add(1, Ordering::Relaxed);
-        w.unsynced += 1;
         w.since_checkpoint += 1;
-        if w.unsynced >= self.fsync_every {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
+        w.file.sync_data()?;
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
-    }
-
-    /// Forces any unsynced frames to disk.
-    ///
-    /// # Errors
-    ///
-    /// The sync failure verbatim.
-    pub fn sync(&self) -> std::io::Result<()> {
-        let mut w = self.lock();
-        if w.unsynced > 0 {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// Frames appended since the last checkpoint (compaction trigger).
@@ -408,7 +383,6 @@ impl Wal {
         w.file.write_all(&rewrite)?;
         w.file.sync_data()?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        w.unsynced = 0;
         w.since_checkpoint = kept;
         Ok(())
     }

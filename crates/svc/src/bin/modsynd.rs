@@ -5,9 +5,8 @@
 //!         [--store-bytes N] [--timeout-ms T]
 //!         [--max-body BYTES] [--limit N] [--stats] [--trace-json FILE]
 //!         [--faults SPEC] [--fault-seed N]
-//!         [--breaker-threshold F] [--breaker-cooldown-ms T]
 //!         [--access-log off|stderr|FILE]
-//!         [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]
+//!         [--durable DIR] [--checkpoint-every N]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7171`), prints one
@@ -21,13 +20,15 @@
 //! written, carries an `X-Modsyn-Trace` id, and leaves its span chain in
 //! the always-on flight recorder, which keeps the newest 32,768 events.
 //!
-//! On exit, `--stats` renders the serving trace to stderr and
-//! `--trace-json FILE` writes it as JSON, mirroring the `modsyn` CLI.
+//! On exit, after the drain and its final checkpoint, the daemon prints
+//! the same exposition `GET /metrics` serves to stderr. `--stats` renders
+//! the serving trace to stderr and `--trace-json FILE` writes it as JSON,
+//! mirroring the `modsyn` CLI.
 //!
 //! `--faults SPEC` arms a seeded fault plan for chaos runs (see
 //! [`modsyn_fault::FaultPlan::parse`] for the spec grammar); `--fault-seed`
-//! picks the plan's decision stream. `--breaker-threshold` and
-//! `--breaker-cooldown-ms` tune the per-method circuit breaker.
+//! picks the plan's decision stream. The per-method circuit breaker runs
+//! at its defaults (5 failures, 30 s half-life, 5 s cooldown).
 //! `--access-log` steers the per-request JSON log (the daemon defaults to
 //! `stderr`; embedded servers default to off).
 //!
@@ -38,17 +39,17 @@
 //! and re-certified on its next request.
 //!
 //! `--durable DIR` persists that store across restarts, graceful or not:
-//! every insert is journaled (write-ahead, checksummed, fsync'd every
-//! `--wal-fsync-every` appends) before it is applied, and every
-//! `--checkpoint-every` frames — and after a graceful drain — the live
-//! entries are written to an atomically rotated snapshot generation and
-//! the journal is compacted. Warm state survives `kill -9`, torn tails are
+//! every insert is journaled (write-ahead, checksummed, fsync'd) before it
+//! is applied, and every `--checkpoint-every` frames — and after a
+//! graceful drain — the live entries are written to an atomically rotated
+//! snapshot generation and the journal is compacted. Warm state survives `kill -9`, torn tails are
 //! truncated on replay, and a corrupt snapshot falls back to the previous
 //! generation; a directory from an older format version starts cold.
 //! A restarted daemon answers previously-seen work from the store and
 //! serves `/synth/incr` and `/explain` against the old session's records.
-//! `/readyz` reports 503 while recovery replays; the recovery counters
-//! land in `/metrics`.
+//! `/readyz` reports 503 while recovery replays. `/metrics` reads the
+//! store's counters from the store, the journal's from the journal, and
+//! the `modsynd_recovery_*` lines from the report recovery left there.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -62,9 +63,7 @@ fn usage() -> &'static str {
     "usage: modsynd [--addr HOST:PORT] [--jobs N] [--queue N] [--max-connections N] \
      [--store-bytes N] [--timeout-ms T] [--max-body BYTES] \
      [--limit N] [--stats] [--trace-json FILE] [--faults SPEC] [--fault-seed N] \
-     [--breaker-threshold F] [--breaker-cooldown-ms T] \
-     [--access-log off|stderr|FILE] \
-     [--durable DIR] [--wal-fsync-every N] [--checkpoint-every N]\n\
+     [--access-log off|stderr|FILE] [--durable DIR] [--checkpoint-every N]\n\
      \n\
      Serves POST /synth (body: .g STG; query: method, timeout_ms),\n\
      POST /synth/incr (query: base=<digest-hex>), GET /explain (query: digest,\n\
@@ -74,8 +73,11 @@ fn usage() -> &'static str {
      GET /debug/flight replays the newest 32,768 flight-recorder events.\n\
      --store-bytes bounds the synthesis store (module solves and certified\n\
      responses, default 64 MiB); the least recently used entries are evicted.\n\
-     --durable DIR persists the store: a checksummed write-ahead journal plus\n\
-     atomic snapshot generations; state survives a drain and kill -9 alike.\n\
+     --durable DIR persists the store: a checksummed write-ahead journal, fsync'd\n\
+     on every append, plus atomic snapshot generations every --checkpoint-every\n\
+     frames (default 256) and after a drain; state survives kill -9 as well.\n\
+     GET /metrics reads each counter from its owner (server, store, journal,\n\
+     recovery report); the same exposition is printed to stderr on exit.\n\
      --faults arms a seeded chaos plan, e.g. 'sat.abort*2,svc.write-torn@1/4'\n\
      (rule grammar: site[*max][+skip][@num/denom][~delay_ms])."
 }
@@ -84,14 +86,6 @@ struct Args {
     config: ServerConfig,
     stats: bool,
     trace_json: Option<String>,
-}
-
-/// The durable tuning block, created on first use so `--wal-fsync-every`
-/// and `--checkpoint-every` may precede `--durable` on the command line
-/// (the empty-dir placeholder is rejected after parsing if `--durable`
-/// never arrives).
-fn durable_tuning(config: &mut ServerConfig) -> &mut DurableConfig {
-    config.durable.get_or_insert_with(|| DurableConfig::new(""))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -154,17 +148,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --fault-seed value")?;
             }
-            "--breaker-threshold" => {
-                config.breaker.failure_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --breaker-threshold value")?;
-            }
-            "--breaker-cooldown-ms" => {
-                let ms: u64 = value("--breaker-cooldown-ms")?
-                    .parse()
-                    .map_err(|_| "bad --breaker-cooldown-ms value")?;
-                config.breaker.cooldown = Duration::from_millis(ms);
-            }
             "--access-log" => {
                 config.access_log = match value("--access-log")?.as_str() {
                     "off" => AccessLog::Off,
@@ -183,17 +166,17 @@ fn parse_args() -> Result<Args, String> {
                     ..tuned
                 });
             }
-            "--wal-fsync-every" => {
-                let n: u64 = value("--wal-fsync-every")?
-                    .parse()
-                    .map_err(|_| "bad --wal-fsync-every value")?;
-                durable_tuning(&mut config).fsync_every = n.max(1);
-            }
             "--checkpoint-every" => {
                 let n: u64 = value("--checkpoint-every")?
                     .parse()
                     .map_err(|_| "bad --checkpoint-every value")?;
-                durable_tuning(&mut config).checkpoint_every = n.max(1);
+                // The tuning block is created on first use so the flag may
+                // precede `--durable`; the empty-dir placeholder is
+                // rejected below if `--durable` never arrives.
+                config
+                    .durable
+                    .get_or_insert_with(|| DurableConfig::new(""))
+                    .checkpoint_every = n.max(1);
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unexpected argument {other:?}\n{}", usage())),
@@ -201,7 +184,7 @@ fn parse_args() -> Result<Args, String> {
     }
     if let Some(d) = &config.durable {
         if d.dir.as_os_str().is_empty() {
-            return Err("--wal-fsync-every/--checkpoint-every need --durable DIR".to_string());
+            return Err("--checkpoint-every needs --durable DIR".to_string());
         }
     }
     if let Some(spec) = fault_spec {
@@ -244,8 +227,7 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     let result = server.run();
-    let metrics = handle.metrics();
-    eprint!("{}", metrics.render());
+    eprint!("{}", handle.render_metrics());
     if let Err(e) = result {
         eprintln!("error: server failed: {e}");
         return ExitCode::FAILURE;

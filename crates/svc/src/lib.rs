@@ -29,7 +29,9 @@
 //!   hits/misses/evictions, shed, aborted, certified), gauges (queue
 //!   depth, in-flight, connections) and log-scale latency histograms
 //!   (per-endpoint × per-method request latency, queue wait, synthesis
-//!   cpu time — p50/p90/p99/max), mirrored into `modsyn-obs` traces.
+//!   cpu time — p50/p90/p99/max), mirrored into `modsyn-obs` traces. Each
+//!   line is read where it is counted: the server's own [`Metrics`], the
+//!   synthesis store, or its journal.
 //!   Every request carries a trace id (`X-Modsyn-Trace`, caller-suppliable)
 //!   stamped on every event in the always-on, fixed-memory flight
 //!   recorder; `GET /debug/flight?trace=<hex>` dumps a request's span

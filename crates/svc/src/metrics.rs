@@ -1,18 +1,31 @@
 //! Service counters, gauges and latency histograms, exposed on
 //! `GET /metrics`.
 //!
-//! The atomics here are the source of truth for the scrape endpoint (a
-//! gauge needs a *current* value, which the append-only `modsyn-obs` event
-//! log does not model); every counter increment is mirrored into the
-//! server's [`modsyn_obs::Tracer`] as well, so a `--trace-json` capture of
-//! a serving session shows the same story as `/metrics`.
+//! Every value on `/metrics` has one owner, and [`Metrics::render`] reads
+//! it from that owner when it renders:
+//!
+//! * what the server itself counts — requests, response-cache hits and
+//!   misses, dirty modules, sheds, failures, breaker events, injected
+//!   faults — and its gauges are the atomics of [`Metrics`] (a gauge needs
+//!   a *current* value, which the append-only `modsyn-obs` event log does
+//!   not model). Each event counted through [`Metrics::count`] is mirrored
+//!   into the server's [`modsyn_obs::Tracer`] as well, so a `--trace-json`
+//!   capture of a serving session shows the same story as `/metrics`;
+//! * evictions and module hits/misses are the [`SynthStore`]'s own;
+//! * journal appends, fsyncs and checkpoints are its
+//!   [`DurableStore`](modsyn_store::DurableStore)'s,
+//!   and the `modsynd_recovery_*` lines come from the
+//!   [`RecoveryReport`](modsyn_store::RecoveryReport) that durable store
+//!   keeps — all 0 without a journal;
+//! * `modsynd_ready` is the server's readiness check, the one `/readyz`
+//!   answers from.
 //!
 //! The [`HistogramRegistry`] carried in [`Metrics::hists`] is the same
 //! registry the server attaches to its tracer at bind time, so request
 //! latency (per endpoint × method), queue wait, synthesis cpu time, pool
 //! wait and solver effort all land here and render as
 //! `modsynd_<metric>{key="…",q="p50|p90|p99|max|count"}` lines. The
-//! standard names are pre-registered in [`Metrics::default`] so a fresh
+//! standard names are pre-registered in [`Metrics::new`] so a fresh
 //! scrape shows the full (all-zero) set — which is also what lets the
 //! exposition format be pinned by a test.
 
@@ -20,6 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use modsyn_obs::{HistogramRegistry, Tracer};
+use modsyn_store::SynthStore;
 
 /// Histogram names pre-registered on every server. The first `:`-segment
 /// is the rendered metric name, the rest becomes the `key` label.
@@ -53,7 +67,9 @@ pub const STANDARD_HISTOGRAMS: &[&str] = &[
 /// The quantile columns rendered per histogram.
 const QUANTILES: &[(&str, f64)] = &[("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
 
-/// All service metrics. Field order is the `/metrics` render order.
+/// The counters and gauges the server owns, plus its histograms. Field
+/// order is their `/metrics` render order; [`Metrics::render`] places the
+/// store's lines between them.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Requests accepted off the listener (any endpoint).
@@ -62,16 +78,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// `/synth` requests that had to synthesise.
     pub cache_misses: AtomicU64,
-    /// Store entries (module solves and responses) evicted to keep its
-    /// byte bound (synced from the store at scrape).
-    pub cache_evictions: AtomicU64,
-    /// Module solves answered from the synthesis store (synced from the
-    /// store at scrape, like `cache_evictions`).
-    pub store_hits: AtomicU64,
-    /// Module solves run for real and recorded into the store.
-    pub store_misses: AtomicU64,
-    /// Dirty modules across `/synth/incr` runs (the sum of each
-    /// incremental request's re-solved module count).
+    /// Dirty modules across `/synth/incr` runs: the handler adds each
+    /// incremental request's re-solved module count.
     pub store_dirty: AtomicU64,
     /// `/synth` requests refused with 503 by admission control.
     pub shed: AtomicU64,
@@ -96,34 +104,15 @@ pub struct Metrics {
     pub retry_recoveries: AtomicU64,
     /// Faults fired by an armed [`modsyn_fault::FaultPlan`] in the svc
     /// layer (accept drops, torn reads/writes, slow-peer stalls; store
-    /// eviction storms show in `cache_evictions`). Always 0 in production.
+    /// eviction storms show in `modsynd_cache_evictions_total`). Always 0
+    /// in production.
     pub injected_faults: AtomicU64,
-    /// Write-ahead-journal frames appended (synced from the durable store
-    /// at scrape; 0 without `--durable`).
-    pub wal_appends: AtomicU64,
-    /// Journal fsync(2) calls issued.
-    pub wal_fsyncs: AtomicU64,
-    /// Snapshot checkpoints taken (journal compactions).
-    pub checkpoints: AtomicU64,
-    /// Startup recovery: journal frames replayed over the snapshot.
-    pub recovery_frames_replayed: AtomicU64,
-    /// Startup recovery: torn/garbage tail frames truncated.
-    pub recovery_frames_truncated: AtomicU64,
-    /// Startup recovery: frames dropped for a checksum mismatch.
-    pub recovery_checksum_failures: AtomicU64,
-    /// Startup recovery: snapshot generations skipped as corrupt before
-    /// one loaded (1 = the previous-generation fallback fired).
-    pub recovery_snapshot_fallbacks: AtomicU64,
     /// Gauge: admitted `/synth` jobs waiting for a pool worker.
     pub queue_depth: AtomicU64,
     /// Gauge: `/synth` jobs currently executing on the pool.
     pub in_flight: AtomicU64,
     /// Gauge: open connections being handled.
     pub connections: AtomicU64,
-    /// Gauge: 1 when the server would answer `/readyz` with 200 (not
-    /// recovering, not draining, no breaker open), 0 otherwise. Computed
-    /// at scrape.
-    pub ready: AtomicU64,
     /// Latency/effort histograms (see `STANDARD_HISTOGRAMS`).
     pub hists: HistogramRegistry,
 }
@@ -134,7 +123,7 @@ impl Metrics {
     pub fn new() -> Metrics {
         let m = Metrics::default();
         for name in STANDARD_HISTOGRAMS {
-            m.hists.handle(name);
+            m.hists.register(name);
         }
         m
     }
@@ -148,55 +137,66 @@ impl Metrics {
     /// Renders the Prometheus-style text exposition: `name value` counter
     /// and gauge lines first (fixed order), then one
     /// `modsynd_<metric>{key="…",q="…"} value` line per histogram
-    /// quantile, histograms sorted by name.
-    pub fn render(&self) -> String {
+    /// quantile, histograms sorted by name. The store's lines are read
+    /// from `store` and its journal (0 without one); `ready` is the
+    /// server's readiness.
+    pub fn render(&self, store: &SynthStore, ready: bool) -> String {
+        let own = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let durable = store.durable();
+        let (appends, fsyncs, checkpoints) = durable.as_ref().map_or((0, 0, 0), |d| {
+            (d.wal_appends(), d.wal_fsyncs(), d.checkpoints())
+        });
+        let recovery = durable.map(|d| d.recovery().clone()).unwrap_or_default();
         let mut out = String::new();
         for (name, value) in [
-            ("modsynd_requests_total", &self.requests),
-            ("modsynd_cache_hits_total", &self.cache_hits),
-            ("modsynd_cache_misses_total", &self.cache_misses),
-            ("modsynd_cache_evictions_total", &self.cache_evictions),
-            ("modsynd_store_hits_total", &self.store_hits),
-            ("modsynd_store_misses_total", &self.store_misses),
-            ("modsynd_store_dirty_total", &self.store_dirty),
-            ("modsynd_shed_total", &self.shed),
-            ("modsynd_aborted_total", &self.aborted),
-            ("modsynd_certified_total", &self.certified),
-            ("modsynd_http_errors_total", &self.http_errors),
-            ("modsynd_synth_failures_total", &self.synth_failures),
-            ("modsynd_check_failures_total", &self.check_failures),
-            ("modsynd_panics_total", &self.panics),
-            ("modsynd_breaker_rejections_total", &self.breaker_rejections),
-            ("modsynd_breaker_opens_total", &self.breaker_opens),
-            ("modsynd_retry_recoveries_total", &self.retry_recoveries),
-            ("modsynd_injected_faults_total", &self.injected_faults),
-            ("modsynd_wal_appends_total", &self.wal_appends),
-            ("modsynd_wal_fsyncs_total", &self.wal_fsyncs),
-            ("modsynd_checkpoints_total", &self.checkpoints),
+            ("modsynd_requests_total", own(&self.requests)),
+            ("modsynd_cache_hits_total", own(&self.cache_hits)),
+            ("modsynd_cache_misses_total", own(&self.cache_misses)),
+            ("modsynd_cache_evictions_total", store.evictions()),
+            ("modsynd_store_hits_total", store.hits()),
+            ("modsynd_store_misses_total", store.misses()),
+            ("modsynd_store_dirty_total", own(&self.store_dirty)),
+            ("modsynd_shed_total", own(&self.shed)),
+            ("modsynd_aborted_total", own(&self.aborted)),
+            ("modsynd_certified_total", own(&self.certified)),
+            ("modsynd_http_errors_total", own(&self.http_errors)),
+            ("modsynd_synth_failures_total", own(&self.synth_failures)),
+            ("modsynd_check_failures_total", own(&self.check_failures)),
+            ("modsynd_panics_total", own(&self.panics)),
             (
-                "modsynd_recovery_frames_replayed",
-                &self.recovery_frames_replayed,
+                "modsynd_breaker_rejections_total",
+                own(&self.breaker_rejections),
             ),
+            ("modsynd_breaker_opens_total", own(&self.breaker_opens)),
+            (
+                "modsynd_retry_recoveries_total",
+                own(&self.retry_recoveries),
+            ),
+            ("modsynd_injected_faults_total", own(&self.injected_faults)),
+            ("modsynd_wal_appends_total", appends),
+            ("modsynd_wal_fsyncs_total", fsyncs),
+            ("modsynd_checkpoints_total", checkpoints),
+            ("modsynd_recovery_frames_replayed", recovery.frames_replayed),
             (
                 "modsynd_recovery_frames_truncated",
-                &self.recovery_frames_truncated,
+                recovery.frames_truncated,
             ),
             (
                 "modsynd_recovery_checksum_failures",
-                &self.recovery_checksum_failures,
+                recovery.checksum_failures,
             ),
             (
                 "modsynd_recovery_snapshot_fallbacks",
-                &self.recovery_snapshot_fallbacks,
+                recovery.snapshot_fallbacks,
             ),
-            ("modsynd_queue_depth", &self.queue_depth),
-            ("modsynd_in_flight", &self.in_flight),
-            ("modsynd_connections", &self.connections),
-            ("modsynd_ready", &self.ready),
+            ("modsynd_queue_depth", own(&self.queue_depth)),
+            ("modsynd_in_flight", own(&self.in_flight)),
+            ("modsynd_connections", own(&self.connections)),
+            ("modsynd_ready", u64::from(ready)),
         ] {
             out.push_str(name);
             out.push(' ');
-            out.push_str(&value.load(Ordering::Relaxed).to_string());
+            out.push_str(&value.to_string());
             out.push('\n');
         }
         for (name, snap) in self.hists.snapshot() {
@@ -299,13 +299,19 @@ impl Drop for GaugeGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsyn_store::StoreSession;
 
     #[test]
     fn render_and_parse_roundtrip() {
         let m = Metrics::new();
         m.requests.store(7, Ordering::Relaxed);
         m.queue_depth.store(3, Ordering::Relaxed);
-        let text = m.render();
+        // The store lines are read from the store itself.
+        let store = Arc::new(SynthStore::new());
+        assert!(StoreSession::new(Arc::clone(&store))
+            .get_module(1)
+            .is_none());
+        let text = m.render(&store, true);
         assert_eq!(
             Metrics::parse_line(&text, "modsynd_requests_total"),
             Some(7)
@@ -315,6 +321,11 @@ mod tests {
             Metrics::parse_line(&text, "modsynd_cache_hits_total"),
             Some(0)
         );
+        assert_eq!(
+            Metrics::parse_line(&text, "modsynd_store_misses_total"),
+            Some(1)
+        );
+        assert_eq!(Metrics::parse_line(&text, "modsynd_ready"), Some(1));
         assert_eq!(Metrics::parse_line(&text, "no_such_metric"), None);
     }
 
@@ -334,7 +345,7 @@ mod tests {
         for v in [100u64, 200, 300] {
             m.hists.record("request_us:synth:modular", v);
         }
-        let text = m.render();
+        let text = m.render(&SynthStore::new(), false);
         assert_eq!(
             Metrics::parse_hist(&text, "request_us:synth:modular", "count"),
             Some(3)
@@ -394,7 +405,7 @@ modsynd_ready 0
                 expected.push_str(" 0\n");
             }
         }
-        assert_eq!(Metrics::new().render(), expected);
+        assert_eq!(Metrics::new().render(&SynthStore::new(), false), expected);
     }
 
     #[test]

@@ -208,6 +208,26 @@ impl Shared {
         self.tracer.flight_event(FlightKind::Fault, at, 1);
     }
 
+    /// Why this replica should not receive traffic now — `recovering`,
+    /// `draining` or `breaker-open` — or `None` when it is ready. `/readyz`
+    /// answers from this check and `modsynd_ready` renders it.
+    fn unready(&self) -> Option<&'static str> {
+        if self.recovering.load(Ordering::Acquire) {
+            Some("recovering")
+        } else if self.shutting_down.load(Ordering::Acquire) {
+            Some("draining")
+        } else if self.breakers.iter().any(|b| b.is_open(Instant::now())) {
+            Some("breaker-open")
+        } else {
+            None
+        }
+    }
+
+    /// The `/metrics` exposition, read from each value's owner.
+    fn render_metrics(&self) -> String {
+        self.metrics.render(&self.store, self.unready().is_none())
+    }
+
     /// A fresh nonzero trace id (0 means "untraced" throughout): one
     /// SplitMix64 step over the salted counter, so sequential ids look
     /// unrelated.
@@ -272,9 +292,16 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The live metrics.
+    /// The live metrics the server itself counts.
     pub fn metrics(&self) -> Arc<Metrics> {
         Arc::clone(&self.shared.metrics)
+    }
+
+    /// The full exposition `GET /metrics` answers with, rendered now:
+    /// the server's counters, the store's and its journal's, and
+    /// readiness.
+    pub fn render_metrics(&self) -> String {
+        self.shared.render_metrics()
     }
 
     /// The always-on flight recorder (the ring `GET /debug/flight`
@@ -518,25 +545,18 @@ impl std::fmt::Debug for Server {
 
 /// Startup recovery for the journaled store: newest valid snapshot
 /// generation, journal-suffix replay, then the journal attaches for
-/// write-ahead appends. The typed report lands in `/metrics`
-/// (`modsynd_recovery_*`) and the flight recorder. Runs with
-/// `Shared::recovering` raised; clears it last.
+/// write-ahead appends. The attached durable store keeps the typed
+/// report, which `/metrics` renders as `modsynd_recovery_*`; the flight
+/// recorder notes it too. Runs with `Shared::recovering` raised; clears
+/// it last.
 fn recover_durable(shared: &Arc<Shared>, config: DurableConfig) {
     match DurableStore::open(config, shared.config.faults.clone()) {
-        Ok((durable, data, report)) => {
+        Ok((durable, data)) => {
             // Restoring re-applies the byte bound; attach only after it, so
             // replay is not re-journaled.
             restore_into(&shared.store, &data);
-            shared.store.attach_durable(durable);
-            let m = &shared.metrics;
-            m.recovery_frames_replayed
-                .store(report.frames_replayed, Ordering::Relaxed);
-            m.recovery_frames_truncated
-                .store(report.frames_truncated, Ordering::Relaxed);
-            m.recovery_checksum_failures
-                .store(report.checksum_failures, Ordering::Relaxed);
-            m.recovery_snapshot_fallbacks
-                .store(report.snapshot_fallbacks, Ordering::Relaxed);
+            shared.store.attach_durable(Arc::clone(&durable));
+            let report = durable.recovery();
             let t = &shared.tracer;
             t.flight_event(
                 FlightKind::Counter,
@@ -703,60 +723,19 @@ fn route(shared: &Arc<Shared>, addr: SocketAddr, request: &Request, tracer: &Tra
         // being busy replaying its journal.
         ("GET", "/healthz") => Response::text(200, "OK", "ok\n"),
         // Readiness: should this replica receive traffic right now?
-        ("GET", "/readyz") => {
-            if shared.recovering.load(Ordering::Acquire) {
-                Response::text(503, "Service Unavailable", "recovering\n")
-                    .with_header("Retry-After", "1")
-            } else if shared.shutting_down.load(Ordering::Acquire) {
-                Response::text(503, "Service Unavailable", "draining\n")
-            } else if shared.breakers.iter().any(|b| b.is_open(Instant::now())) {
-                Response::text(503, "Service Unavailable", "breaker-open\n")
-                    .with_header("Retry-After", "1")
-            } else {
-                Response::text(200, "OK", "ready\n")
+        ("GET", "/readyz") => match shared.unready() {
+            None => Response::text(200, "OK", "ready\n"),
+            Some(reason) => {
+                let response = Response::text(503, "Service Unavailable", format!("{reason}\n"));
+                // A drain does not end in readiness; the other two do.
+                if reason == "draining" {
+                    response
+                } else {
+                    response.with_header("Retry-After", "1")
+                }
             }
-        }
-        ("GET", "/metrics") => {
-            // The store tracks its own totals; sync before rendering.
-            shared
-                .metrics
-                .cache_evictions
-                .store(shared.store.evictions(), Ordering::Relaxed);
-            shared
-                .metrics
-                .store_hits
-                .store(shared.store.hits(), Ordering::Relaxed);
-            shared
-                .metrics
-                .store_misses
-                .store(shared.store.misses(), Ordering::Relaxed);
-            shared
-                .metrics
-                .store_dirty
-                .store(shared.store.dirty(), Ordering::Relaxed);
-            if let Some(d) = shared.store.durable() {
-                shared
-                    .metrics
-                    .wal_appends
-                    .store(d.wal_appends(), Ordering::Relaxed);
-                shared
-                    .metrics
-                    .wal_fsyncs
-                    .store(d.wal_fsyncs(), Ordering::Relaxed);
-                shared
-                    .metrics
-                    .checkpoints
-                    .store(d.checkpoints(), Ordering::Relaxed);
-            }
-            let ready = !shared.recovering.load(Ordering::Acquire)
-                && !shared.shutting_down.load(Ordering::Acquire)
-                && !shared.breakers.iter().any(|b| b.is_open(Instant::now()));
-            shared
-                .metrics
-                .ready
-                .store(u64::from(ready), Ordering::Relaxed);
-            Response::text(200, "OK", shared.metrics.render())
-        }
+        },
+        ("GET", "/metrics") => Response::text(200, "OK", shared.render_metrics()),
         ("GET", "/debug/flight") => debug_flight(shared, request),
         ("POST", "/shutdown") => {
             ServerHandle {
@@ -1350,7 +1329,10 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
             if incr_base.is_some() {
                 let session = session.as_ref().expect("incr implies a modular session");
                 let dirty = session.misses();
-                shared.store.add_dirty(dirty);
+                shared
+                    .metrics
+                    .store_dirty
+                    .fetch_add(dirty, Ordering::Relaxed);
                 shared.metrics.hists.record("incr_dirty_modules", dirty);
                 response = response
                     .with_header("X-Modsyn-Dirty-Modules", dirty.to_string())

@@ -156,7 +156,7 @@ fn previous_generation_fallback_report_is_pinned() {
     let config = DurableConfig::new(&dir);
     {
         let store = SynthStore::new();
-        let (d, _, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
         d.record(&module(1), || store.insert(module(1)));
         d.checkpoint(&store).unwrap(); // gen 1: {1}
         d.record(&module(2), || store.insert(module(2)));
@@ -165,9 +165,9 @@ fn previous_generation_fallback_report_is_pinned() {
     } // dropped without a final checkpoint: frame 3 lives in the journal
     std::fs::write(dir.join(SNAP_FILE), b"{\"version\": garbage").unwrap();
 
-    let (_d, data, report) = DurableStore::open(config, Faults::none()).unwrap();
+    let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
     assert_eq!(
-        report,
+        *d.recovery(),
         RecoveryReport {
             snapshot_loaded: true,
             snapshot_fallbacks: 1,
@@ -280,7 +280,7 @@ fn server_restarts_warm_from_durable_dir() {
 fn server_recovers_journal_only_state_after_a_crash() {
     let dir = temp_dir("server-crash");
     {
-        let (d, _, _) =
+        let (d, _) =
             DurableStore::open(DurableConfig::new(&dir), Faults::none()).expect("open durable");
         for n in 1..=5 {
             d.record(&module(n), || {});
@@ -295,5 +295,57 @@ fn server_recovers_journal_only_state_after_a_crash() {
     assert_eq!(metric(&handle, "modsynd_recovery_frames_replayed"), 5);
     assert_eq!(metric(&handle, "modsynd_recovery_frames_truncated"), 0);
     stop(&handle, thread);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exposition renders every store and journal value from its owner,
+/// so what the daemon prints on exit is current after the drain, not a
+/// copy of the last scrape: module hits made after that scrape, the
+/// journal's appends and the drain's own checkpoint all show.
+#[test]
+fn exit_exposition_reads_the_store_and_journal_after_the_drain() {
+    let dir = temp_dir("exit-exposition");
+    let stg = modsyn_stg::benchmarks::by_name("vbe-ex1").expect("benchmark");
+    let post = |handle: &ServerHandle, stg: &modsyn_stg::Stg| {
+        let g = modsyn_stg::write_g(stg);
+        let response = client::request(
+            handle.addr(),
+            "POST",
+            "/synth?method=modular",
+            g.as_bytes(),
+            TIMEOUT,
+        )
+        .expect("synth");
+        assert_eq!(response.status, 200, "{}", response.text());
+        assert_eq!(response.header("x-modsyn-cache"), Some("miss"));
+    };
+
+    let (handle, thread) = start(ServerConfig {
+        jobs: 2,
+        durable: Some(DurableConfig::new(&dir)),
+        ..ServerConfig::default()
+    });
+    wait_ready(&handle);
+    post(&handle, &stg);
+    assert_eq!(metric(&handle, "modsynd_store_hits_total"), 0);
+    // A new digest, the same modules: every module solve hits the store.
+    post(&handle, &modsyn_store::rename_edit(&stg, "-renamed"));
+    stop(&handle, thread);
+
+    let text = handle.render_metrics();
+    let line = |name: &str| {
+        modsyn_svc::Metrics::parse_line(&text, name)
+            .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+    };
+    let store = handle.store();
+    let journal = store.durable().expect("the journal stays attached");
+    assert_eq!(line("modsynd_store_hits_total"), store.hits());
+    assert!(store.hits() >= 1, "the renamed copy reuses its modules");
+    assert_eq!(line("modsynd_wal_appends_total"), journal.wal_appends());
+    assert!(
+        line("modsynd_checkpoints_total") >= 1,
+        "the drain checkpoints"
+    );
+    assert_eq!(line("modsynd_ready"), 0, "a drained server is not ready");
     let _ = std::fs::remove_dir_all(&dir);
 }

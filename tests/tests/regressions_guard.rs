@@ -1,13 +1,13 @@
 //! Coverage guard for proptest regression seeds.
 //!
-//! The proptest dev-dependency is gated off so the workspace resolves
-//! offline, which means the `.proptest-regressions` seed files are never
-//! replayed by proptest itself in a default run. Instead each recorded
-//! seed is promoted to a named, ungated `regression_*` unit test in the
-//! sibling test file. This guard keeps that promotion honest: every `cc`
-//! entry must be matched by at least as many named regression tests, and
-//! every entry must carry its `# shrinks to` documentation so the
-//! promoted test can reproduce the minimal case without proptest.
+//! Nothing replays the `.proptest-regressions` seed files: no manifest
+//! names proptest, and the property suites are seeded loops of their own.
+//! That is why each recorded seed is promoted to a named `regression_*`
+//! unit test in the sibling test file. This guard keeps that promotion
+//! honest: every `cc` entry must be matched by at least as many named
+//! regression tests, and every entry must carry its `# shrinks to`
+//! documentation so the promoted test can reproduce the minimal case
+//! without proptest.
 
 use std::fs;
 use std::path::Path;
