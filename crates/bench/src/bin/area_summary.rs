@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p modsyn-bench --release --bin area_summary [limit]`
 
-use modsyn_bench::{run_table, Measured, TABLE1_BACKTRACK_LIMIT};
+use modsyn_bench::{run_rows, Measured, PAPER_TABLE1, TABLE1_BACKTRACK_LIMIT};
 
 fn improvement(
     rows: &[(&str, Measured, Measured, Measured)],
@@ -39,7 +39,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(TABLE1_BACKTRACK_LIMIT);
-    let rows = run_table(limit);
+    let rows = run_rows(limit, 1, &PAPER_TABLE1).rows;
 
     println!("two-level area (literals of the prime-irredundant cover):\n");
     println!(

@@ -127,10 +127,10 @@ fn fingerprint(r: &SynthesisReport) -> String {
         "{}|{}|{}|{}|{}|{}",
         r.benchmark,
         r.method,
-        r.final_states,
-        r.final_signals,
+        r.final_states(),
+        r.final_signals(),
         r.literals,
-        r.inserted.join(",")
+        r.csc.inserted.join(",")
     );
     for f in &r.functions {
         s.push_str(&format!("|{}={}", f.name, f.sop));

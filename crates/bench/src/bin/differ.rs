@@ -153,7 +153,9 @@ fn check_subject(stg: &Stg, limit: u64, verbose: bool) -> Result<(), String> {
                 if verbose {
                     eprintln!(
                         "    {}: ok ({} states, {} literals)",
-                        cfg.label, report.final_states, report.literals
+                        cfg.label,
+                        report.final_states(),
+                        report.literals
                     );
                 }
                 successes.push((cfg.label, report));
@@ -170,7 +172,7 @@ fn check_subject(stg: &Stg, limit: u64, verbose: bool) -> Result<(), String> {
     // Serial vs parallel must agree *bit for bit*, not just behaviourally.
     let find = |label: &str| successes.iter().find(|(l, _)| l == label);
     if let (Some((_, serial)), Some((_, par))) = (find("modular/serial"), find("modular/jobs4")) {
-        if serial.graph != par.graph || serial.functions != par.functions {
+        if serial.csc.graph != par.csc.graph || serial.functions != par.functions {
             return Err("modular/serial and modular/jobs4 reports differ".into());
         }
     }
@@ -179,7 +181,7 @@ fn check_subject(stg: &Stg, limit: u64, verbose: bool) -> Result<(), String> {
     for i in 0..successes.len() {
         for (lj, rj) in &successes[i + 1..] {
             let (li, ri) = &successes[i];
-            check_equivalence(&ri.graph, &rj.graph)
+            check_equivalence(&ri.csc.graph, &rj.csc.graph)
                 .map_err(|e| format!("{li} and {lj} disagree on observable behaviour: {e}"))?;
         }
     }

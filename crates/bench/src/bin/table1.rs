@@ -19,9 +19,8 @@
 use std::process::ExitCode;
 
 use modsyn_bench::{
-    paper_row, parallel_json, run_rows_pooled, run_rows_timed, small_rows,
-    table1_json_with_parallel, Measured, PaperOutcome, PaperRow, PAPER_TABLE1,
-    TABLE1_BACKTRACK_LIMIT,
+    paper_row, parallel_json, run_rows, small_rows, table1_json_with_parallel, Measured,
+    PaperOutcome, PaperRow, PAPER_TABLE1, TABLE1_BACKTRACK_LIMIT,
 };
 
 fn paper_cell(outcome: &PaperOutcome) -> String {
@@ -100,7 +99,7 @@ fn main() -> ExitCode {
     );
     println!("{}", "-".repeat(170));
 
-    let sequential = run_rows_timed(limit, &selected);
+    let sequential = run_rows(limit, 1, &selected);
     let rows = &sequential.rows;
     for (name, modular, direct, lavagno) in rows {
         let paper = paper_row(name).expect("row exists");
@@ -160,7 +159,7 @@ fn main() -> ExitCode {
             "\nparallel: re-running the table on a {}-worker pool...",
             args.jobs
         );
-        let pooled = run_rows_pooled(limit, args.jobs, &selected);
+        let pooled = run_rows(limit, args.jobs, &selected);
         println!(
             "  jobs=1 total {:>7.2}s vs jobs={} total {:>7.2}s -> {:.2}x",
             sequential.total_wall_s,

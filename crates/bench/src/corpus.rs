@@ -3,8 +3,8 @@
 //! [`run_corpus`] + [`corpus_json`], so their numbers agree.
 //!
 //! Everything aggregated here except the wall clocks is deterministic:
-//! the corpus stream is seeded, the solver is deterministic, and pooled
-//! runs join case handles in seed order — so `BENCH_corpus.json` counts
+//! the corpus stream is seeded, the solver is deterministic, and parallel
+//! runs return their cases in seed order — so `BENCH_corpus.json` counts
 //! are exact-comparable against the committed baseline.
 
 use std::time::Instant;
@@ -13,7 +13,7 @@ use modsyn_corpus::{
     corpus_case, evaluate_case, CaseReport, EvalOptions, Expectation, Rejection, Verdict,
 };
 use modsyn_obs::Json;
-use modsyn_par::WorkerPool;
+use modsyn_par::{par_map, unwrap_or_resume};
 
 /// One corpus sweep: per-case reports (in seed order) plus the overall
 /// wall clock.
@@ -52,35 +52,20 @@ impl CorpusRun {
     }
 }
 
-/// Evaluates seeds `start..start + count` of the corpus stream. With
-/// `jobs > 1` the cases run on a [`WorkerPool`]; handles are joined in
-/// seed order, so the reports (and every aggregate built from them) are
+/// Evaluates seeds `start..start + count` of the corpus stream on up to
+/// `jobs` threads through [`par_map`], which returns the cases in seed
+/// order, so the reports (and every aggregate built from them) are
 /// identical to a sequential run — only the wall clock changes.
 pub fn run_corpus(start: u64, count: u64, jobs: usize, eval: &EvalOptions) -> CorpusRun {
     let started = Instant::now();
-    let reports = if jobs <= 1 {
-        (start..start + count)
-            .map(|seed| {
-                let (stg, expectation) = corpus_case(seed);
-                evaluate_case(&stg, expectation, eval)
-            })
-            .collect()
-    } else {
-        let pool = WorkerPool::new(jobs);
-        let handles: Vec<_> = (start..start + count)
-            .map(|seed| {
-                let eval = eval.clone();
-                pool.submit(&format!("corpus:{seed}"), move || {
-                    let (stg, expectation) = corpus_case(seed);
-                    evaluate_case(&stg, expectation, &eval)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("evaluate_case catches panics internally"))
-            .collect()
-    };
+    let seeds: Vec<u64> = (start..start + count).collect();
+    let reports = par_map(jobs, &seeds, |_, &seed| {
+        let (stg, expectation) = corpus_case(seed);
+        evaluate_case(&stg, expectation, eval)
+    })
+    .into_iter()
+    .map(unwrap_or_resume)
+    .collect();
     CorpusRun {
         start,
         count,

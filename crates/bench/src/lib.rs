@@ -2,8 +2,8 @@
 //!
 //! [`PAPER_TABLE1`] transcribes the paper's Table 1 verbatim (the reference
 //! the binaries print next to our measurements); [`run_row`] executes one
-//! benchmark × method with the standard limits; [`run_table`] produces the
-//! whole comparison.
+//! benchmark × method with the standard limits; [`run_rows`] produces the
+//! comparison for any set of rows.
 
 pub mod corpus;
 pub mod incr;
@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use modsyn::{synthesize, FormulaStat, Method, SynthesisError, SynthesisOptions};
 use modsyn_obs::Json;
-use modsyn_par::{JobHandle, WorkerPool};
+use modsyn_par::par_map;
 use modsyn_sat::{SolverOptions, SolverStats};
 use modsyn_stg::benchmarks;
 
@@ -498,11 +498,11 @@ pub fn run_row(name: &str, method: Method, backtrack_limit: u64) -> Measured {
     let started = std::time::Instant::now();
     match synthesize(&stg, &options) {
         Ok(report) => Measured::Solved {
-            final_states: report.final_states,
-            final_signals: report.final_signals,
+            final_states: report.final_states(),
+            final_signals: report.final_signals(),
             literals: report.literals,
             cpu: report.cpu_seconds,
-            formulas: report.formulas.clone(),
+            formulas: report.csc.formulas,
         },
         Err(SynthesisError::BacktrackLimit { .. }) => Measured::BacktrackLimit {
             cpu: started.elapsed().as_secs_f64(),
@@ -511,21 +511,6 @@ pub fn run_row(name: &str, method: Method, backtrack_limit: u64) -> Measured {
         Err(SynthesisError::StateSplittingRequired) => Measured::StateSplittingRequired,
         Err(e) => Measured::Failed(e.to_string()),
     }
-}
-
-/// Our full Table 1: per row, the three methods' measurements.
-pub fn run_table(backtrack_limit: u64) -> Vec<(&'static str, Measured, Measured, Measured)> {
-    PAPER_TABLE1
-        .iter()
-        .map(|row| {
-            (
-                row.name,
-                run_row(row.name, Method::Modular, backtrack_limit),
-                run_row(row.name, Method::Direct, backtrack_limit),
-                run_row(row.name, Method::Lavagno, backtrack_limit),
-            )
-        })
-        .collect()
 }
 
 /// The paper row for a benchmark name.
@@ -546,83 +531,49 @@ pub fn small_rows() -> Vec<PaperRow> {
 }
 
 /// A timed table run: the measurements plus wall-clock accounting, produced
-/// by [`run_rows_timed`] (sequential) and [`run_rows_pooled`] (worker pool).
+/// by [`run_rows`].
 #[derive(Debug, Clone)]
 pub struct TimedTable {
-    /// Per-row measurements, in input order — same shape as [`run_table`].
+    /// Per-row measurements of the modular, direct and Lavagno-style
+    /// methods, in input order.
     pub rows: Vec<(&'static str, Measured, Measured, Measured)>,
     /// Per-row wall clock: the summed duration of the row's three method
-    /// runs. Comparable between sequential and pooled runs (it is time
+    /// runs. Comparable between sequential and parallel runs (it is time
     /// *spent on* the row, not time-to-completion under interleaving).
     pub row_wall_s: Vec<f64>,
     /// Overall wall clock of the whole run.
     pub total_wall_s: f64,
 }
 
-fn timed_row(name: &'static str, method: Method, backtrack_limit: u64) -> (Measured, f64) {
+/// Runs the three methods on every row of `rows`, timing every benchmark ×
+/// method execution.
+///
+/// The runs fan out over up to `jobs` threads through [`par_map`], which
+/// returns them in input order, so the rows are identical for every `jobs`
+/// value; only the wall clocks differ. `jobs <= 1` runs inline. A run that
+/// panics becomes [`Measured::Failed`] in either mode.
+pub fn run_rows(backtrack_limit: u64, jobs: usize, rows: &[PaperRow]) -> TimedTable {
     let started = Instant::now();
-    let measured = run_row(name, method, backtrack_limit);
-    (measured, started.elapsed().as_secs_f64())
-}
-
-/// [`run_table`] restricted to `rows`, run sequentially (jobs = 1), timing
-/// every benchmark × method execution.
-pub fn run_rows_timed(backtrack_limit: u64, rows: &[PaperRow]) -> TimedTable {
-    let started = Instant::now();
+    let runs: Vec<(&'static str, Method)> = rows
+        .iter()
+        .flat_map(|row| [Method::Modular, Method::Direct, Method::Lavagno].map(|m| (row.name, m)))
+        .collect();
+    let mut timed = par_map(jobs, &runs, |_, &(name, method)| {
+        let started = Instant::now();
+        let measured = run_row(name, method, backtrack_limit);
+        (measured, started.elapsed().as_secs_f64())
+    })
+    .into_iter()
+    .map(|run| run.unwrap_or_else(|p| (Measured::Failed(p.to_string()), 0.0)));
     let mut out = Vec::with_capacity(rows.len());
     let mut row_wall_s = Vec::with_capacity(rows.len());
     for row in rows {
-        let (modular, tm) = timed_row(row.name, Method::Modular, backtrack_limit);
-        let (direct, td) = timed_row(row.name, Method::Direct, backtrack_limit);
-        let (lavagno, tl) = timed_row(row.name, Method::Lavagno, backtrack_limit);
+        let (modular, tm) = timed.next().expect("three runs per row");
+        let (direct, td) = timed.next().expect("three runs per row");
+        let (lavagno, tl) = timed.next().expect("three runs per row");
         out.push((row.name, modular, direct, lavagno));
         row_wall_s.push(tm + td + tl);
     }
-    TimedTable {
-        rows: out,
-        row_wall_s,
-        total_wall_s: started.elapsed().as_secs_f64(),
-    }
-}
-
-/// [`run_rows_timed`] with every benchmark × method run submitted as a job
-/// to a [`WorkerPool`] of `jobs` workers. Handles are joined in input
-/// order, so the returned rows are identical to the sequential ones; only
-/// the wall clocks differ. `jobs <= 1` falls back to the sequential runner.
-pub fn run_rows_pooled(backtrack_limit: u64, jobs: usize, rows: &[PaperRow]) -> TimedTable {
-    if jobs <= 1 {
-        return run_rows_timed(backtrack_limit, rows);
-    }
-    let started = Instant::now();
-    let pool = WorkerPool::new(jobs);
-    let handles: Vec<Vec<JobHandle<(Measured, f64)>>> = rows
-        .iter()
-        .map(|row| {
-            let name = row.name;
-            [Method::Modular, Method::Direct, Method::Lavagno]
-                .into_iter()
-                .map(|method| {
-                    pool.submit(&format!("{name}:{method}"), move || {
-                        timed_row(name, method, backtrack_limit)
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    let mut out = Vec::with_capacity(rows.len());
-    let mut row_wall_s = Vec::with_capacity(rows.len());
-    for (row, row_handles) in rows.iter().zip(handles) {
-        let mut results = row_handles.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|p| (Measured::Failed(p.to_string()), 0.0))
-        });
-        let (modular, tm) = results.next().expect("three jobs per row");
-        let (direct, td) = results.next().expect("three jobs per row");
-        let (lavagno, tl) = results.next().expect("three jobs per row");
-        out.push((row.name, modular, direct, lavagno));
-        row_wall_s.push(tm + td + tl);
-    }
-    drop(pool);
     TimedTable {
         rows: out,
         row_wall_s,
@@ -631,7 +582,7 @@ pub fn run_rows_pooled(backtrack_limit: u64, jobs: usize, rows: &[PaperRow]) -> 
 }
 
 /// The `parallel` section of `BENCH_table1.json`: per-row and total wall
-/// clocks of a jobs = 1 run next to a jobs = N pooled run of the same rows.
+/// clocks of a jobs = 1 run next to a jobs = N run of the same rows.
 pub fn parallel_json(jobs: usize, sequential: &TimedTable, pooled: &TimedTable) -> Json {
     let rows: Vec<Json> = sequential
         .rows
@@ -746,16 +697,8 @@ pub fn measured_record(benchmark: &str, method: Method, measured: &Measured) -> 
     Json::obj(fields)
 }
 
-/// The full `BENCH_table1.json` document: one record per benchmark × method
-/// plus the run configuration.
-pub fn table1_json(
-    backtrack_limit: u64,
-    rows: &[(&'static str, Measured, Measured, Measured)],
-) -> Json {
-    table1_json_with_parallel(backtrack_limit, rows, None)
-}
-
-/// [`table1_json`] with an optional `parallel` section (see
+/// The full `BENCH_table1.json` document: one record per benchmark × method,
+/// the run configuration, and an optional `parallel` section (see
 /// [`parallel_json`]) recording jobs = 1 vs jobs = N wall clocks.
 pub fn table1_json_with_parallel(
     backtrack_limit: u64,
@@ -839,8 +782,8 @@ mod tests {
             .iter()
             .map(|n| *paper_row(n).unwrap())
             .collect();
-        let seq = run_rows_timed(TABLE1_BACKTRACK_LIMIT, &rows);
-        let pooled = run_rows_pooled(TABLE1_BACKTRACK_LIMIT, 3, &rows);
+        let seq = run_rows(TABLE1_BACKTRACK_LIMIT, 1, &rows);
+        let pooled = run_rows(TABLE1_BACKTRACK_LIMIT, 3, &rows);
         assert_eq!(seq.rows.len(), pooled.rows.len());
         assert_eq!(seq.row_wall_s.len(), rows.len());
         for ((sn, sm, sd, sl), (pn, pm, pd, pl)) in seq.rows.iter().zip(&pooled.rows) {
@@ -855,8 +798,8 @@ mod tests {
     #[test]
     fn parallel_section_round_trips_through_json() {
         let rows: Vec<PaperRow> = vec![*paper_row("vbe-ex1").unwrap()];
-        let seq = run_rows_timed(TABLE1_BACKTRACK_LIMIT, &rows);
-        let pooled = run_rows_pooled(TABLE1_BACKTRACK_LIMIT, 2, &rows);
+        let seq = run_rows(TABLE1_BACKTRACK_LIMIT, 1, &rows);
+        let pooled = run_rows(TABLE1_BACKTRACK_LIMIT, 2, &rows);
         let doc = table1_json_with_parallel(
             TABLE1_BACKTRACK_LIMIT,
             &seq.rows,

@@ -12,9 +12,9 @@
 //! `sat.solve` observation lives in that dispatch
 //! ([`crate::solve_with_engine_traced`]).
 
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::Faults;
 use modsyn_par::CancelToken;
-use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SolverStats, Var};
+use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SearchPoll, SolverStats, Var};
 
 /// Search limits for a [`Cdcl`] solver.
 ///
@@ -31,8 +31,6 @@ pub struct CdclOptions {
 const UNASSIGNED: u8 = 2;
 const NO_REASON: u32 = u32::MAX;
 
-/// Main-loop iterations between cancel polls (a mask, so power of two - 1).
-const CANCEL_POLL_MASK: u64 = 0xFF;
 /// Propagations between in-propagation cancel polls: long implication
 /// chains inside one conflict window stay responsive to deadlines.
 const PROP_POLL_MASK: u64 = 0xFFF;
@@ -189,11 +187,9 @@ pub struct Cdcl<'f> {
     root_unsat: bool,
     stats: SolverStats,
     extra: CdclExtra,
-    cancel: CancelToken,
-    tick: u64,
+    /// Cancel token and fault plan, polled once per main-loop iteration.
+    poll: SearchPoll,
     prop_tick: u64,
-    faults: Faults,
-    fault_tick: u64,
 }
 
 /// Counters specific to the CDCL core, beyond the shared [`SolverStats`].
@@ -255,11 +251,8 @@ impl<'f> Cdcl<'f> {
             root_unsat: formula.contains_empty_clause(),
             stats: SolverStats::default(),
             extra: CdclExtra::default(),
-            cancel: CancelToken::never(),
-            tick: 0,
+            poll: SearchPoll::default(),
             prop_tick: 0,
-            faults: Faults::none(),
-            fault_tick: 0,
         };
         for clause in formula.clauses() {
             let lits = clause.as_slice();
@@ -281,11 +274,11 @@ impl<'f> Cdcl<'f> {
         s
     }
 
-    /// Attaches a cancellation token, polled every `CANCEL_POLL_MASK + 1`
-    /// main-loop iterations and every `PROP_POLL_MASK + 1` propagations.
+    /// Attaches a cancellation token, polled at the [`SearchPoll`] cadence
+    /// in the main loop and every `PROP_POLL_MASK + 1` propagations.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+        self.poll.cancel = cancel;
         self
     }
 
@@ -294,7 +287,7 @@ impl<'f> Cdcl<'f> {
     /// so chaos plans written for the classic engine cover this core too.
     #[must_use]
     pub fn with_faults(mut self, faults: Faults) -> Self {
-        self.faults = faults;
+        self.poll.faults = faults;
         self
     }
 
@@ -380,31 +373,6 @@ impl<'f> Cdcl<'f> {
         &self.arena[h.start as usize..(h.start + h.len) as usize]
     }
 
-    fn poll_cancelled(&mut self) -> bool {
-        if !self.cancel.is_cancellable() {
-            return false;
-        }
-        self.tick = self.tick.wrapping_add(1);
-        (self.tick & CANCEL_POLL_MASK) == 1 && self.cancel.is_cancelled()
-    }
-
-    fn poll_injected(&mut self) -> Option<Outcome> {
-        if !self.faults.is_armed() {
-            return None;
-        }
-        self.fault_tick = self.fault_tick.wrapping_add(1);
-        if (self.fault_tick & CANCEL_POLL_MASK) != 1 {
-            return None;
-        }
-        if self.faults.fire(site::SAT_ABORT) {
-            return Some(Outcome::Aborted);
-        }
-        if self.faults.fire(site::SAT_CONFLICT_STORM) {
-            return Some(Outcome::BacktrackLimit);
-        }
-        None
-    }
-
     /// Two-watched-literal propagation with blocker skipping. Returns the
     /// conflicting clause id, or `None` when a fixpoint is reached.
     /// `Err(())` means the cancel token fired mid-chain.
@@ -412,9 +380,9 @@ impl<'f> Cdcl<'f> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            if self.cancel.is_cancellable() {
+            if self.poll.cancel.is_cancellable() {
                 self.prop_tick = self.prop_tick.wrapping_add(1);
-                if (self.prop_tick & PROP_POLL_MASK) == 1 && self.cancel.is_cancelled() {
+                if (self.prop_tick & PROP_POLL_MASK) == 1 && self.poll.cancel.is_cancelled() {
                     return Err(());
                 }
             }
@@ -801,10 +769,10 @@ impl<'f> Cdcl<'f> {
         let mut conflicts_since_restart = 0u64;
 
         loop {
-            if self.poll_cancelled() {
+            if self.poll.poll_cancelled() {
                 return Outcome::Aborted;
             }
-            if let Some(injected) = self.poll_injected() {
+            if let Some(injected) = self.poll.poll_injected() {
                 return injected;
             }
             let conflict = match self.propagate() {

@@ -154,13 +154,7 @@ fn parse_args() -> Result<Parsed, String> {
         match arg.as_str() {
             "--method" => {
                 let v = it.next().ok_or("--method needs a value")?;
-                args.method = match v.as_str() {
-                    "modular" => Method::Modular,
-                    "modular-min-area" => Method::ModularMinArea,
-                    "direct" => Method::Direct,
-                    "lavagno" => Method::Lavagno,
-                    other => return Err(format!("unknown method {other:?}")),
-                };
+                args.method = Method::parse(&v).ok_or_else(|| format!("unknown method {v:?}"))?;
             }
             "--engine" => {
                 let v = it.next().ok_or("--engine needs a value")?;
@@ -326,9 +320,9 @@ fn main() -> ExitCode {
             "# {}: {} -> {} signals, {} -> {} states, {} literals, {:.3}s ({})",
             report.benchmark,
             report.initial_signals,
-            report.final_signals,
+            report.final_signals(),
             report.initial_states,
-            report.final_states,
+            report.final_states(),
             report.literals,
             report.cpu_seconds,
             report.method,
@@ -343,7 +337,7 @@ fn main() -> ExitCode {
     }
 
     // The report carries the solved graph; no re-derivation needed.
-    let graph = &report.graph;
+    let graph = &report.csc.graph;
 
     if args.check {
         let spec = modsyn_sg::derive(&stg, &options.derive).expect("already derived once");
@@ -410,12 +404,13 @@ fn main() -> ExitCode {
 /// unknown, so the caller can exit with an input error.
 fn eprint_explanation(report: &modsyn::SynthesisReport, signal: &str) -> bool {
     let chain: Vec<_> = report
+        .csc
         .provenance
         .iter()
         .filter(|p| p.signal == signal)
         .collect();
     if chain.is_empty() {
-        let known = report.inserted.join(", ");
+        let known = report.csc.inserted.join(", ");
         eprintln!("error: no provenance for signal {signal:?}; inserted signals: [{known}]");
         return false;
     }

@@ -63,8 +63,8 @@ pub fn certify_report(
     specification: Option<&StateGraph>,
     report: &SynthesisReport,
 ) -> Result<(), CheckError> {
-    let netlist = gate_netlist(&report.graph, &report.functions);
-    verify_solution(specification, &report.graph, &netlist)
+    let netlist = gate_netlist(&report.csc.graph, &report.functions);
+    verify_solution(specification, &report.csc.graph, &netlist)
 }
 
 #[cfg(test)]
@@ -100,16 +100,16 @@ mod tests {
         // trip the oracle (consistency, USC/CSC, or conformance).
         let stg = benchmarks::vbe_ex1();
         let report = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        let mut bad = StateGraph::new(report.graph.signals().to_vec()).unwrap();
-        for s in 0..report.graph.state_count() {
-            let code = report.graph.code(s);
+        let mut bad = StateGraph::new(report.csc.graph.signals().to_vec()).unwrap();
+        for s in 0..report.csc.graph.state_count() {
+            let code = report.csc.graph.code(s);
             bad.add_state(if s == 1 { code ^ 1 } else { code });
         }
-        for e in report.graph.edges() {
+        for e in report.csc.graph.edges() {
             bad.add_edge(e.from, e.to, e.label);
         }
-        bad.set_initial(report.graph.initial());
-        let netlist = gate_netlist(&report.graph, &report.functions);
+        bad.set_initial(report.csc.graph.initial());
+        let netlist = gate_netlist(&report.csc.graph, &report.functions);
         assert!(verify_solution(None, &bad, &netlist).is_err());
     }
 }

@@ -5,37 +5,27 @@
 //! explodes and the branch-and-bound solver aborts at its backtrack limit,
 //! exactly as Table 1 reports.
 
+use modsyn_obs::Tracer;
 use modsyn_sg::{insert_state_signals, StateGraph};
 
 use crate::solve::{solve_csc_scoped_traced, CscOutcome, CscSolveOptions, ResolveScope};
 use crate::SynthesisError;
 
 /// Solves the CSC problem on the complete state graph in one SAT instance
-/// per signal count.
-///
-/// # Errors
-///
-/// * [`SynthesisError::BacktrackLimit`] when the solver aborts (the
-///   expected outcome on the paper's large rows),
-/// * [`SynthesisError::NoSolution`] / [`SynthesisError::Sg`] otherwise.
-pub fn direct_resolve(
-    initial: &StateGraph,
-    options: &CscSolveOptions,
-) -> Result<CscOutcome, SynthesisError> {
-    direct_resolve_traced(initial, options, &modsyn_obs::Tracer::disabled())
-}
-
-/// [`direct_resolve`] under a `direct` observability span: the complete
+/// per signal count, under a `direct` observability span: the complete
 /// graph's size as gauges plus the nested `csc.attempt` spans (one big
 /// formula each — the contrast with the modular `module:*` spans).
 ///
 /// # Errors
 ///
-/// As [`direct_resolve`].
+/// * [`SynthesisError::BacktrackLimit`] when the solver aborts (the
+///   expected outcome on the paper's large rows),
+/// * [`SynthesisError::Aborted`] when `options.cancel` fires,
+/// * [`SynthesisError::NoSolution`] / [`SynthesisError::Sg`] otherwise.
 pub fn direct_resolve_traced(
     initial: &StateGraph,
     options: &CscSolveOptions,
-    tracer: &modsyn_obs::Tracer,
+    tracer: &Tracer,
 ) -> Result<CscOutcome, SynthesisError> {
     let _span = tracer.span("direct");
     tracer.gauge("states", initial.state_count() as f64);
@@ -63,7 +53,7 @@ mod tests {
         for name in ["vbe-ex1", "vbe-ex2", "sendr-done", "nousc-ser", "nouse"] {
             let stg = benchmarks::by_name(name).unwrap();
             let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-            let out = direct_resolve(&sg, &CscSolveOptions::default())
+            let out = direct_resolve_traced(&sg, &CscSolveOptions::default(), &Tracer::disabled())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(out.graph.csc_analysis().satisfies_csc(), "{name}");
         }
@@ -73,7 +63,8 @@ mod tests {
     fn direct_formula_is_one_big_instance() {
         let stg = benchmarks::nouse();
         let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-        let out = direct_resolve(&sg, &CscSolveOptions::default()).unwrap();
+        let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+        let out = direct_resolve_traced(&sg, &options, &tracer).unwrap();
         // Variables cover every state of the complete graph.
         let m = out.inserted.len();
         assert!(out
@@ -93,7 +84,7 @@ mod tests {
             },
             ..Default::default()
         };
-        match direct_resolve(&sg, &options) {
+        match direct_resolve_traced(&sg, &options, &Tracer::disabled()) {
             Err(SynthesisError::BacktrackLimit { .. }) => {}
             Ok(_) => {} // solved within two backtracks: acceptable but unlikely
             other => panic!("unexpected outcome: {other:?}"),

@@ -30,9 +30,9 @@
 //!    not end up with copies that share an extended code but disagree on
 //!    the new signal's excitation.
 
-use modsyn_sat::{CnfFormula, Lit, Var};
+use modsyn_sat::{CnfFormula, Lit, SolverStats, Var};
 use modsyn_sg::{CscAnalysis, EdgeLabel, Quat, StateGraph, StateSignalAssignment};
-use modsyn_store::ClauseFamilies;
+use modsyn_store::{ClauseFamilies, FormulaStat};
 
 /// A CNF encoding of the CSC-satisfaction problem for `m` new state
 /// signals, with the variable layout needed to decode models.
@@ -58,6 +58,18 @@ impl Encoding {
     /// Variable "value bit" for (state, signal).
     pub fn b(&self, state: usize, k: usize) -> Var {
         Var::new(2 * (state * self.state_signals + k) + 1)
+    }
+
+    /// The statistics record of one attempt on this formula: its size as
+    /// solved, the verdict, and the solver's counters.
+    pub(crate) fn stat(&self, satisfiable: bool, solver: SolverStats) -> FormulaStat {
+        FormulaStat {
+            state_signals: self.state_signals,
+            clauses: self.formula.clause_count(),
+            variables: self.formula.num_vars(),
+            satisfiable,
+            solver,
+        }
     }
 
     /// Decodes a satisfying model into per-signal assignments. Names are

@@ -31,7 +31,7 @@ use modsyn_sg::{insert_state_signals, StateGraph};
 use modsyn_stg::Stg;
 
 use crate::solve::CscOutcome;
-use crate::{encode_csc, FormulaStat, SynthesisError};
+use crate::{encode_csc, SynthesisError};
 
 /// Options for the Lavagno-style flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,13 +115,7 @@ pub fn lavagno_resolve(
             &Faults::none(),
             tracer,
         );
-        formulas.push(FormulaStat {
-            state_signals: m,
-            clauses: encoding.formula.clause_count(),
-            variables: encoding.formula.num_vars(),
-            satisfiable: outcome.is_sat(),
-            solver: stats,
-        });
+        formulas.push(encoding.stat(outcome.is_sat(), stats));
         match outcome {
             Outcome::Satisfiable(model) => {
                 let assignments = encoding.decode(&model, "st", 0);

@@ -25,7 +25,7 @@
 //!     "{}: {} -> {} signals, {} literals in {:.3}s",
 //!     report.benchmark,
 //!     report.initial_signals,
-//!     report.final_signals,
+//!     report.final_signals(),
 //!     report.literals,
 //!     report.cpu_seconds,
 //! );
@@ -50,29 +50,23 @@ mod synth;
 
 pub use checker::{certify_report, gate_netlist};
 pub use circuit::{hazard_report, remove_static_hazards, HazardSummary};
-pub use direct::{direct_resolve, direct_resolve_traced};
+pub use direct::direct_resolve_traced;
 pub use encode::{encode_csc, encode_csc_partial, Encoding};
 pub use error::SynthesisError;
 pub use input_set::{determine_input_set, determine_input_set_traced, immediate_inputs, InputSet};
 pub use lavagno::{lavagno_resolve, LavagnoOptions};
 pub use logic_fn::{
-    derive_logic, derive_logic_jobs_traced, derive_logic_shared, derive_logic_traced,
-    derive_logic_with, total_literals, verify_logic, MinimizeMode, SignalFunction,
+    derive_logic, derive_logic_jobs_traced, derive_logic_shared, total_literals, verify_logic,
+    MinimizeMode, SignalFunction,
 };
-pub use modular::{
-    modular_resolve, modular_resolve_jobs, modular_resolve_jobs_traced, modular_resolve_traced,
-    ModuleReport,
-};
+pub use modular::{modular_resolve, modular_resolve_jobs_traced, ModuleReport};
 pub use netlist::to_verilog;
 pub use reject::Rejection;
 pub use retry::{
     escalation_ladder, synthesize_with_retry, synthesize_with_retry_traced, Attempt, RetryOutcome,
     RetryPolicy,
 };
-pub use solve::{
-    solve_csc, solve_csc_scoped, solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOptions,
-    ResolveScope,
-};
+pub use solve::{solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOptions, ResolveScope};
 pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, SynthesisReport};
 
 /// Re-exported so callers selecting a SAT engine (`modsyn --engine`,

@@ -13,7 +13,7 @@ use modsyn_sg::StateGraph;
 
 use crate::SynthesisError;
 
-/// Minimisation mode for [`derive_logic_with`].
+/// Minimisation mode for [`derive_logic_jobs_traced`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinimizeMode {
     /// Heuristic espresso loop (prime and irredundant, not provably
@@ -37,54 +37,30 @@ pub struct SignalFunction {
     pub literals: usize,
 }
 
+/// [`derive_logic_jobs_traced`] inline (`jobs` = 1), untraced, in
+/// [`MinimizeMode::Heuristic`].
+///
+/// # Errors
+///
+/// As [`derive_logic_jobs_traced`].
+pub fn derive_logic(graph: &StateGraph) -> Result<Vec<SignalFunction>, SynthesisError> {
+    derive_logic_jobs_traced(graph, MinimizeMode::Heuristic, 1, &Tracer::disabled())
+}
+
 /// Derives minimised logic for every non-input signal of a CSC-satisfying
-/// state graph.
+/// state graph, minimising up to `jobs` signals concurrently.
+///
+/// The per-signal minimisations are independent; the ordered parallel map
+/// keeps the returned functions identical (content and order) for every
+/// `jobs` value. The stage runs under a `logic` observability span: one
+/// `logic:<signal>` child per derived function (nesting the `espresso` span
+/// in heuristic mode) plus a `literals` gauge with the total area metric.
+/// With `jobs > 1` the `logic:<signal>` spans root on their worker threads.
 ///
 /// # Errors
 ///
 /// Returns [`SynthesisError::CscUnresolved`] if the graph still violates
 /// CSC (the functions would be ill-defined).
-pub fn derive_logic(graph: &StateGraph) -> Result<Vec<SignalFunction>, SynthesisError> {
-    derive_logic_with(graph, MinimizeMode::Heuristic)
-}
-
-/// [`derive_logic`] with an explicit [`MinimizeMode`].
-///
-/// # Errors
-///
-/// As [`derive_logic`].
-pub fn derive_logic_with(
-    graph: &StateGraph,
-    mode: MinimizeMode,
-) -> Result<Vec<SignalFunction>, SynthesisError> {
-    derive_logic_traced(graph, mode, &Tracer::disabled())
-}
-
-/// [`derive_logic_with`] under a `logic` observability span: one
-/// `logic:<signal>` child per derived function (nesting the `espresso` span
-/// in heuristic mode) plus a `literals` gauge with the total area metric.
-///
-/// # Errors
-///
-/// As [`derive_logic`].
-pub fn derive_logic_traced(
-    graph: &StateGraph,
-    mode: MinimizeMode,
-    tracer: &Tracer,
-) -> Result<Vec<SignalFunction>, SynthesisError> {
-    derive_logic_jobs_traced(graph, mode, 1, tracer)
-}
-
-/// [`derive_logic_traced`] minimising up to `jobs` signals concurrently.
-///
-/// The per-signal minimisations are independent; the ordered parallel map
-/// keeps the returned functions identical (content and order) to the
-/// sequential ones for every `jobs` value. With `jobs > 1` the
-/// `logic:<signal>` spans root on their worker threads.
-///
-/// # Errors
-///
-/// As [`derive_logic`].
 pub fn derive_logic_jobs_traced(
     graph: &StateGraph,
     mode: MinimizeMode,

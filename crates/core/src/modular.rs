@@ -5,7 +5,7 @@ use std::time::Instant;
 use modsyn_obs::Tracer;
 use modsyn_par::{par_map, unwrap_or_resume};
 use modsyn_sg::{insert_state_signals, Quat, StateGraph, StateSignalAssignment};
-use modsyn_store::{module_key, ModuleEntry, Provenance};
+use modsyn_store::{module_key, FormulaStat, ModuleEntry, Provenance};
 
 use crate::input_set::{determine_input_set_traced, InputSet};
 use crate::solve::{
@@ -28,45 +28,16 @@ pub struct ModuleReport {
     pub inserted: usize,
 }
 
-/// Runs the paper's `modular_synthesis` loop over every output signal:
-/// derive the input set (Figure 2), build and solve the modular state graph
-/// (Figure 4), propagate the assignment back to the complete graph
-/// (Figure 5) and expand it. Any conflicts left after all outputs are
-/// processed (covers of both conflict states can coincide in every module)
-/// are cleaned up by one final solve on the complete graph.
+/// [`modular_resolve_jobs_traced`] inline (`jobs` = 1) and untraced.
 ///
 /// # Errors
 ///
-/// * [`SynthesisError::BacktrackLimit`] / [`SynthesisError::NoSolution`]
-///   from the SAT layer,
-/// * [`SynthesisError::Sg`] from quotient construction or expansion.
+/// As [`modular_resolve_jobs_traced`].
 pub fn modular_resolve(
     initial: &StateGraph,
     options: &CscSolveOptions,
 ) -> Result<CscOutcome, SynthesisError> {
-    modular_resolve_traced(initial, options, &Tracer::disabled())
-}
-
-/// [`modular_resolve`] deriving each iteration's per-output candidate
-/// modules on up to `jobs` worker threads.
-///
-/// The input-set searches are independent per output, so they run as an
-/// ordered [`par_map`]; the ranking, the chosen module's quotient, its SAT
-/// solve and the propagation stay sequential and identical to
-/// [`modular_resolve`].
-/// The outcome is therefore **byte-for-byte the same** for every `jobs`
-/// value — parallelism changes wall-clock only. `jobs <= 1` runs inline.
-///
-/// # Errors
-///
-/// As [`modular_resolve`], plus [`SynthesisError::Aborted`] when
-/// `options.cancel` fires between iterations or inside a solve.
-pub fn modular_resolve_jobs(
-    initial: &StateGraph,
-    options: &CscSolveOptions,
-    jobs: usize,
-) -> Result<CscOutcome, SynthesisError> {
-    modular_resolve_jobs_traced(initial, options, jobs, &Tracer::disabled())
+    modular_resolve_jobs_traced(initial, options, 1, &Tracer::disabled())
 }
 
 /// Provenance of every signal a fresh solve inserted: which of the
@@ -155,32 +126,35 @@ fn solve_module_via_store(
     Ok(entry)
 }
 
-/// [`modular_resolve`] with observability: the whole flow runs under a
-/// `modular` span; every iteration gets a `select` span (module derivation
-/// and ranking), every solved module a `module:<output>` span carrying the
-/// paper's headline metrics (kept signals, module states, conflicts, peak
-/// formula vars/clauses, inserted signals), and the final cleanup a
-/// `residual` span.
+/// Runs the paper's `modular_synthesis` loop over every output signal:
+/// derive the input set (Figure 2), build and solve the modular state graph
+/// (Figure 4), propagate the assignment back to the complete graph
+/// (Figure 5) and expand it. Any conflicts left after all outputs are
+/// processed (covers of both conflict states can coincide in every module)
+/// are cleaned up by one final solve on the complete graph.
 ///
-/// # Errors
+/// Each iteration derives the per-output candidate modules on up to `jobs`
+/// worker threads. The input-set searches are independent per output, so
+/// they run as an ordered [`par_map`]; the ranking, the chosen module's
+/// quotient, its SAT solve and the propagation stay sequential. The
+/// outcome is therefore **byte-for-byte the same** for every `jobs` value —
+/// parallelism changes wall-clock only. `jobs <= 1` runs inline.
 ///
-/// As [`modular_resolve`].
-pub fn modular_resolve_traced(
-    initial: &StateGraph,
-    options: &CscSolveOptions,
-    tracer: &Tracer,
-) -> Result<CscOutcome, SynthesisError> {
-    modular_resolve_jobs_traced(initial, options, 1, tracer)
-}
-
-/// [`modular_resolve_jobs`] with observability (see
-/// [`modular_resolve_traced`] for the span structure; with `jobs > 1` the
+/// The whole flow runs under a `modular` span; every iteration gets a
+/// `select` span (module derivation and ranking), every solved module a
+/// `module:<output>` span carrying the paper's headline metrics (kept
+/// signals, module states, conflicts, peak formula vars/clauses, inserted
+/// signals), and the final cleanup a `residual` span. With `jobs > 1` the
 /// per-output derivation spans root on their worker threads instead of
-/// nesting under `select`).
+/// nesting under `select`.
 ///
 /// # Errors
 ///
-/// As [`modular_resolve_jobs`].
+/// * [`SynthesisError::BacktrackLimit`] / [`SynthesisError::NoSolution`]
+///   from the SAT layer,
+/// * [`SynthesisError::Aborted`] when `options.cancel` fires between
+///   iterations or inside a solve,
+/// * [`SynthesisError::Sg`] from quotient construction or expansion.
 pub fn modular_resolve_jobs_traced(
     initial: &StateGraph,
     options: &CscSolveOptions,
@@ -190,13 +164,10 @@ pub fn modular_resolve_jobs_traced(
     let _span = tracer.span("modular");
     let start = Instant::now();
     let mut graph = initial.clone();
-    let mut outcome = CscOutcome {
-        graph: initial.clone(),
-        inserted: Vec::new(),
-        formulas: Vec::new(),
-        modules: Vec::new(),
-        provenance: Vec::new(),
-    };
+    let mut inserted: Vec<String> = Vec::new();
+    let mut formulas = Vec::new();
+    let mut modules = Vec::new();
+    let mut provenance = Vec::new();
 
     // The paper iterates over the output signals of the original STG;
     // state signals inserted along the way join later modules as ordinary
@@ -261,36 +232,21 @@ pub fn modular_resolve_jobs_traced(
         let solution = solve_module_via_store(
             &quotient.graph,
             options,
-            outcome.inserted.len(),
+            inserted.len(),
             ResolveScope::ResolvableOnly,
             &output_name,
             tracer,
         )?;
-        tracer.gauge(
-            "vars",
-            solution
-                .formulas
-                .iter()
-                .map(|f| f.variables)
-                .max()
-                .unwrap_or(0) as f64,
-        );
-        tracer.gauge(
-            "clauses",
-            solution
-                .formulas
-                .iter()
-                .map(|f| f.clauses)
-                .max()
-                .unwrap_or(0) as f64,
-        );
+        let peak = |size: fn(&FormulaStat) -> usize| {
+            solution.formulas.iter().map(size).max().unwrap_or(0) as f64
+        };
+        tracer.gauge("vars", peak(|f| f.variables));
+        tracer.gauge("clauses", peak(|f| f.clauses));
         tracer.counter("inserted", solution.assignments.len() as u64);
         drop(module_span);
-        outcome
-            .provenance
-            .extend(solution.provenance.iter().cloned());
-        outcome.formulas.extend(solution.formulas.iter().copied());
-        outcome.modules.push(ModuleReport {
+        provenance.extend(solution.provenance);
+        formulas.extend(solution.formulas);
+        modules.push(ModuleReport {
             output: output_name,
             kept_signals: set.kept.len(),
             module_states: quotient.graph.state_count(),
@@ -313,9 +269,7 @@ pub fn modular_resolve_jobs_traced(
                     .collect(),
             })
             .collect();
-        for a in &propagated {
-            outcome.inserted.push(a.name.clone());
-        }
+        inserted.extend(propagated.iter().map(|a| a.name.clone()));
         graph = insert_state_signals(&graph, &propagated)?;
     }
 
@@ -327,26 +281,27 @@ pub fn modular_resolve_jobs_traced(
         let solution = solve_module_via_store(
             &graph,
             options,
-            outcome.inserted.len(),
+            inserted.len(),
             ResolveScope::All,
             "<residual>",
             tracer,
         )?;
         tracer.counter("inserted", solution.assignments.len() as u64);
         drop(residual);
-        outcome
-            .provenance
-            .extend(solution.provenance.iter().cloned());
-        outcome.formulas.extend(solution.formulas.iter().copied());
-        for a in &solution.assignments {
-            outcome.inserted.push(a.name.clone());
-        }
+        provenance.extend(solution.provenance);
+        formulas.extend(solution.formulas);
+        inserted.extend(solution.assignments.iter().map(|a| a.name.clone()));
         graph = insert_state_signals(&graph, &solution.assignments)?;
     }
 
     debug_assert!(graph.csc_analysis().satisfies_csc());
-    outcome.graph = graph;
-    Ok(outcome)
+    Ok(CscOutcome {
+        graph,
+        inserted,
+        formulas,
+        modules,
+        provenance,
+    })
 }
 
 #[cfg(test)]
@@ -407,8 +362,9 @@ mod tests {
         for name in ["vbe-ex2", "nouse", "sbuf-read-ctl"] {
             let stg = benchmarks::by_name(name).expect("known benchmark");
             let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-            let seq = modular_resolve_jobs(&sg, &CscSolveOptions::default(), 1).unwrap();
-            let par = modular_resolve_jobs(&sg, &CscSolveOptions::default(), 4).unwrap();
+            let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+            let seq = modular_resolve_jobs_traced(&sg, &options, 1, &tracer).unwrap();
+            let par = modular_resolve_jobs_traced(&sg, &options, 4, &tracer).unwrap();
             assert_eq!(seq.inserted, par.inserted, "{name}: inserted diverged");
             assert_eq!(seq.modules, par.modules, "{name}: module reports diverged");
             assert_eq!(seq.formulas, par.formulas, "{name}: formula stats diverged");

@@ -17,7 +17,7 @@ use crate::SynthesisError;
 /// Prefix of the state signals the CSC solves insert (`csc0`, `csc1`, …).
 pub(crate) const NAME_PREFIX: &str = "csc";
 
-/// Which conflicts a [`solve_csc_scoped`] call must resolve.
+/// Which conflicts a [`solve_csc_scoped_traced`] call must resolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolveScope {
     /// Every conflict; structurally unresolvable pairs make the call fail
@@ -131,8 +131,9 @@ fn shrink_excitation(
     modsyn_sat::Model::from_values(values)
 }
 
-/// Result of [`solve_csc`].
-#[derive(Debug, Clone)]
+/// Result of [`solve_csc_scoped_traced`]; the default is the empty
+/// solution of a graph with nothing to resolve.
+#[derive(Debug, Clone, Default)]
 pub struct CscSolution {
     /// One assignment per inserted state signal (empty when the graph
     /// already satisfied CSC).
@@ -184,51 +185,26 @@ impl CscOutcome {
     }
 }
 
-/// Finds state-signal assignments satisfying all CSC constraints of
-/// `graph`, starting from the lower bound and adding one signal per UNSAT
-/// round (paper Figure 4).
+/// Finds state-signal assignments satisfying the CSC constraints of
+/// `graph` that `scope` selects, starting from the lower bound and adding
+/// one signal per UNSAT round (paper Figure 4).
 ///
 /// `name_offset` numbers the generated signals so that successive calls
-/// produce globally unique names.
+/// produce globally unique names. With [`ResolveScope::ResolvableOnly`] the
+/// returned assignment resolves the structurally resolvable conflicts and
+/// leaves the rest in place; an empty assignment list means no conflict
+/// was locally resolvable.
+///
+/// Each signal count `m` attempted becomes a `csc.attempt` span carrying
+/// the formula size (`m`, `vars`, `clauses`), the nested `sat.solve` /
+/// `bdd.build` span, and the outcome.
 ///
 /// # Errors
 ///
 /// * [`SynthesisError::BacktrackLimit`] if the SAT solver aborted,
+/// * [`SynthesisError::Aborted`] when `options.cancel` fires,
 /// * [`SynthesisError::NoSolution`] if every signal count up to
 ///   `lower_bound + extra_signals` is unsatisfiable.
-pub fn solve_csc(
-    graph: &StateGraph,
-    options: &CscSolveOptions,
-    name_offset: usize,
-) -> Result<CscSolution, SynthesisError> {
-    solve_csc_scoped(graph, options, name_offset, ResolveScope::All)
-}
-
-/// [`solve_csc`] with an explicit [`ResolveScope`].
-///
-/// With [`ResolveScope::ResolvableOnly`] the returned assignment resolves
-/// the structurally resolvable conflicts and leaves the rest in place; an
-/// empty assignment list means no conflict was locally resolvable.
-///
-/// # Errors
-///
-/// As [`solve_csc`].
-pub fn solve_csc_scoped(
-    graph: &StateGraph,
-    options: &CscSolveOptions,
-    name_offset: usize,
-    scope: ResolveScope,
-) -> Result<CscSolution, SynthesisError> {
-    solve_csc_scoped_traced(graph, options, name_offset, scope, &Tracer::disabled())
-}
-
-/// [`solve_csc_scoped`] with observability: each signal count `m` attempted
-/// becomes a `csc.attempt` span carrying the formula size (`m`, `vars`,
-/// `clauses`), the nested `sat.solve` / `bdd.build` span, and the outcome.
-///
-/// # Errors
-///
-/// As [`solve_csc`].
 pub fn solve_csc_scoped_traced(
     graph: &StateGraph,
     options: &CscSolveOptions,
@@ -238,12 +214,7 @@ pub fn solve_csc_scoped_traced(
 ) -> Result<CscSolution, SynthesisError> {
     let analysis = graph.csc_analysis();
     if analysis.satisfies_csc() {
-        return Ok(CscSolution {
-            assignments: Vec::new(),
-            formulas: Vec::new(),
-            resolved_pairs: Vec::new(),
-            families: ClauseFamilies::default(),
-        });
+        return Ok(CscSolution::default());
     }
     let unresolvable = graph.unresolvable_csc_pairs(&analysis);
     let resolve: Vec<(usize, usize)> = match scope {
@@ -266,12 +237,7 @@ pub fn solve_csc_scoped_traced(
                 .filter(|p| !unresolvable.contains(p))
                 .collect();
             if pairs.is_empty() {
-                return Ok(CscSolution {
-                    assignments: Vec::new(),
-                    formulas: Vec::new(),
-                    resolved_pairs: Vec::new(),
-                    families: ClauseFamilies::default(),
-                });
+                return Ok(CscSolution::default());
             }
             pairs
         }
@@ -298,88 +264,65 @@ pub fn solve_csc_scoped_traced(
         tracer.gauge("m", m as f64);
         tracer.gauge("vars", encoding.formula.num_vars() as f64);
         tracer.gauge("clauses", encoding.formula.clause_count() as f64);
-        if options.min_area {
-            match bdd_min_area_model(&encoding, tracer) {
-                Ok(Some(model)) => {
-                    tracer.note("outcome", "sat (bdd)");
-                    drop(attempt);
-                    formulas.push(FormulaStat {
-                        state_signals: m,
-                        clauses: encoding.formula.clause_count(),
-                        variables: encoding.formula.num_vars(),
-                        satisfiable: true,
-                        solver: SolverStats::default(),
-                    });
-                    let assignments = encoding.decode(&model, NAME_PREFIX, name_offset);
-                    return Ok(CscSolution {
-                        assignments,
-                        formulas,
-                        resolved_pairs: resolve.clone(),
-                        families: encoding.families,
-                    });
-                }
-                Ok(None) => {
-                    tracer.note("outcome", "unsat (bdd)");
-                    drop(attempt);
-                    formulas.push(FormulaStat {
-                        state_signals: m,
-                        clauses: encoding.formula.clause_count(),
-                        variables: encoding.formula.num_vars(),
-                        satisfiable: false,
-                        solver: SolverStats::default(),
-                    });
-                    m += 1;
-                    continue;
-                }
-                Err(()) => {
+        let bdd = if options.min_area {
+            bdd_min_area_model(&encoding, tracer)
+        } else {
+            Err(())
+        };
+        let model = match bdd {
+            Ok(found) => {
+                let outcome = if found.is_some() {
+                    "sat (bdd)"
+                } else {
+                    "unsat (bdd)"
+                };
+                tracer.note("outcome", outcome);
+                drop(attempt);
+                formulas.push(encoding.stat(found.is_some(), SolverStats::default()));
+                found
+            }
+            Err(()) => {
+                if options.min_area {
                     // Node budget blown: fall through to the SAT path for
                     // this m.
                     tracer.note("bdd", "node budget exceeded; SAT fallback");
                 }
+                let (outcome, stats) = solve_with_engine_traced(
+                    options.engine,
+                    &encoding.formula,
+                    options.solver,
+                    &options.cancel,
+                    &options.faults,
+                    tracer,
+                );
+                formulas.push(encoding.stat(outcome.is_sat(), stats));
+                drop(attempt);
+                match outcome {
+                    Outcome::Satisfiable(model) => Some(shrink_excitation(&encoding, model)),
+                    Outcome::Unsatisfiable => None,
+                    Outcome::BacktrackLimit => {
+                        return Err(SynthesisError::BacktrackLimit {
+                            state_signals: m,
+                            elapsed: start.elapsed().as_secs_f64(),
+                        });
+                    }
+                    Outcome::Aborted => {
+                        return Err(SynthesisError::Aborted {
+                            elapsed: start.elapsed().as_secs_f64(),
+                        });
+                    }
+                }
             }
+        };
+        if let Some(model) = model {
+            return Ok(CscSolution {
+                assignments: encoding.decode(&model, NAME_PREFIX, name_offset),
+                formulas,
+                resolved_pairs: resolve,
+                families: encoding.families,
+            });
         }
-        let (outcome, stats) = solve_with_engine_traced(
-            options.engine,
-            &encoding.formula,
-            options.solver,
-            &options.cancel,
-            &options.faults,
-            tracer,
-        );
-        formulas.push(FormulaStat {
-            state_signals: m,
-            clauses: encoding.formula.clause_count(),
-            variables: encoding.formula.num_vars(),
-            satisfiable: outcome.is_sat(),
-            solver: stats,
-        });
-        drop(attempt);
-        match outcome {
-            Outcome::Satisfiable(model) => {
-                let model = shrink_excitation(&encoding, model);
-                let assignments = encoding.decode(&model, NAME_PREFIX, name_offset);
-                return Ok(CscSolution {
-                    assignments,
-                    formulas,
-                    resolved_pairs: resolve.clone(),
-                    families: encoding.families,
-                });
-            }
-            Outcome::Unsatisfiable => {
-                m += 1;
-            }
-            Outcome::BacktrackLimit => {
-                return Err(SynthesisError::BacktrackLimit {
-                    state_signals: m,
-                    elapsed: start.elapsed().as_secs_f64(),
-                });
-            }
-            Outcome::Aborted => {
-                return Err(SynthesisError::Aborted {
-                    elapsed: start.elapsed().as_secs_f64(),
-                });
-            }
-        }
+        m += 1;
     }
     Err(SynthesisError::NoSolution { max_signals: cap })
 }
@@ -393,7 +336,9 @@ mod tests {
     #[test]
     fn vbe_ex1_needs_exactly_one_signal() {
         let sg = derive(&benchmarks::vbe_ex1(), &DeriveOptions::default()).unwrap();
-        let solution = solve_csc(&sg, &CscSolveOptions::default(), 0).unwrap();
+        let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+        let solution =
+            solve_csc_scoped_traced(&sg, &options, 0, ResolveScope::All, &tracer).unwrap();
         assert_eq!(solution.assignments.len(), 1);
         assert!(solution.formulas.iter().all(|f| f.clauses > 0));
         let expanded = insert_state_signals(&sg, &solution.assignments).unwrap();
@@ -407,21 +352,27 @@ mod tests {
         )
         .unwrap();
         let sg = derive(&stg, &DeriveOptions::default()).unwrap();
-        let solution = solve_csc(&sg, &CscSolveOptions::default(), 0).unwrap();
+        let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+        let solution =
+            solve_csc_scoped_traced(&sg, &options, 0, ResolveScope::All, &tracer).unwrap();
         assert!(solution.assignments.is_empty());
     }
 
     #[test]
     fn name_offset_numbers_signals_globally() {
         let sg = derive(&benchmarks::vbe_ex1(), &DeriveOptions::default()).unwrap();
-        let solution = solve_csc(&sg, &CscSolveOptions::default(), 3).unwrap();
+        let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+        let solution =
+            solve_csc_scoped_traced(&sg, &options, 3, ResolveScope::All, &tracer).unwrap();
         assert_eq!(solution.assignments[0].name, "csc3");
     }
 
     #[test]
     fn formula_stats_carry_solver_counters() {
         let sg = derive(&benchmarks::vbe_ex1(), &DeriveOptions::default()).unwrap();
-        let solution = solve_csc(&sg, &CscSolveOptions::default(), 0).unwrap();
+        let (options, tracer) = (CscSolveOptions::default(), Tracer::disabled());
+        let solution =
+            solve_csc_scoped_traced(&sg, &options, 0, ResolveScope::All, &tracer).unwrap();
         let sat_attempt = solution.formulas.iter().find(|f| f.satisfiable).unwrap();
         assert!(sat_attempt.solver.propagations > 0);
         assert!(sat_attempt.solver.peak_clauses >= sat_attempt.clauses);
@@ -465,7 +416,7 @@ mod tests {
             },
             ..Default::default()
         };
-        match solve_csc(&sg, &options, 0) {
+        match solve_csc_scoped_traced(&sg, &options, 0, ResolveScope::All, &Tracer::disabled()) {
             Err(SynthesisError::BacktrackLimit { .. }) | Ok(_) => {}
             other => panic!("unexpected: {other:?}"),
         }

@@ -7,18 +7,18 @@ use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_sat::SolverOptions;
-use modsyn_sg::{derive_traced, DeriveOptions, StateGraph};
+use modsyn_sg::{derive_traced, DeriveOptions};
 use modsyn_stg::Stg;
-use modsyn_store::{Provenance, StoreLink};
+use modsyn_store::StoreLink;
 
 use crate::direct::direct_resolve_traced;
 use crate::lavagno::{lavagno_resolve, LavagnoOptions};
 use crate::logic_fn::{
     derive_logic_jobs_traced, total_literals, verify_logic, MinimizeMode, SignalFunction,
 };
-use crate::modular::{modular_resolve_jobs_traced, ModuleReport};
+use crate::modular::modular_resolve_jobs_traced;
 use crate::solve::{CscOutcome, CscSolveOptions};
-use crate::{FormulaStat, SynthesisError};
+use crate::SynthesisError;
 
 /// Which CSC-resolution method to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,6 +32,22 @@ pub enum Method {
     Direct,
     /// The Lavagno/Moon-style state-table flow.
     Lavagno,
+}
+
+impl Method {
+    /// Every method, in the order the CLI usage lists them.
+    const ALL: [Method; 4] = [
+        Method::Modular,
+        Method::ModularMinArea,
+        Method::Direct,
+        Method::Lavagno,
+    ];
+
+    /// The method its [`Display`](std::fmt::Display) name names, or `None`
+    /// for an unknown name.
+    pub fn parse(name: &str) -> Option<Method> {
+        Method::ALL.into_iter().find(|m| m.to_string() == name)
+    }
 }
 
 impl std::fmt::Display for Method {
@@ -119,36 +135,35 @@ pub struct SynthesisReport {
     pub initial_states: usize,
     /// Signals of the input STG.
     pub initial_signals: usize,
-    /// States of the final expanded state graph.
-    pub final_states: usize,
-    /// Signals of the final graph (initial + inserted state signals).
-    pub final_signals: usize,
     /// Total two-level literal count (the paper's area metric).
     pub literals: usize,
     /// Wall-clock seconds for resolution + logic derivation.
     pub cpu_seconds: f64,
-    /// Statistics of every SAT formula attempted.
-    pub formulas: Vec<FormulaStat>,
-    /// Per-output module traces (modular method only).
-    pub modules: Vec<ModuleReport>,
     /// The synthesised logic functions.
     pub functions: Vec<SignalFunction>,
-    /// Names of the inserted state signals, in insertion order.
-    pub inserted: Vec<String>,
-    /// The final expanded, CSC-satisfying state graph the functions were
-    /// derived from — returned so an *independent* checker (`modsyn-check`)
-    /// can certify the result without re-running any pipeline stage.
-    pub graph: StateGraph,
-    /// Why each inserted state signal exists (modular methods only): the
-    /// module that forced it, the conflict pairs it resolves, the winning
-    /// formula's clause families. Feeds `GET /explain` and `--explain`.
-    pub provenance: Vec<Provenance>,
+    /// The CSC resolution the functions were derived from: the final
+    /// expanded graph (returned so an *independent* checker, `modsyn-check`,
+    /// can certify the result without re-running any pipeline stage), the
+    /// inserted signals in insertion order, every formula attempted, and —
+    /// for the modular methods — the per-output module traces and the
+    /// provenance behind `GET /explain` and `--explain`.
+    pub csc: CscOutcome,
 }
 
 impl SynthesisReport {
+    /// States of the final expanded state graph.
+    pub fn final_states(&self) -> usize {
+        self.csc.graph.state_count()
+    }
+
+    /// Signals of the final graph (initial + inserted state signals).
+    pub fn final_signals(&self) -> usize {
+        self.csc.graph.signals().len()
+    }
+
     /// Number of state signals inserted.
     pub fn inserted_signals(&self) -> usize {
-        self.final_signals - self.initial_signals
+        self.final_signals() - self.initial_signals
     }
 }
 
@@ -185,37 +200,20 @@ pub fn synthesize_traced(
     tracer.note("benchmark", stg.name());
     tracer.note("method", &options.method.to_string());
     let initial = derive_traced(stg, &options.derive, tracer)?;
-    let CscOutcome {
-        graph,
-        inserted,
-        formulas,
-        modules,
-        provenance,
-    } = match options.method {
+    let solve = CscSolveOptions {
+        solver: options.solver,
+        engine: options.engine,
+        extra_signals: options.extra_signals,
+        min_area: options.method == Method::ModularMinArea,
+        cancel: options.cancel.clone(),
+        faults: options.faults.clone(),
+        store: options.store.clone(),
+    };
+    let csc = match options.method {
         Method::Modular | Method::ModularMinArea => {
-            let solve = CscSolveOptions {
-                solver: options.solver,
-                engine: options.engine,
-                extra_signals: options.extra_signals,
-                min_area: options.method == Method::ModularMinArea,
-                cancel: options.cancel.clone(),
-                faults: options.faults.clone(),
-                store: options.store.clone(),
-            };
             modular_resolve_jobs_traced(&initial, &solve, options.jobs, tracer)?
         }
-        Method::Direct => {
-            let solve = CscSolveOptions {
-                solver: options.solver,
-                engine: options.engine,
-                extra_signals: options.extra_signals,
-                min_area: false,
-                cancel: options.cancel.clone(),
-                faults: options.faults.clone(),
-                store: StoreLink::none(),
-            };
-            direct_resolve_traced(&initial, &solve, tracer)?
-        }
+        Method::Direct => direct_resolve_traced(&initial, &solve, tracer)?,
         Method::Lavagno => lavagno_resolve(
             stg,
             &initial,
@@ -228,23 +226,17 @@ pub fn synthesize_traced(
         )?,
     };
 
-    let functions = derive_logic_jobs_traced(&graph, options.minimize, options.jobs, tracer)?;
-    debug_assert!(verify_logic(&graph, &functions));
+    let functions = derive_logic_jobs_traced(&csc.graph, options.minimize, options.jobs, tracer)?;
+    debug_assert!(verify_logic(&csc.graph, &functions));
     Ok(SynthesisReport {
         benchmark: stg.name().to_string(),
         method: options.method,
         initial_states: initial.state_count(),
         initial_signals: initial.signals().len(),
-        final_states: graph.state_count(),
-        final_signals: graph.signals().len(),
         literals: total_literals(&functions),
         cpu_seconds: start.elapsed().as_secs_f64(),
-        formulas,
-        modules,
         functions,
-        inserted,
-        graph,
-        provenance,
+        csc,
     })
 }
 
@@ -259,8 +251,8 @@ mod tests {
         let report = synthesize(&stg, &SynthesisOptions::default()).unwrap();
         assert_eq!(report.benchmark, "vbe-ex1");
         assert_eq!(report.initial_signals, 2);
-        assert_eq!(report.final_signals, 3);
-        assert!(report.final_states > report.initial_states);
+        assert_eq!(report.final_signals(), 3);
+        assert!(report.final_states() > report.initial_states);
         assert!(report.literals > 0);
         assert_eq!(report.inserted_signals(), 1);
     }
@@ -280,5 +272,14 @@ mod tests {
         assert_eq!(Method::Modular.to_string(), "modular");
         assert_eq!(Method::Direct.to_string(), "direct");
         assert_eq!(Method::Lavagno.to_string(), "lavagno");
+    }
+
+    #[test]
+    fn every_method_round_trips_through_its_name() {
+        for method in Method::ALL {
+            assert_eq!(Method::parse(&method.to_string()), Some(method));
+        }
+        assert_eq!(Method::parse("bogus"), None);
+        assert_eq!(Method::parse("Modular"), None);
     }
 }

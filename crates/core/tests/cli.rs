@@ -132,6 +132,11 @@ fn failure_classes_map_to_distinct_exit_codes() {
         stderr.contains("dpll") && stderr.contains("cdcl"),
         "{stderr}"
     );
+    // 1: usage error (unknown method), stderr names the bad value.
+    let out = modsyn(&["benchmark:vbe-ex1", "--method", "bogus"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown method \"bogus\""), "{stderr}");
     // 2: input error (unknown benchmark).
     let out = modsyn(&["benchmark:no-such-benchmark"]);
     assert_eq!(out.status.code(), Some(2));

@@ -180,7 +180,7 @@ fn run_method(stg: &Stg, spec: &StateGraph, method: Method, eval: &EvalOptions) 
         Ok(Ok(report)) => {
             let spec_for_equiv = (spec.state_count() <= eval.equivalence_state_cap).then_some(spec);
             match certify_report(spec_for_equiv, &report) {
-                Ok(()) => (Verdict::Certified, report.literals, report.final_signals),
+                Ok(()) => (Verdict::Certified, report.literals, report.final_signals()),
                 Err(e) => (
                     Verdict::Violation(format!("oracle refused the result: {e}")),
                     0,

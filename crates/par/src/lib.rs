@@ -19,7 +19,7 @@
 //!
 //! Everything is instrumented through `modsyn-obs` (per-worker spans,
 //! `queue_depth` gauge, `panics` counter) when a pool is built
-//! [`WorkerPool::with_tracer`].
+//! [`WorkerPool::with_tracer_and_faults`].
 //!
 //! # Example
 //!

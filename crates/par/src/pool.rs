@@ -93,14 +93,15 @@ impl<T> JobHandle<T> {
 ///   sink recovers from poison by design).
 /// * **Drop semantics** — dropping the pool drains the queue: already
 ///   submitted jobs still run, then the workers exit and are joined.
-/// * **Observability** — built [`WorkerPool::with_tracer`], each worker
-///   runs under a `worker:<i>` span, each job under a `job:<label>` span on
-///   that worker's thread, the queue depth is sampled as a `queue_depth`
-///   gauge on every submit and every pop (so it returns to zero when the
-///   queue drains), and contained panics count into a `panics` counter.
-/// * **Fault injection** — built [`WorkerPool::with_tracer_and_faults`],
-///   the pool probes the `pool.*` sites per job; injections are mirrored
-///   into an `injected_faults` counter.
+/// * **Observability** — given a tracer
+///   ([`WorkerPool::with_tracer_and_faults`]), each worker runs under a
+///   `worker:<i>` span, each job under a `job:<label>` span on that
+///   worker's thread, the queue depth is sampled as a `queue_depth` gauge
+///   on every submit and every pop (so it returns to zero when the queue
+///   drains), and contained panics count into a `panics` counter.
+/// * **Fault injection** — given an armed plan, the pool probes the
+///   `pool.*` sites per job; injections are mirrored into an
+///   `injected_faults` counter.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -117,12 +118,7 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// A pool with `jobs` workers (at least one) and no instrumentation.
     pub fn new(jobs: usize) -> WorkerPool {
-        WorkerPool::with_tracer(jobs, Tracer::disabled())
-    }
-
-    /// A pool with `jobs` workers recording into `tracer`.
-    pub fn with_tracer(jobs: usize, tracer: Tracer) -> WorkerPool {
-        WorkerPool::with_tracer_and_faults(jobs, tracer, Faults::none())
+        WorkerPool::with_tracer_and_faults(jobs, Tracer::disabled(), Faults::none())
     }
 
     /// A pool with `jobs` workers, a tracer, and an armed fault plan. The
@@ -320,7 +316,7 @@ mod tests {
     #[test]
     fn panicking_job_does_not_poison_the_obs_sink() {
         let tracer = Tracer::enabled();
-        let pool = WorkerPool::with_tracer(2, tracer.clone());
+        let pool = WorkerPool::with_tracer_and_faults(2, tracer.clone(), Faults::none());
         let bad = pool.submit("boom", || -> () { panic!("die mid-span") });
         assert!(bad.join().is_err());
         // The sink mutex is still usable from any thread, and the panic
@@ -337,7 +333,7 @@ mod tests {
     fn pool_instrumentation_records_workers_and_queue_depth() {
         let tracer = Tracer::enabled();
         {
-            let pool = WorkerPool::with_tracer(3, tracer.clone());
+            let pool = WorkerPool::with_tracer_and_faults(3, tracer.clone(), Faults::none());
             let handles: Vec<_> = (0..6).map(|i| pool.submit("t", move || i)).collect();
             for h in handles {
                 let _ = h.join();
@@ -357,7 +353,7 @@ mod tests {
             .with_flight(flight.clone())
             .with_histograms(hists.clone());
         {
-            let pool = WorkerPool::with_tracer(2, tracer);
+            let pool = WorkerPool::with_tracer_and_faults(2, tracer, Faults::none());
             let handles: Vec<_> = (0..5).map(|i| pool.submit("w", move || i)).collect();
             for h in handles {
                 let _ = h.join();

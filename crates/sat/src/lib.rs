@@ -40,6 +40,7 @@ mod exhaustive;
 mod heuristic;
 mod lit;
 mod model;
+mod poll;
 mod solver;
 mod stats;
 
@@ -50,5 +51,6 @@ pub use exhaustive::{solve_exhaustive, EXHAUSTIVE_VAR_LIMIT};
 pub use heuristic::Heuristic;
 pub use lit::{Lit, Var};
 pub use model::Model;
+pub use poll::SearchPoll;
 pub use solver::{solve, Outcome, Solver, SolverOptions};
 pub use stats::SolverStats;

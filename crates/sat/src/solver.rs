@@ -2,10 +2,11 @@
 //! classic chronological DPLL (the branch-and-bound mode of the original
 //! SIS solver, kept for baselines and ablations).
 
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::Faults;
 use modsyn_par::CancelToken;
 
 use crate::heuristic::static_scores;
+use crate::poll::SearchPoll;
 use crate::{CnfFormula, Heuristic, Lit, Model, SolverStats, Var};
 
 /// Search limits and heuristic selection for a [`Solver`].
@@ -112,23 +113,9 @@ pub struct Solver<'f> {
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
     stats: SolverStats,
-    /// Cooperative cancellation, polled every [`CANCEL_POLL_MASK`]+1
-    /// search-loop iterations. Inert by default.
-    cancel: CancelToken,
-    /// Iteration counter driving the cancellation poll cadence.
-    tick: u64,
-    /// Fault-injection handle, probed at the cancellation cadence. Inert
-    /// by default.
-    faults: Faults,
-    /// Iteration counter driving the fault-probe cadence (kept separate
-    /// from `tick` so arming faults never shifts the cancel poll points).
-    fault_tick: u64,
+    /// Cancel token and fault plan, polled once per search-loop iteration.
+    poll: SearchPoll,
 }
-
-/// The search loops poll the cancel token once every `CANCEL_POLL_MASK + 1`
-/// iterations, keeping the atomic load (and possible clock read) off the
-/// hot path.
-const CANCEL_POLL_MASK: u64 = 0xFF;
 
 impl<'f> Solver<'f> {
     /// Prepares a solver for `formula`.
@@ -163,10 +150,7 @@ impl<'f> Solver<'f> {
             saved_phase: vec![false; n],
             seen: vec![false; n],
             stats: SolverStats::default(),
-            cancel: CancelToken::never(),
-            tick: 0,
-            faults: Faults::none(),
-            fault_tick: 0,
+            poll: SearchPoll::default(),
         }
     }
 
@@ -176,7 +160,7 @@ impl<'f> Solver<'f> {
     /// (DESIGN.md §7).
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+        self.poll.cancel = cancel;
         self
     }
 
@@ -188,39 +172,8 @@ impl<'f> Solver<'f> {
     /// branch per poll window.
     #[must_use]
     pub fn with_faults(mut self, faults: Faults) -> Self {
-        self.faults = faults;
+        self.poll.faults = faults;
         self
-    }
-
-    /// Whether the cancel token should abort the search; polled every
-    /// `CANCEL_POLL_MASK + 1` calls (and on the first).
-    fn poll_cancelled(&mut self) -> bool {
-        if !self.cancel.is_cancellable() {
-            return false;
-        }
-        self.tick = self.tick.wrapping_add(1);
-        (self.tick & CANCEL_POLL_MASK) == 1 && self.cancel.is_cancelled()
-    }
-
-    /// Probes the armed fault plan (if any) at the cancellation cadence:
-    /// `sat.abort` forces an early [`Outcome::Aborted`], and
-    /// `sat.conflict-storm` behaves as if the search just burned through
-    /// its whole backtrack budget ([`Outcome::BacktrackLimit`]).
-    fn poll_injected(&mut self) -> Option<Outcome> {
-        if !self.faults.is_armed() {
-            return None;
-        }
-        self.fault_tick = self.fault_tick.wrapping_add(1);
-        if (self.fault_tick & CANCEL_POLL_MASK) != 1 {
-            return None;
-        }
-        if self.faults.fire(site::SAT_ABORT) {
-            return Some(Outcome::Aborted);
-        }
-        if self.faults.fire(site::SAT_CONFLICT_STORM) {
-            return Some(Outcome::BacktrackLimit);
-        }
-        None
     }
 
     /// Statistics of the last [`Solver::solve`] run.
@@ -523,8 +476,7 @@ impl<'f> Solver<'f> {
         }
         self.clauses.clear();
         self.activity_inc = 1.0;
-        self.tick = 0;
-        self.fault_tick = 0;
+        self.poll.reset();
     }
 
     /// Runs the search to completion or to a limit. Repeated calls restart
@@ -553,10 +505,10 @@ impl<'f> Solver<'f> {
         let mut conflicts_since_restart = 0u64;
 
         loop {
-            if self.poll_cancelled() {
+            if self.poll.poll_cancelled() {
                 return Outcome::Aborted;
             }
-            if let Some(injected) = self.poll_injected() {
+            if let Some(injected) = self.poll.poll_injected() {
                 return injected;
             }
             if let Some(conflict) = self.propagate() {
@@ -618,10 +570,10 @@ impl<'f> Solver<'f> {
 
     fn solve_chronological(&mut self) -> Outcome {
         loop {
-            if self.poll_cancelled() {
+            if self.poll.poll_cancelled() {
                 return Outcome::Aborted;
             }
-            if let Some(injected) = self.poll_injected() {
+            if let Some(injected) = self.poll.poll_injected() {
                 return injected;
             }
             if let Some(conflict) = self.propagate() {
@@ -691,6 +643,7 @@ pub fn solve(formula: &CnfFormula, options: SolverOptions) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsyn_fault::site;
 
     fn lit(i: usize, pos: bool) -> Lit {
         Lit::with_polarity(Var::new(i), pos)

@@ -51,7 +51,7 @@ use modsyn_fault::{site, FaultHook, Faults};
 
 use crate::snapshot::{snapshot_doc, snapshot_from_json, SnapshotData};
 use crate::store::SynthStore;
-use crate::wal::{scan_wal, StoreMutation, Wal};
+use crate::wal::{scan_wal, Wal};
 
 /// Current-generation snapshot file name.
 pub const SNAP_FILE: &str = "snap.json";
@@ -204,19 +204,15 @@ impl DurableStore {
         Ok((durable, data))
     }
 
-    /// The tuning this store was opened with.
-    pub fn config(&self) -> &DurableConfig {
-        &self.config
-    }
-
     /// What [`DurableStore::open`]'s recovery found.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
     }
 
-    /// Journals one encoded entry ([`StoreMutation::payload`]) write-ahead
-    /// and returns its sequence number; the caller applies the entry in
-    /// memory and then calls [`DurableStore::applied`].
+    /// Journals one encoded entry ([`crate::StoreMutation::payload`])
+    /// write-ahead and returns its sequence number; the caller applies the
+    /// entry in memory and then calls [`DurableStore::applied`]
+    /// ([`SynthStore::insert`] is that caller).
     ///
     /// # Errors
     ///
@@ -229,18 +225,6 @@ impl DurableStore {
     /// move past it.
     pub fn applied(&self, seq: u64) {
         self.applied.fetch_max(seq, Ordering::AcqRel);
-    }
-
-    /// Journals `mutation`, applies it via `apply`, and marks it applied
-    /// ([`SynthStore::insert`] does the same with its already-encoded
-    /// payload). Journal failures are swallowed after the first sync loss
-    /// (durability degrades; serving must not).
-    pub fn record(&self, mutation: &StoreMutation, apply: impl FnOnce()) {
-        let seq = self.append(&mutation.payload()).ok();
-        apply();
-        if let Some(seq) = seq {
-            self.applied(seq);
-        }
     }
 
     /// Whether enough frames accumulated to warrant a checkpoint.
@@ -306,11 +290,6 @@ impl DurableStore {
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.load(Ordering::Relaxed)
     }
-
-    /// Torn journal appends injected by the fault plane.
-    pub fn torn_injected(&self) -> u64 {
-        self.wal.torn_injected()
-    }
 }
 
 /// Loads and decodes one snapshot generation.
@@ -324,6 +303,7 @@ fn load_snapshot(path: &Path) -> Result<SnapshotData, String> {
 mod tests {
     use super::*;
     use crate::provenance::{FormulaStat, ModuleEntry};
+    use crate::wal::StoreMutation;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -346,6 +326,13 @@ mod tests {
         }
     }
 
+    /// A store journaling every insert into `d`, as the daemon runs it.
+    fn journaled(d: &Arc<DurableStore>) -> SynthStore {
+        let store = SynthStore::new();
+        store.attach_durable(Arc::clone(d));
+        store
+    }
+
     fn module(n: usize) -> StoreMutation {
         StoreMutation::Module {
             key: n as u64,
@@ -361,8 +348,9 @@ mod tests {
             let (d, data) = DurableStore::open(config.clone(), Faults::none()).unwrap();
             assert!(!d.recovery().snapshot_loaded);
             assert_eq!(data, SnapshotData::default());
+            let store = journaled(&d);
             for n in 1..=3 {
-                d.record(&module(n), || {});
+                store.insert(module(n));
             }
         } // dropped, no checkpoint — the simulated kill -9
         let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
@@ -377,18 +365,16 @@ mod tests {
     fn checkpoint_compacts_and_rotates_generations() {
         let dir = temp_dir("checkpoint");
         let config = DurableConfig::new(&dir);
-        let store = SynthStore::new();
         let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
+        let store = journaled(&d);
         for n in 1..=4 {
-            let m = module(n);
-            d.record(&m, || store.insert(m.clone()));
+            store.insert(module(n));
         }
         d.checkpoint(&store).unwrap();
         assert!(dir.join(SNAP_FILE).exists());
         assert!(!dir.join(SNAP_PREV_FILE).exists(), "first generation");
         // Second checkpoint rotates the first into the previous slot.
         store.put_module(99, entry(99));
-        d.record(&module(99), || {});
         d.checkpoint(&store).unwrap();
         assert!(dir.join(SNAP_PREV_FILE).exists());
 
@@ -405,13 +391,13 @@ mod tests {
     fn corrupt_current_generation_falls_back_to_previous() {
         let dir = temp_dir("fallback");
         let config = DurableConfig::new(&dir);
-        let store = SynthStore::new();
         let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-        d.record(&module(1), || store.put_module(1, entry(1)));
+        let store = journaled(&d);
+        store.put_module(1, entry(1));
         d.checkpoint(&store).unwrap();
-        d.record(&module(2), || store.put_module(2, entry(2)));
+        store.put_module(2, entry(2));
         d.checkpoint(&store).unwrap();
-        drop(d);
+        drop((store, d));
         // Corrupt the current generation mid-file.
         let snap = dir.join(SNAP_FILE);
         let mut bytes = std::fs::read(&snap).unwrap();
@@ -458,7 +444,7 @@ mod tests {
         assert_eq!(report.bytes_truncated, old_journal.len() as u64);
         assert!(data.entries.is_empty());
         // The journal restarts in the current format.
-        d.record(&module(2), || {});
+        journaled(&d).insert(module(2));
         drop(d);
         let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
         let report = d.recovery();
@@ -472,11 +458,11 @@ mod tests {
         use modsyn_fault::{FaultPlan, FaultRule};
         let dir = temp_dir("inject");
         let config = DurableConfig::new(&dir);
-        let store = SynthStore::new();
         let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-        d.record(&module(1), || store.put_module(1, entry(1)));
+        let store = journaled(&d);
+        store.put_module(1, entry(1));
         d.checkpoint(&store).unwrap();
-        drop(d);
+        drop((store, d));
         let faults = FaultPlan::new("test", 7)
             .rule(FaultRule::at(site::STORE_SNAPSHOT_CORRUPT).times(1))
             .arm();
@@ -497,12 +483,13 @@ mod tests {
         let faults = FaultPlan::new("test", 7)
             .rule(FaultRule::at(site::STORE_WAL_TORN_WRITE).skip(1).times(1))
             .arm();
-        let (d, _) = DurableStore::open(config.clone(), faults).unwrap();
+        let (d, _) = DurableStore::open(config.clone(), faults.clone()).unwrap();
+        let store = journaled(&d);
         for n in 1..=4 {
-            d.record(&module(n), || {});
+            store.insert(module(n));
         }
-        assert_eq!(d.torn_injected(), 1);
-        drop(d);
+        assert_eq!(faults.injected_at(site::STORE_WAL_TORN_WRITE), 1);
+        drop((store, d));
         let (d, data) = DurableStore::open(config, Faults::none()).unwrap();
         let report = d.recovery();
         // Frame 1 is whole; frame 2 is torn; 3 and 4 are unreachable past

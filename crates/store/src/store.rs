@@ -298,11 +298,6 @@ impl StoreSession {
         })
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<SynthStore> {
-        &self.store
-    }
-
     /// Counted module lookup: bumps the session *and* store hit/miss
     /// counters.
     pub fn get_module(&self, key: u64) -> Option<Arc<ModuleEntry>> {

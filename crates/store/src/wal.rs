@@ -242,7 +242,6 @@ pub struct Wal {
     faults: Faults,
     appends: AtomicU64,
     fsyncs: AtomicU64,
-    torn_injected: AtomicU64,
 }
 
 impl std::fmt::Debug for WalFile {
@@ -292,7 +291,6 @@ impl Wal {
             faults,
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-            torn_injected: AtomicU64::new(0),
         })
     }
 
@@ -316,7 +314,6 @@ impl Wal {
         let frame = frame(seq, payload);
         let torn = self.faults.fire(site::STORE_WAL_TORN_WRITE);
         let bytes = if torn {
-            self.torn_injected.fetch_add(1, Ordering::Relaxed);
             &frame[..frame.len() / 2]
         } else {
             &frame[..]
@@ -342,11 +339,6 @@ impl Wal {
     /// fsync(2) calls issued.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Torn appends injected by the fault plane.
-    pub fn torn_injected(&self) -> u64 {
-        self.torn_injected.load(Ordering::Relaxed)
     }
 
     /// Runs a checkpoint under the journal lock, so no appends interleave

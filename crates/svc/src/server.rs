@@ -857,7 +857,7 @@ fn explain(shared: &Shared, request: &Request) -> Response {
     };
     let method = match request.query_param("method") {
         None => Method::Modular,
-        Some(name) => match parse_method(name) {
+        Some(name) => match Method::parse(name) {
             Some(m @ (Method::Modular | Method::ModularMinArea)) => m,
             _ => {
                 http_error_counted(shared);
@@ -950,16 +950,6 @@ fn http_error_counted(shared: &Shared) {
         .count(&shared.metrics.http_errors, &shared.tracer, "http_errors");
 }
 
-fn parse_method(name: &str) -> Option<Method> {
-    match name {
-        "modular" => Some(Method::Modular),
-        "modular-min-area" => Some(Method::ModularMinArea),
-        "direct" => Some(Method::Direct),
-        "lavagno" => Some(Method::Lavagno),
-        _ => None,
-    }
-}
-
 fn method_tag(method: Method) -> u8 {
     match method {
         Method::Modular => 0,
@@ -1037,7 +1027,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
     }
     let method = match request.query_param("method") {
         None => Method::Modular,
-        Some(name) => match parse_method(name) {
+        Some(name) => match Method::parse(name) {
             Some(m) => m,
             None => {
                 http_error_counted(shared);
@@ -1406,8 +1396,8 @@ fn run_synthesis(
     SynthOutcome::Certified {
         record: SynthRecord {
             benchmark: report.benchmark,
-            inserted: report.inserted,
-            provenance: report.provenance,
+            inserted: report.csc.inserted,
+            provenance: report.csc.provenance,
             body,
         },
         recovered,
@@ -1434,6 +1424,7 @@ pub fn render_report(report: &modsyn::SynthesisReport) -> Vec<u8> {
     );
     let inserted = Json::Arr(
         report
+            .csc
             .inserted
             .iter()
             .map(|s| Json::from(s.as_str()))
@@ -1445,8 +1436,8 @@ pub fn render_report(report: &modsyn::SynthesisReport) -> Vec<u8> {
         ("certified", Json::from(true)),
         ("initial_states", Json::from(report.initial_states)),
         ("initial_signals", Json::from(report.initial_signals)),
-        ("final_states", Json::from(report.final_states)),
-        ("final_signals", Json::from(report.final_signals)),
+        ("final_states", Json::from(report.final_states())),
+        ("final_signals", Json::from(report.final_signals())),
         ("literals", Json::from(report.literals)),
         ("inserted", inserted),
         ("functions", functions),

@@ -33,7 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = synthesize(&stg, &SynthesisOptions::for_method(Method::Modular))?;
     println!(
         "synthesised: {} -> {} signals, {} literals",
-        report.initial_signals, report.final_signals, report.literals
+        report.initial_signals,
+        report.final_signals(),
+        report.literals
     );
     for f in &report.functions {
         println!("  {:6} = {}", f.name, f.sop);

@@ -28,12 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(report) => {
                 println!(
                     "  {method:8} {:>3} final signals, {:>4} literals, {} formulas, {:.3}s",
-                    report.final_signals,
+                    report.final_signals(),
                     report.literals,
-                    report.formulas.len(),
+                    report.csc.formulas.len(),
                     started.elapsed().as_secs_f64(),
                 );
-                for f in &report.formulas {
+                for f in &report.csc.formulas {
                     println!(
                         "           formula: {} state signals, {} vars, {} clauses -> {}",
                         f.state_signals,

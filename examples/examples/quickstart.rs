@@ -41,7 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "final graph: {} states, {} signals; two-level area {} literals",
-        report.final_states, report.final_signals, report.literals,
+        report.final_states(),
+        report.final_signals(),
+        report.literals,
     );
     println!("\nlogic functions (prime-irredundant SOP):");
     for f in &report.functions {

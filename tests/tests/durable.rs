@@ -155,13 +155,14 @@ fn previous_generation_fallback_report_is_pinned() {
     let dir = temp_dir("fallback-pin");
     let config = DurableConfig::new(&dir);
     {
-        let store = SynthStore::new();
         let (d, _) = DurableStore::open(config.clone(), Faults::none()).unwrap();
-        d.record(&module(1), || store.insert(module(1)));
+        let store = SynthStore::new();
+        store.attach_durable(d.clone());
+        store.insert(module(1));
         d.checkpoint(&store).unwrap(); // gen 1: {1}
-        d.record(&module(2), || store.insert(module(2)));
+        store.insert(module(2));
         d.checkpoint(&store).unwrap(); // gen 2: {1,2}; gen 1 rotates to prev
-        d.record(&module(3), || {});
+        store.insert(module(3));
     } // dropped without a final checkpoint: frame 3 lives in the journal
     std::fs::write(dir.join(SNAP_FILE), b"{\"version\": garbage").unwrap();
 
@@ -282,8 +283,10 @@ fn server_recovers_journal_only_state_after_a_crash() {
     {
         let (d, _) =
             DurableStore::open(DurableConfig::new(&dir), Faults::none()).expect("open durable");
+        let store = SynthStore::new();
+        store.attach_durable(d);
         for n in 1..=5 {
-            d.record(&module(n), || {});
+            store.insert(module(n));
         }
     } // dropped with no checkpoint — the simulated kill -9
 

@@ -142,7 +142,7 @@ fn ladder_output_under_faults_is_identical_to_the_clean_run_and_certifies() {
 
     // The recovered report is *the* report: same logic, same area, and it
     // passes the independent oracle including observation equivalence.
-    assert_eq!(out.report.final_states, clean.final_states);
+    assert_eq!(out.report.final_states(), clean.final_states());
     assert_eq!(out.report.literals, clean.literals);
     let render = |r: &modsyn::SynthesisReport| -> Vec<String> {
         r.functions
@@ -195,7 +195,8 @@ fn the_ladder_returns_the_clean_circuit_under_a_conflict_storm_for_each_engine()
             assert_eq!(out.attempts.len(), 3, "{engine} {row}");
             assert_eq!(faults.total_injected(), 3, "{engine} {row}");
             assert_eq!(render(&out.report), render(&clean), "{engine} {row}");
-            assert_eq!(out.report.inserted, clean.inserted, "{engine} {row}");
+            let (got, want) = (&out.report.csc.inserted, &clean.csc.inserted);
+            assert_eq!(got, want, "{engine} {row}");
         }
     }
 }

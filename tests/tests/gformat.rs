@@ -77,6 +77,6 @@ fn synthesis_result_is_stable_across_round_trip() {
     let again = parse_g(&write_g(&stg)).unwrap();
     let a = synthesize(&stg, &SynthesisOptions::for_method(Method::Modular)).unwrap();
     let b = synthesize(&again, &SynthesisOptions::for_method(Method::Modular)).unwrap();
-    assert_eq!(a.final_signals, b.final_signals);
+    assert_eq!(a.final_signals(), b.final_signals());
     assert_eq!(a.literals, b.literals);
 }

@@ -38,7 +38,7 @@ fn digest_of(stg: &Stg, options: &SynthesisOptions) -> u64 {
 /// names, then one `cube mask` line per term.
 fn shared_digest_of(stg: &Stg, options: &SynthesisOptions) -> u64 {
     let report = synthesize(stg, options).expect("pinned case synthesises");
-    let (shared, names) = derive_logic_shared(&report.graph).expect("graph satisfies CSC");
+    let (shared, names) = derive_logic_shared(&report.csc.graph).expect("graph satisfies CSC");
     let mut text = names.join(" ");
     text.push('\n');
     for term in shared.cubes() {

@@ -25,8 +25,8 @@ fn all_methods_agree_on_tiny_benchmarks() {
             .unwrap_or_else(|e| panic!("{name} lavagno: {e}"));
         // On these tiny graphs every method should find the same number of
         // state signals and an identical-cost implementation.
-        assert_eq!(modular.final_signals, direct.final_signals, "{name}");
-        assert_eq!(modular.final_signals, lavagno.final_signals, "{name}");
+        assert_eq!(modular.final_signals(), direct.final_signals(), "{name}");
+        assert_eq!(modular.final_signals(), lavagno.final_signals(), "{name}");
         assert_eq!(modular.literals, direct.literals, "{name}");
     }
 }
@@ -88,8 +88,8 @@ fn formula_decomposition_shrinks_instances() {
     // Per-module formulas must be much smaller than the direct instance.
     let stg = benchmarks::mmu0();
     let modular = synthesize(&stg, &with_limit(Method::Modular, 50_000)).unwrap();
-    let max_module_vars = modular
-        .formulas
+    let formulas = &modular.csc.formulas;
+    let max_module_vars = formulas
         .iter()
         .map(|f| f.variables)
         .max()
@@ -105,7 +105,5 @@ fn formula_decomposition_shrinks_instances() {
         "module {max_module_vars} vars vs direct {}",
         direct.formula.num_vars()
     );
-    assert!(
-        modular.formulas.iter().map(|f| f.clauses).max().unwrap() < direct.formula.clause_count()
-    );
+    assert!(formulas.iter().map(|f| f.clauses).max().unwrap() < direct.formula.clause_count());
 }

@@ -20,7 +20,7 @@ fn modular_mmu0_trace_has_one_span_per_module() {
     // One `module:<output>` span per module the flow solved, each carrying a
     // non-zero formula size — the per-module SAT instances of Section 3.
     let module_spans = trace.spans_with_prefix("module:");
-    assert_eq!(module_spans.len(), report.modules.len());
+    assert_eq!(module_spans.len(), report.csc.modules.len());
     assert!(!module_spans.is_empty(), "mmu0 must decompose into modules");
     for span in &module_spans {
         assert!(span.gauge("clauses").unwrap() > 0.0, "{}", span.name);
@@ -105,7 +105,7 @@ fn disabled_tracer_changes_nothing() {
     let plain = modsyn::synthesize(&stg, &options).unwrap();
     let tracer = Tracer::disabled();
     let traced = synthesize_traced(&stg, &options, &tracer).unwrap();
-    assert_eq!(plain.final_signals, traced.final_signals);
+    assert_eq!(plain.final_signals(), traced.final_signals());
     assert_eq!(plain.literals, traced.literals);
     assert!(tracer.events().is_empty());
 }

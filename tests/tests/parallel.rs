@@ -19,16 +19,16 @@ fn canonical(report: &SynthesisReport) -> String {
         report.benchmark,
         report.method,
         report.initial_states,
-        report.final_states,
+        report.final_states(),
         report.initial_signals,
-        report.final_signals,
+        report.final_signals(),
         report.literals,
     )
     .unwrap();
-    for f in &report.formulas {
+    for f in &report.csc.formulas {
         writeln!(s, "formula {f:?}").unwrap();
     }
-    for m in &report.modules {
+    for m in &report.csc.modules {
         writeln!(s, "module {m:?}").unwrap();
     }
     for f in &report.functions {

@@ -39,7 +39,7 @@ fn modular_flow_resolves_and_verifies_small_benchmarks() {
             "{name}: no state signal inserted"
         );
         assert!(report.literals > 0, "{name}");
-        assert!(report.final_states >= report.initial_states, "{name}");
+        assert!(report.final_states() >= report.initial_states, "{name}");
         // Every non-input signal of the final graph got a function (the
         // inserted state signals are all non-input).
         let inputs = stg
@@ -48,7 +48,7 @@ fn modular_flow_resolves_and_verifies_small_benchmarks() {
             .count();
         assert_eq!(
             report.functions.len(),
-            report.final_signals - inputs,
+            report.final_signals() - inputs,
             "{name}: one function per non-input signal"
         );
     }

@@ -260,7 +260,7 @@ fn malformed_requests_get_typed_errors_and_the_accept_loop_survives() {
         response.text()
     );
 
-    // Unknown method value → 400.
+    // Unknown method value → 400, tagged.
     let response = client::request(
         handle.addr(),
         "POST",
@@ -270,6 +270,11 @@ fn malformed_requests_get_typed_errors_and_the_accept_loop_survives() {
     )
     .expect("request");
     assert_eq!(response.status, 400);
+    assert!(
+        response.text().contains("\"error\":\"unknown-method\""),
+        "{}",
+        response.text()
+    );
 
     // Unknown path → 404.
     let response = client::request(handle.addr(), "GET", "/nope", b"", TIMEOUT).expect("request");
