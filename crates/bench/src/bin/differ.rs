@@ -39,6 +39,7 @@
 //! and configuration needed to reproduce.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use modsyn::{certify_report, Engine, Method, SynthesisError, SynthesisOptions, SynthesisReport};
 use modsyn_bench::TABLE1_BACKTRACK_LIMIT;
@@ -133,7 +134,9 @@ fn failure_is_legitimate(e: &SynthesisError) -> bool {
 }
 
 /// Runs the full configuration matrix on one subject; returns the first
-/// disagreement as an error message, or `Ok` if the subject agrees.
+/// disagreement as an error message, or `Ok` if the subject agrees. Each
+/// configuration's progress line (with `verbose`) and failure message
+/// carry its wall time: synthesis plus certification.
 fn check_subject(stg: &Stg, limit: u64, verbose: bool) -> Result<(), String> {
     let spec = derive(stg, &DeriveOptions::default())
         .map_err(|e| format!("specification graph underivable: {e}"))?;
@@ -146,26 +149,40 @@ fn check_subject(stg: &Stg, limit: u64, verbose: bool) -> Result<(), String> {
             jobs: cfg.jobs,
             ..Default::default()
         };
+        let started = Instant::now();
+        let secs = || started.elapsed().as_secs_f64();
         match modsyn::synthesize(stg, &options) {
             Ok(report) => {
-                certify_report(Some(&spec), &report)
-                    .map_err(|e| format!("{}: oracle violation: {e}", cfg.label))?;
+                certify_report(Some(&spec), &report).map_err(|e| {
+                    format!("{}: oracle violation: {e} [{:.2}s]", cfg.label, secs())
+                })?;
                 if verbose {
                     eprintln!(
-                        "    {}: ok ({} states, {} literals)",
+                        "    {}: ok ({} states, {} literals) [{:.2}s]",
                         cfg.label,
                         report.final_states(),
-                        report.literals
+                        report.literals,
+                        secs()
                     );
                 }
                 successes.push((cfg.label, report));
             }
             Err(e) if failure_is_legitimate(&e) => {
                 if verbose {
-                    eprintln!("    {}: legitimate failure: {e}", cfg.label);
+                    eprintln!(
+                        "    {}: legitimate failure: {e} [{:.2}s]",
+                        cfg.label,
+                        secs()
+                    );
                 }
             }
-            Err(e) => return Err(format!("{}: illegitimate failure: {e}", cfg.label)),
+            Err(e) => {
+                return Err(format!(
+                    "{}: illegitimate failure: {e} [{:.2}s]",
+                    cfg.label,
+                    secs()
+                ))
+            }
         }
     }
 

@@ -179,6 +179,10 @@ pub struct Cdcl<'f> {
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
     to_clear: Vec<u32>,
+    /// The clause the last analysis learned, asserting literal first, and
+    /// the minimisation probe's stack; both reused across conflicts.
+    learnt: Vec<Lit>,
+    min_stack: Vec<Lit>,
     /// Scratch for level-dedup in LBD computation / backjump selection.
     level_seen: Vec<u32>,
     level_stamp: u32,
@@ -245,6 +249,8 @@ impl<'f> Cdcl<'f> {
             max_learnts: (formula.clause_count() as f64 / 3.0).max(2000.0),
             seen: vec![false; n],
             to_clear: Vec::new(),
+            learnt: Vec::new(),
+            min_stack: Vec::new(),
             level_seen: vec![0; n + 1],
             level_stamp: 0,
             assumptions: Vec::new(),
@@ -539,10 +545,12 @@ impl<'f> Cdcl<'f> {
     }
 
     /// 1-UIP conflict analysis with deep (recursive) minimisation.
-    /// Returns the learned clause (asserting literal first) and the
-    /// backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit::positive(Var::new(0))]; // placeholder
+    /// Leaves the learned clause in `self.learnt` (asserting literal
+    /// first) and returns the backjump level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
+        let mut learned = std::mem::take(&mut self.learnt);
+        learned.clear();
+        learned.push(Lit::positive(Var::new(0))); // placeholder
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -632,15 +640,19 @@ impl<'f> Cdcl<'f> {
             self.seen[vi as usize] = false;
         }
         self.to_clear.clear();
-        (learned, backjump)
+        self.learnt = learned;
+        backjump
     }
 
     /// Whether `lit`'s negation is implied by the remaining learned-clause
     /// literals (minisat's `litRedundant`, iterative).
     fn lit_redundant(&mut self, lit: Lit, abstract_levels: u32) -> bool {
-        let mut stack: Vec<Lit> = vec![lit];
+        let mut stack = std::mem::take(&mut self.min_stack);
+        stack.clear();
+        stack.push(lit);
         let undo_from = self.to_clear.len();
-        while let Some(q) = stack.pop() {
+        let mut redundant = true;
+        'probe: while let Some(q) = stack.pop() {
             let reason = self.reasons[q.var().index()];
             debug_assert_ne!(reason, NO_REASON);
             let h = self.clauses[reason as usize];
@@ -668,11 +680,13 @@ impl<'f> Cdcl<'f> {
                         self.seen[vi as usize] = false;
                     }
                     self.to_clear.truncate(undo_from);
-                    return false;
+                    redundant = false;
+                    break 'probe;
                 }
             }
         }
-        true
+        self.min_stack = stack;
+        redundant
     }
 
     /// Deletes the worst half of the deletable learned clauses: sorted by
@@ -753,7 +767,8 @@ impl<'f> Cdcl<'f> {
         if self.root_unsat {
             return Outcome::Unsatisfiable;
         }
-        self.assumptions = assumptions.to_vec();
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
         self.cancel_until(0);
         match self.propagate() {
             Err(()) => return Outcome::Aborted,
@@ -792,7 +807,8 @@ impl<'f> Cdcl<'f> {
                     self.root_unsat = true;
                     return Outcome::Unsatisfiable;
                 }
-                let (learned, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
+                let learned = std::mem::take(&mut self.learnt);
                 self.stats.learned_clauses += 1;
                 self.stats.learned_literals += learned.len() as u64;
                 self.activity_inc /= VAR_DECAY;
@@ -809,6 +825,7 @@ impl<'f> Cdcl<'f> {
                     let cid = self.attach_clause(&learned, true, lbd);
                     self.assign(learned[0], cid);
                 }
+                self.learnt = learned;
                 if self.learnt_live as f64 >= self.max_learnts {
                     self.reduce_db();
                     self.max_learnts *= 1.1;

@@ -1,7 +1,7 @@
 //! `modsyn` — command-line front end for the synthesis library.
 //!
 //! ```text
-//! modsyn <file.g | benchmark:NAME> [--method modular|modular-min-area|direct|lavagno]
+//! modsyn <file.g | benchmark:NAME> [--method METHOD]
 //!        [--engine dpll|cdcl] [--limit N] [--jobs N] [--timeout-ms T]
 //!        [--pla] [--dot] [--verilog] [--exact] [--hazards] [--check] [--quiet]
 //!        [--explain SIGNAL]
@@ -10,6 +10,7 @@
 //! `--engine` selects the SAT core deciding the CSC formulas: `cdcl`
 //! (default) is the modern conflict-driven core, `dpll` the classic
 //! paper-faithful engine. One serial search decides each formula.
+//! `--method` takes any name `--help` lists (`modular` by default).
 //!
 //! Reads an STG (a `.g` file, `-` for stdin, or `benchmark:<name>` for one
 //! of the built-in Table-1 stand-ins), resolves CSC with the chosen method
@@ -101,8 +102,9 @@ mod exit {
     pub const CHECK: u8 = 5;
 }
 
-fn usage() -> &'static str {
-    "usage: modsyn <file.g | - | benchmark:NAME> [--method modular|modular-min-area|direct|lavagno] \
+fn usage() -> String {
+    format!(
+        "usage: modsyn <file.g | - | benchmark:NAME> [--method {}] \
      [--engine dpll|cdcl] [--limit N] [--jobs N] [--timeout-ms T] [--retry] [--pla] [--dot] \
      [--verilog] [--exact] [--hazards] [--check] [--quiet] [--stats] [--trace-json FILE] \
      [--explain SIGNAL] [--version]\n\
@@ -119,7 +121,9 @@ fn usage() -> &'static str {
      \n\
      exit codes: 0 success; 1 usage error; 2 input error (file/parse); \
      3 synthesis failure; 4 aborted (--timeout-ms / cancellation / ladder exhausted); \
-     5 --check oracle rejection"
+     5 --check oracle rejection",
+        Method::choices()
+    )
 }
 
 /// What the command line asked for: a run, or an informational exit.
@@ -198,7 +202,7 @@ fn parse_args() -> Result<Parsed, String> {
         }
     }
     if args.source.is_empty() {
-        return Err(usage().to_string());
+        return Err(usage());
     }
     if !args.explain.is_empty() && !matches!(args.method, Method::Modular | Method::ModularMinArea)
     {

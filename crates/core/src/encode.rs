@@ -166,20 +166,15 @@ pub fn encode_csc(graph: &StateGraph, analysis: &CscAnalysis, m: usize) -> Encod
     encode_csc_partial(graph, analysis, &analysis.csc_pairs, m)
 }
 
-/// Like [`encode_csc`], but only the pairs in `resolve` get resolution
-/// clauses. Pairs left out stay in conflict (a later module resolves them);
-/// they need no constraints of their own because additional state signals
-/// can neither fix nor worsen an unresolved pair.
+/// The formula of clause families 1 and 1.5 alone for `m` state signals,
+/// with their family counts. Both families are emitted per signal with the
+/// same shape, so at `m = 1` this is what every single signal of any
+/// solution satisfies on its own.
 ///
 /// # Panics
 ///
 /// Panics if `m` is zero.
-pub fn encode_csc_partial(
-    graph: &StateGraph,
-    analysis: &CscAnalysis,
-    resolve: &[(usize, usize)],
-    m: usize,
-) -> Encoding {
+pub(crate) fn encode_signal_families(graph: &StateGraph, m: usize) -> Encoding {
     assert!(m > 0, "at least one state signal is required");
     let states = graph.state_count();
     let mut formula = CnfFormula::new(2 * states * m);
@@ -304,6 +299,30 @@ pub fn encode_csc_partial(
     }
 
     families.persistence = formula.clause_count() - families.total();
+    Encoding {
+        formula,
+        families,
+        ..enc
+    }
+}
+
+/// Like [`encode_csc`], but only the pairs in `resolve` get resolution
+/// clauses. Pairs left out stay in conflict (a later module resolves them);
+/// they need no constraints of their own because additional state signals
+/// can neither fix nor worsen an unresolved pair.
+///
+/// # Panics
+///
+/// Panics if `m` is zero.
+pub fn encode_csc_partial(
+    graph: &StateGraph,
+    analysis: &CscAnalysis,
+    resolve: &[(usize, usize)],
+    m: usize,
+) -> Encoding {
+    let mut enc = encode_signal_families(graph, m);
+    let mut formula = std::mem::replace(&mut enc.formula, CnfFormula::new(0));
+    let mut families = enc.families;
 
     // Family 3: no new conflicts on USC pairs. A pair is safe when either
     // (a) some signal holds stable opposite values on it — the split copies

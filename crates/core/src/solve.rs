@@ -2,15 +2,15 @@
 
 use std::time::Instant;
 
-use modsyn_cnc::{solve_with_engine_traced, Engine};
+use modsyn_cnc::{solve_with_engine_traced, Cdcl, CdclOptions, Engine};
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::{Outcome, SolverOptions, SolverStats};
+use modsyn_sat::{Lit, Outcome, SolverOptions, SolverStats};
 use modsyn_sg::{StateGraph, StateSignalAssignment};
 use modsyn_store::{ClauseFamilies, FormulaStat, Provenance, StoreLink};
 
-use crate::encode::encode_csc_partial;
+use crate::encode::{encode_csc_partial, encode_signal_families};
 use crate::modular::ModuleReport;
 use crate::SynthesisError;
 
@@ -131,6 +131,91 @@ fn shrink_excitation(
     modsyn_sat::Model::from_values(values)
 }
 
+/// What the one-signal separability proof found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Separability {
+    /// No pair was refuted: each has a one-signal separation, or the
+    /// budget ran out first.
+    Open,
+    /// Some pair has no one-signal separation (the span's note names it).
+    Inseparable,
+    /// The cancel token fired.
+    Aborted,
+}
+
+/// Whether one state signal can separate each pair of `resolve`: hold both
+/// states stable (`a = 0`) with opposite values (`b_i ≠ b_j`) while
+/// satisfying clause families 1 and 1.5.
+///
+/// A pair no single signal separates is unresolvable at every signal
+/// count. Families 1 and 1.5 are emitted per signal with the same shape,
+/// family 2 needs for each pair one signal that is stable and opposite on
+/// both states, and family 3 only adds constraints. So any m-signal model,
+/// restricted to the signal that separates the pair, satisfies the
+/// one-signal formula under that pair's assumptions.
+///
+/// The CDCL core decides the pairs in order on one one-signal formula
+/// under assumptions, in both orientations, within `budget` conflicts in
+/// all; a model found for one pair settles every later pair it also
+/// separates. These solves are not CSC attempts: they add no
+/// [`FormulaStat`] and no `sat.solve` span, only a `csc.separability`
+/// span with a `pairs` gauge, and an `inseparable` note on failure.
+fn separability(
+    graph: &StateGraph,
+    resolve: &[(usize, usize)],
+    budget: Option<u64>,
+    cancel: &CancelToken,
+    tracer: &Tracer,
+) -> Separability {
+    let _span = tracer.span("csc.separability");
+    tracer.gauge("pairs", resolve.len() as f64);
+    let encoding = encode_signal_families(graph, 1);
+    let (a, b) = (|s| encoding.a(s, 0), |s| encoding.b(s, 0));
+    let mut solver = Cdcl::new(
+        &encoding.formula,
+        CdclOptions {
+            max_conflicts: budget,
+        },
+    )
+    .with_cancel(cancel.clone());
+    let mut separated = vec![false; resolve.len()];
+    for (at, &(i, j)) in resolve.iter().enumerate() {
+        if separated[at] {
+            continue;
+        }
+        let mut verdict = Outcome::Unsatisfiable;
+        for (low, high) in [(i, j), (j, i)] {
+            verdict = solver.solve_with_assumptions(&[
+                Lit::negative(a(i)),
+                Lit::negative(a(j)),
+                Lit::negative(b(low)),
+                Lit::positive(b(high)),
+            ]);
+            if verdict != Outcome::Unsatisfiable {
+                break;
+            }
+        }
+        match verdict {
+            Outcome::Satisfiable(model) => {
+                let value = |v| model.value(v);
+                for (k, &(p, q)) in resolve.iter().enumerate().skip(at) {
+                    separated[k] |= !value(a(p)) && !value(a(q)) && value(b(p)) != value(b(q));
+                }
+            }
+            Outcome::Unsatisfiable => {
+                tracer.note("inseparable", &format!("({i}, {j})"));
+                return Separability::Inseparable;
+            }
+            Outcome::BacktrackLimit => {
+                tracer.note("budget", "exhausted");
+                return Separability::Open;
+            }
+            Outcome::Aborted => return Separability::Aborted,
+        }
+    }
+    Separability::Open
+}
+
 /// Result of [`solve_csc_scoped_traced`]; the default is the empty
 /// solution of a graph with nothing to resolve.
 #[derive(Debug, Clone, Default)]
@@ -199,6 +284,11 @@ impl CscOutcome {
 /// the formula size (`m`, `vars`, `clauses`), the nested `sat.solve` /
 /// `bdd.build` span, and the outcome.
 ///
+/// When the first attempt is unsatisfiable, a one-signal separability
+/// proof runs before any larger `m` is tried (DESIGN.md §2.2): a pair no
+/// single signal can separate fails the call at once with the error the
+/// last signal count would give.
+///
 /// # Errors
 ///
 /// * [`SynthesisError::BacktrackLimit`] if the SAT solver aborted,
@@ -250,8 +340,9 @@ pub fn solve_csc_scoped_traced(
         // fewer signals, so start from one.
         ResolveScope::ResolvableOnly => 1,
     };
-    let mut m = lower_bound.max(1);
-    let cap = m + options.extra_signals;
+    let first = lower_bound.max(1);
+    let cap = first + options.extra_signals;
+    let mut m = first;
 
     while m <= cap {
         if options.cancel.is_cancelled() {
@@ -315,12 +406,30 @@ pub fn solve_csc_scoped_traced(
             }
         };
         if let Some(model) = model {
+            #[cfg(test)]
+            tests::record_solved(graph, &resolve);
             return Ok(CscSolution {
                 assignments: encoding.decode(&model, NAME_PREFIX, name_offset),
                 formulas,
                 resolved_pairs: resolve,
                 families: encoding.families,
             });
+        }
+        // Only the first attempt can be the first UNSAT one; at the cap the
+        // loop ends with the same error anyway.
+        if m == first && m < cap {
+            let budget = options.solver.max_backtracks;
+            match separability(graph, &resolve, budget, &options.cancel, tracer) {
+                Separability::Open => {}
+                Separability::Inseparable => {
+                    return Err(SynthesisError::NoSolution { max_signals: cap });
+                }
+                Separability::Aborted => {
+                    return Err(SynthesisError::Aborted {
+                        elapsed: start.elapsed().as_secs_f64(),
+                    });
+                }
+            }
         }
         m += 1;
     }
@@ -332,6 +441,103 @@ mod tests {
     use super::*;
     use modsyn_sg::{derive, insert_state_signals, DeriveOptions};
     use modsyn_stg::benchmarks;
+    use std::cell::RefCell;
+
+    /// A CSC problem: the graph and the pairs its solve had to resolve.
+    type Problem = (StateGraph, Vec<(usize, usize)>);
+
+    thread_local! {
+        /// The problems solved on this thread while [`solved_by`] records.
+        static SOLVED: RefCell<Option<Vec<Problem>>> = const { RefCell::new(None) };
+    }
+
+    /// Called by every successful solve in test builds.
+    pub(super) fn record_solved(graph: &StateGraph, resolve: &[(usize, usize)]) {
+        SOLVED.with(|solved| {
+            if let Some(list) = solved.borrow_mut().as_mut() {
+                list.push((graph.clone(), resolve.to_vec()));
+            }
+        });
+    }
+
+    /// The CSC problems `run` solves on this thread.
+    fn solved_by(run: impl FnOnce()) -> Vec<Problem> {
+        SOLVED.with(|solved| *solved.borrow_mut() = Some(Vec::new()));
+        run();
+        SOLVED.with(|solved| solved.borrow_mut().take().expect("recording"))
+    }
+
+    #[test]
+    fn the_separability_proof_accepts_every_solved_problem() {
+        // The 19 small Table-1 rows, modular and direct under both
+        // engines, and corpus seeds 0-63 under the corpus contract
+        // (modular, dpll, 40 k backtracks).
+        const SMALL_ROWS: [&str; 19] = [
+            "sbuf-ram-write",
+            "vbe4a",
+            "nak-pa",
+            "pe-rcv-ifc-fc",
+            "ram-read-sbuf",
+            "alex-nonfc",
+            "sbuf-send-pkt2",
+            "sbuf-send-ctl",
+            "atod",
+            "pa",
+            "alloc-outbound",
+            "wrdata",
+            "fifo",
+            "sbuf-read-ctl",
+            "nouse",
+            "vbe-ex2",
+            "nousc-ser",
+            "sendr-done",
+            "vbe-ex1",
+        ];
+        let tracer = Tracer::disabled();
+        let problems = solved_by(|| {
+            for name in SMALL_ROWS {
+                let stg = benchmarks::by_name(name).expect("known benchmark");
+                let sg = derive(&stg, &DeriveOptions::default()).unwrap();
+                for engine in [Engine::Cdcl, Engine::Dpll] {
+                    let options = CscSolveOptions {
+                        engine,
+                        ..Default::default()
+                    };
+                    let _ = crate::modular_resolve(&sg, &options);
+                    let _ = crate::direct_resolve_traced(&sg, &options, &tracer);
+                }
+            }
+            let corpus = CscSolveOptions {
+                engine: Engine::Dpll,
+                solver: SolverOptions {
+                    max_backtracks: Some(40_000),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            for seed in 0..64 {
+                let stg = modsyn_corpus::corpus_case(seed).0;
+                if let Ok(sg) = derive(&stg, &DeriveOptions::default()) {
+                    let _ = crate::modular_resolve(&sg, &corpus);
+                }
+            }
+        });
+        assert!(problems.len() > 200, "only {} problems", problems.len());
+        for (graph, pairs) in &problems {
+            let verdict = separability(graph, pairs, None, &CancelToken::never(), &tracer);
+            assert_eq!(verdict, Separability::Open, "pairs {pairs:?}");
+        }
+    }
+
+    #[test]
+    fn a_cancelled_separability_proof_is_aborted() {
+        let sg = derive(&benchmarks::vbe_ex1(), &DeriveOptions::default()).unwrap();
+        let pairs = sg.csc_analysis().csc_pairs;
+        let token = CancelToken::new();
+        token.cancel();
+        let verdict = separability(&sg, &pairs, None, &token, &Tracer::disabled());
+        assert_eq!(verdict, Separability::Aborted);
+    }
 
     #[test]
     fn vbe_ex1_needs_exactly_one_signal() {

@@ -48,6 +48,12 @@ impl Method {
     pub fn parse(name: &str) -> Option<Method> {
         Method::ALL.into_iter().find(|m| m.to_string() == name)
     }
+
+    /// Every method's name in CLI usage order, `|`-separated: the
+    /// choices the CLI usage and the daemon's unknown-method error list.
+    pub fn choices() -> String {
+        Method::ALL.map(|m| m.to_string()).join("|")
+    }
 }
 
 impl std::fmt::Display for Method {
@@ -281,5 +287,16 @@ mod tests {
         }
         assert_eq!(Method::parse("bogus"), None);
         assert_eq!(Method::parse("Modular"), None);
+    }
+
+    #[test]
+    fn the_choice_list_names_every_method_once() {
+        let choices = Method::choices();
+        assert_eq!(choices, "modular|modular-min-area|direct|lavagno");
+        let names: Vec<&str> = choices.split('|').collect();
+        assert_eq!(names.len(), Method::ALL.len());
+        for method in Method::ALL {
+            assert!(names.contains(&method.to_string().as_str()), "{method}");
+        }
     }
 }

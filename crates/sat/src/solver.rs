@@ -74,6 +74,7 @@ impl Outcome {
 
 const UNASSIGNED: u8 = 2;
 const NO_REASON: u32 = u32::MAX;
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct ChronoFrame {
@@ -82,17 +83,145 @@ struct ChronoFrame {
     flipped: bool,
 }
 
+/// What ranks the free variables at a decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rank {
+    /// [`Heuristic::FirstUnassigned`]: the lowest index.
+    Index,
+    /// The activity array: conflict-driven with learning or
+    /// [`Heuristic::Activity`], and the static JW/MOMS scores otherwise
+    /// (nothing bumps them then).
+    Activity,
+}
+
+/// Whether `a` ranks above `b`: the higher key wins and ties go to the
+/// lower index. With no keys the lower index wins outright. This is the
+/// order of a linear scan that keeps the first strictly greater key.
+fn ranks_above(keys: &[f64], a: u32, b: u32) -> bool {
+    match (keys.get(a as usize), keys.get(b as usize)) {
+        (Some(ka), Some(kb)) if ka != kb => ka > kb,
+        _ => a < b,
+    }
+}
+
+/// Indexed binary max-heap of variables in [`ranks_above`] order. The
+/// order is strict and total, so the top is the unique best variable
+/// whatever the heap's shape.
+#[derive(Debug, Default)]
+struct DecisionHeap {
+    heap: Vec<u32>,
+    /// `pos[v]` is the heap slot of variable `v`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl DecisionHeap {
+    /// Puts every variable `0..n` in the heap.
+    fn fill(&mut self, n: usize, keys: &[f64]) {
+        self.heap.clear();
+        self.heap.extend(0..n as u32);
+        self.pos.clear();
+        self.pos.extend(0..n as u32);
+        self.rebuild(keys);
+    }
+
+    /// Restores the heap order after keys changed without the heap being
+    /// told (the activity rescale can turn a strict order into ties).
+    fn rebuild(&mut self, keys: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.down(i, keys);
+        }
+    }
+
+    fn up(&mut self, mut i: usize, keys: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) >> 1;
+            let pv = self.heap[parent];
+            if !ranks_above(keys, v, pv) {
+                break;
+            }
+            self.heap[i] = pv;
+            self.pos[pv as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn down(&mut self, mut i: usize, keys: &[f64]) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let child = if r < n && ranks_above(keys, self.heap[r], self.heap[l]) {
+                r
+            } else {
+                l
+            };
+            let cv = self.heap[child];
+            if !ranks_above(keys, cv, v) {
+                break;
+            }
+            self.heap[i] = cv;
+            self.pos[cv as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn insert(&mut self, v: usize, keys: &[f64]) {
+        if self.pos[v] != NOT_IN_HEAP {
+            return;
+        }
+        self.pos[v] = self.heap.len() as u32;
+        self.heap.push(v as u32);
+        self.up(self.heap.len() - 1, keys);
+    }
+
+    /// Moves `v` up after its key grew.
+    fn raised(&mut self, v: usize, keys: &[f64]) {
+        if self.pos[v] != NOT_IN_HEAP {
+            self.up(self.pos[v] as usize, keys);
+        }
+    }
+
+    fn pop(&mut self, keys: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.down(0, keys);
+        }
+        Some(top as usize)
+    }
+}
+
 /// SAT search engine over a borrowed [`CnfFormula`].
 ///
 /// See the crate-level example; construct one per formula and call
 /// [`Solver::solve`].
+///
+/// A decision takes the free variable of highest score, ties to the lowest
+/// index: the activity with learning or [`Heuristic::Activity`], the static
+/// JW/MOMS score otherwise, and the index alone for
+/// [`Heuristic::FirstUnassigned`]. An indexed heap keeps that order, so a
+/// decision costs O(log n).
 #[derive(Debug)]
 pub struct Solver<'f> {
     formula: &'f CnfFormula,
     options: SolverOptions,
-    /// Clause literal arrays, positions 0 and 1 watched. Learned clauses
-    /// are appended after the problem clauses.
-    clauses: Vec<Vec<Lit>>,
+    /// Every clause's literals back to back, problem clauses first and
+    /// learned clauses appended. Positions 0 and 1 of a clause are watched.
+    lits: Vec<Lit>,
+    /// Clause `c` is `lits[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
     watches: Vec<Vec<u32>>,
     /// Per-variable values: 0 = false, 1 = true, 2 = unassigned.
     values: Vec<u8>,
@@ -107,11 +236,18 @@ pub struct Solver<'f> {
     /// Chronological-mode decision stack.
     frames: Vec<ChronoFrame>,
     scores: Vec<(f64, f64)>,
+    rank: Rank,
     activity: Vec<f64>,
     activity_inc: f64,
+    /// Every unassigned variable (and, lazily, some assigned ones).
+    order: DecisionHeap,
     saved_phase: Vec<bool>,
-    /// Scratch for conflict analysis.
+    /// Scratch for conflict analysis: marks the variables of the clause
+    /// being learned.
     seen: Vec<bool>,
+    /// The clause the last conflict analysis learned, asserting literal
+    /// first; reused across conflicts.
+    learned: Vec<Lit>,
     stats: SolverStats,
     /// Cancel token and fault plan, polled once per search-loop iteration.
     poll: SearchPoll,
@@ -129,13 +265,16 @@ impl<'f> Solver<'f> {
                 options.heuristic
             },
         );
-        // Seed dynamic activity with the static scores so early decisions
-        // are informed.
-        let activity: Vec<f64> = scores.iter().map(|&(p, q)| p + q).collect();
+        let rank = if options.heuristic == Heuristic::FirstUnassigned {
+            Rank::Index
+        } else {
+            Rank::Activity
+        };
         Solver {
             formula,
             options,
-            clauses: Vec::new(),
+            lits: Vec::with_capacity(formula.literal_count()),
+            starts: Vec::with_capacity(formula.clause_count() + 1),
             watches: vec![Vec::new(); 2 * n],
             values: vec![UNASSIGNED; n],
             levels: vec![0; n],
@@ -145,10 +284,16 @@ impl<'f> Solver<'f> {
             qhead: 0,
             frames: Vec::new(),
             scores,
-            activity,
+            rank,
+            activity: vec![0.0; n],
             activity_inc: 1.0,
+            order: DecisionHeap {
+                heap: Vec::with_capacity(n),
+                pos: Vec::with_capacity(n),
+            },
             saved_phase: vec![false; n],
             seen: vec![false; n],
+            learned: Vec::new(),
             stats: SolverStats::default(),
             poll: SearchPoll::default(),
         }
@@ -196,6 +341,20 @@ impl<'f> Solver<'f> {
         self.level_starts.len() as u32
     }
 
+    /// The arena range of clause `cid`.
+    fn clause_range(&self, cid: u32) -> std::ops::Range<usize> {
+        self.starts[cid as usize] as usize..self.starts[cid as usize + 1] as usize
+    }
+
+    /// The keys the decision heap is ordered by: none for
+    /// [`Rank::Index`], the activities otherwise.
+    fn order_keys(rank: Rank, activity: &[f64]) -> &[f64] {
+        match rank {
+            Rank::Index => &[],
+            Rank::Activity => activity,
+        }
+    }
+
     fn assign(&mut self, lit: Lit, reason: u32) {
         let idx = lit.var().index();
         debug_assert_eq!(self.values[idx], UNASSIGNED);
@@ -227,7 +386,8 @@ impl<'f> Solver<'f> {
             let mut i = 0usize;
             while i < ws.len() {
                 let cid = ws[i];
-                let clause = &mut self.clauses[cid as usize];
+                let range = self.clause_range(cid);
+                let clause = &mut self.lits[range];
                 if clause[0] == false_lit {
                     clause.swap(0, 1);
                 }
@@ -285,63 +445,68 @@ impl<'f> Solver<'f> {
                 *x *= 1e-100;
             }
             self.activity_inc *= 1e-100;
+            self.order
+                .rebuild(Self::order_keys(self.rank, &self.activity));
+        } else {
+            self.order
+                .raised(var.index(), Self::order_keys(self.rank, &self.activity));
         }
     }
 
+    /// The free variable the decision order ranks first, with its phase:
+    /// the saved phase under activity, the better-scored phase under a
+    /// static score, and `true` under [`Heuristic::FirstUnassigned`].
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        if self.options.heuristic == Heuristic::FirstUnassigned {
-            return self
-                .values
-                .iter()
-                .position(|&v| v == UNASSIGNED)
-                .map(|i| Lit::positive(Var::new(i)));
-        }
-        if self.options.learning || self.options.heuristic == Heuristic::Activity {
-            let mut best: Option<(f64, usize)> = None;
-            for (i, &v) in self.values.iter().enumerate() {
-                if v != UNASSIGNED {
-                    continue;
-                }
-                let s = self.activity[i];
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, i));
-                }
-            }
-            return best.map(|(_, i)| Lit::with_polarity(Var::new(i), self.saved_phase[i]));
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for (i, &v) in self.values.iter().enumerate() {
-            if v != UNASSIGNED {
-                continue;
-            }
-            let (p, q) = self.scores[i];
-            let s = p + q;
-            if best.is_none_or(|(bs, _)| s > bs) {
-                best = Some((s, i));
+        let keys = Self::order_keys(self.rank, &self.activity);
+        let pick = loop {
+            let Some(v) = self.order.pop(keys) else {
+                break None;
+            };
+            if self.values[v] == UNASSIGNED {
+                break Some(v);
             }
         }
-        best.map(|(_, i)| {
-            let (p, q) = self.scores[i];
-            Lit::with_polarity(Var::new(i), p >= q)
-        })
+        .map(|i| {
+            let var = Var::new(i);
+            if self.rank == Rank::Index {
+                Lit::positive(var)
+            } else if self.options.learning || self.options.heuristic == Heuristic::Activity {
+                Lit::with_polarity(var, self.saved_phase[i])
+            } else {
+                let (p, q) = self.scores[i];
+                Lit::with_polarity(var, p >= q)
+            }
+        });
+        #[cfg(test)]
+        assert_eq!(
+            pick,
+            tests::scan_pick(self),
+            "the decision heap left the linear scan's order"
+        );
+        pick
     }
 
     fn unassign_to(&mut self, trail_len: usize) {
+        let keys = Self::order_keys(self.rank, &self.activity);
         while self.trail.len() > trail_len {
             let l = self.trail.pop().expect("trail shrinks to trail_len");
             let idx = l.var().index();
             self.saved_phase[idx] = l.is_positive();
             self.values[idx] = UNASSIGNED;
             self.reasons[idx] = NO_REASON;
+            self.order.insert(idx, keys);
         }
         self.qhead = self.trail.len();
     }
 
-    /// 1-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
+    /// 1-UIP conflict analysis. Leaves the learned clause in
+    /// `self.learned` (asserting literal first) and returns the backjump
+    /// level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current = self.current_level();
-        let mut learned: Vec<Lit> = vec![Lit::positive(Var::new(0))]; // placeholder slot 0
+        let mut learned = std::mem::take(&mut self.learned);
+        learned.clear();
+        learned.push(Lit::positive(Var::new(0))); // placeholder slot 0
         let mut counter = 0usize;
         let mut index = self.trail.len();
         let mut reason = conflict;
@@ -350,8 +515,8 @@ impl<'f> Solver<'f> {
         loop {
             // Skip the literal we resolved on (position irrelevant).
             let skip = resolve_lit.map(|l| l.var());
-            let lits: Vec<Lit> = self.clauses[reason as usize].clone();
-            for l in lits {
+            for k in self.clause_range(reason) {
+                let l = self.lits[k];
                 if Some(l.var()) == skip {
                     continue;
                 }
@@ -389,30 +554,30 @@ impl<'f> Solver<'f> {
 
         // Clause minimisation: a non-asserting literal whose reason clause
         // lies entirely inside the learned clause (or level 0) is implied
-        // by the others and can be dropped.
-        let in_learned: Vec<Var> = learned.iter().map(|l| l.var()).collect();
-        let mut keep: Vec<Lit> = vec![learned[0]];
-        for &l in &learned[1..] {
+        // by the others and can be dropped. `seen` marks exactly the
+        // learned clause's variables while every literal is judged, and
+        // the kept literals keep their order (dropped ones are swapped to
+        // the tail so their marks can be cleared).
+        self.seen[learned[0].var().index()] = true;
+        let mut kept = 1;
+        for i in 1..learned.len() {
+            let l = learned[i];
             let reason = self.reasons[l.var().index()];
             let redundant = reason != NO_REASON
-                && self.clauses[reason as usize].iter().all(|&rl| {
+                && self.lits[self.clause_range(reason)].iter().all(|&rl| {
                     rl.var() == l.var()
                         || self.levels[rl.var().index()] == 0
-                        || in_learned.contains(&rl.var())
+                        || self.seen[rl.var().index()]
                 });
             if !redundant {
-                keep.push(l);
+                learned.swap(kept, i);
+                kept += 1;
             }
         }
-        let mut learned = keep;
-
         for l in &learned {
             self.seen[l.var().index()] = false;
         }
-        // Also clear any literal dropped by minimisation.
-        for v in in_learned {
-            self.seen[v.index()] = false;
-        }
+        learned.truncate(kept);
         // Backjump level: highest level among the non-asserting literals.
         // Move a literal of that level to position 1 so the two-watched
         // invariant holds after the jump (position 0 becomes unassigned,
@@ -429,16 +594,18 @@ impl<'f> Solver<'f> {
         if learned.len() > 1 {
             learned.swap(1, second);
         }
-        (learned, backjump)
+        self.learned = learned;
+        backjump
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
-        let cid = self.clauses.len() as u32;
+    fn attach_clause(&mut self, lits: &[Lit]) -> u32 {
         debug_assert!(lits.len() >= 2);
+        let cid = (self.starts.len() - 1) as u32;
         self.watches[lits[0].index()].push(cid);
         self.watches[lits[1].index()].push(cid);
-        self.clauses.push(lits);
-        self.stats.peak_clauses = self.stats.peak_clauses.max(self.clauses.len());
+        self.lits.extend_from_slice(lits);
+        self.starts.push(self.lits.len() as u32);
+        self.stats.peak_clauses = self.stats.peak_clauses.max(cid as usize + 1);
         cid
     }
 
@@ -446,7 +613,8 @@ impl<'f> Solver<'f> {
         if self.formula.contains_empty_clause() {
             return Some(Outcome::Unsatisfiable);
         }
-        for clause in self.formula.clauses() {
+        let formula = self.formula;
+        for clause in formula.clauses() {
             match clause.len() {
                 0 => return Some(Outcome::Unsatisfiable),
                 1 => {
@@ -455,13 +623,16 @@ impl<'f> Solver<'f> {
                     }
                 }
                 _ => {
-                    self.attach_clause(clause.clone());
+                    self.attach_clause(clause);
                 }
             }
         }
         None
     }
 
+    /// Returns the solver to its state before the first solve: empty
+    /// clause database and trail, the seeded activities, every saved phase
+    /// false, and every variable in the decision heap.
     fn reset(&mut self) {
         self.stats = SolverStats::default();
         self.trail.clear();
@@ -474,8 +645,20 @@ impl<'f> Solver<'f> {
         for w in &mut self.watches {
             w.clear();
         }
-        self.clauses.clear();
+        self.lits.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        // Seed dynamic activity with the static scores so early decisions
+        // are informed.
+        for (a, &(p, q)) in self.activity.iter_mut().zip(&self.scores) {
+            *a = p + q;
+        }
         self.activity_inc = 1.0;
+        self.saved_phase.fill(false);
+        self.order.fill(
+            self.values.len(),
+            Self::order_keys(self.rank, &self.activity),
+        );
         self.poll.reset();
     }
 
@@ -523,22 +706,24 @@ impl<'f> Solver<'f> {
                 if self.current_level() == 0 {
                     return Outcome::Unsatisfiable;
                 }
-                let (learned, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
                 self.stats.learned_clauses += 1;
-                self.stats.learned_literals += learned.len() as u64;
+                self.stats.learned_literals += self.learned.len() as u64;
                 self.activity_inc *= 1.0 / 0.95;
                 // Backjump.
                 let target = self.level_starts[backjump as usize];
                 self.unassign_to(target);
                 self.level_starts.truncate(backjump as usize);
-                let assert_lit = learned[0];
-                if learned.len() == 1 {
+                let assert_lit = self.learned[0];
+                if self.learned.len() == 1 {
                     debug_assert_eq!(self.current_level(), backjump);
                     if !self.enqueue(assert_lit) {
                         return Outcome::Unsatisfiable;
                     }
                 } else {
-                    let cid = self.attach_clause(learned);
+                    let learned = std::mem::take(&mut self.learned);
+                    let cid = self.attach_clause(&learned);
+                    self.learned = learned;
                     self.assign(assert_lit, cid);
                 }
                 continue;
@@ -580,8 +765,8 @@ impl<'f> Solver<'f> {
                 self.stats.backtracks += 1;
                 self.stats.conflicts += 1;
                 if self.options.heuristic == Heuristic::Activity {
-                    for l in self.clauses[conflict as usize].clone() {
-                        self.bump(l.var());
+                    for k in self.clause_range(conflict) {
+                        self.bump(self.lits[k].var());
                     }
                 }
                 if let Some(limit) = self.options.max_backtracks {
@@ -647,6 +832,47 @@ mod tests {
 
     fn lit(i: usize, pos: bool) -> Lit {
         Lit::with_polarity(Var::new(i), pos)
+    }
+
+    /// The linear decision scan the heap replaced, kept as the reference
+    /// order: in test builds every pick of every solve is checked against
+    /// it.
+    pub(super) fn scan_pick(s: &Solver) -> Option<Lit> {
+        if s.options.heuristic == Heuristic::FirstUnassigned {
+            return s
+                .values
+                .iter()
+                .position(|&v| v == UNASSIGNED)
+                .map(|i| Lit::positive(Var::new(i)));
+        }
+        if s.options.learning || s.options.heuristic == Heuristic::Activity {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, &v) in s.values.iter().enumerate() {
+                if v != UNASSIGNED {
+                    continue;
+                }
+                let a = s.activity[i];
+                if best.is_none_or(|(bs, _)| a > bs) {
+                    best = Some((a, i));
+                }
+            }
+            return best.map(|(_, i)| Lit::with_polarity(Var::new(i), s.saved_phase[i]));
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (i, &v) in s.values.iter().enumerate() {
+            if v != UNASSIGNED {
+                continue;
+            }
+            let (p, q) = s.scores[i];
+            let score = p + q;
+            if best.is_none_or(|(bs, _)| score > bs) {
+                best = Some((score, i));
+            }
+        }
+        best.map(|(_, i)| {
+            let (p, q) = s.scores[i];
+            Lit::with_polarity(Var::new(i), p >= q)
+        })
     }
 
     fn chrono() -> SolverOptions {
@@ -796,16 +1022,111 @@ mod tests {
 
     #[test]
     fn repeated_solve_is_idempotent() {
-        let mut f = CnfFormula::new(2);
-        f.add_clause([lit(0, true), lit(1, false)]);
-        f.add_clause([lit(0, false), lit(1, true)]);
+        // A second solve must not inherit the first one's bumped
+        // activities or saved phases: the same search, counter for counter.
+        let f = pigeonhole(5);
         for opts in [SolverOptions::default(), chrono()] {
             let mut solver = Solver::new(&f, opts);
             let first = solver.solve();
+            let first_stats = solver.stats();
             let second = solver.solve();
             assert_eq!(first, second);
-            assert!(first.is_sat());
+            assert_eq!(first, Outcome::Unsatisfiable);
+            assert_eq!(first_stats, solver.stats(), "learning: {}", opts.learning);
         }
+    }
+
+    /// Every option combination a decision order depends on.
+    fn all_orders() -> Vec<SolverOptions> {
+        let mut all = Vec::new();
+        for heuristic in [
+            Heuristic::FirstUnassigned,
+            Heuristic::JeroslowWang,
+            Heuristic::Moms,
+            Heuristic::Activity,
+        ] {
+            for learning in [true, false] {
+                all.push(SolverOptions {
+                    heuristic,
+                    learning,
+                    ..Default::default()
+                });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn the_decision_heap_matches_the_linear_scan_pick_for_pick() {
+        // `pick_branch_lit` checks each pick against `scan_pick` in test
+        // builds; these seeded CNFs drive that check through every order.
+        let mut rng = modsyn_fault::SplitMix64::new(0xdec1_5105);
+        let mut decisions = 0u64;
+        for round in 0..60 {
+            // Random 3-SAT around the satisfiability threshold.
+            let n = 20 + rng.below(31);
+            let clauses = n * (35 + rng.below(15)) / 10;
+            let mut f = CnfFormula::new(n);
+            for _ in 0..clauses {
+                f.add_clause((0..3).map(|_| lit(rng.below(n), rng.below(2) == 0)));
+            }
+            let verdicts: Vec<bool> = all_orders()
+                .into_iter()
+                .map(|opts| {
+                    let mut solver = Solver::new(&f, opts);
+                    let out = solver.solve();
+                    if let Outcome::Satisfiable(m) = &out {
+                        assert!(m.check(&f), "round {round}, {opts:?}");
+                    }
+                    decisions += solver.stats().decisions;
+                    out.is_sat()
+                })
+                .collect();
+            assert!(
+                verdicts.iter().all(|&v| v == verdicts[0]),
+                "round {round}: {verdicts:?}"
+            );
+        }
+        assert!(decisions > 5_000, "only {decisions} picks checked");
+    }
+
+    #[test]
+    fn the_activity_rescale_rebuilds_the_decision_order() {
+        // Activities of 1e-230 and up underflow to zero under the 1e-100
+        // rescale: the strict order the heap was built on becomes a tie,
+        // which the scan breaks by index.
+        let f = CnfFormula::new(16);
+        let mut solver = Solver::new(&f, SolverOptions::default());
+        solver.reset();
+        for (i, a) in solver.activity.iter_mut().enumerate() {
+            *a = (i + 1) as f64 * 1e-230;
+        }
+        solver.order.fill(16, &solver.activity);
+        solver.activity_inc = 2e100;
+        solver.bump(Var::new(3));
+        let mut picks = Vec::new();
+        while let Some(lit) = solver.pick_branch_lit() {
+            picks.push(lit.var().index());
+            solver.values[lit.var().index()] = 1;
+        }
+        let mut expected = vec![3];
+        expected.extend((0..16).filter(|&v| v != 3));
+        assert_eq!(picks, expected);
+    }
+
+    #[test]
+    fn the_decision_heap_survives_the_activity_rescale() {
+        // Activities pass 1e100 after about 4,500 conflicts; the rescale
+        // can turn a strict order into ties, which the heap must rebuild
+        // for. Each pick is checked against the scan, as above.
+        let f = pigeonhole(7);
+        let mut solver = Solver::new(&f, SolverOptions::default());
+        assert_eq!(solver.solve(), Outcome::Unsatisfiable);
+        let unscaled = (1.0 / 0.95f64).powf(solver.stats().conflicts as f64);
+        assert!(
+            solver.activity_inc < unscaled * 1e-50,
+            "no rescale happened"
+        );
     }
 
     #[test]

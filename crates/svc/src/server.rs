@@ -1035,7 +1035,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
                     400,
                     "Bad Request",
                     "unknown-method",
-                    "method must be modular|modular-min-area|direct|lavagno",
+                    &format!("method must be {}", Method::choices()),
                 );
             }
         },
