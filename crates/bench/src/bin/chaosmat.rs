@@ -15,14 +15,11 @@
 //!   result on every row, and that result must be byte-identical to the
 //!   fault-free baseline; once the plan's fault budget is disabled
 //!   ("faults clear"), a plain re-run must succeed too.
-//! * **pool** — every row synthesised as jobs on a `WorkerPool` armed
-//!   with worker-panic faults must, after supervised resubmission,
-//!   produce results byte-identical to the serial baseline, and the pool
-//!   must stay usable throughout.
 //! * **serving** — a `modsynd` server armed with svc I/O faults (accept
-//!   drops, torn reads/writes, slow peers), cache eviction storms and SAT
-//!   aborts must, against the backoff client, eventually serve every row
-//!   a certified `200` byte-identical to a clean server's response.
+//!   drops, torn reads/writes, slow peers), synthesis panics, cache
+//!   eviction storms and SAT aborts must, against the backoff client,
+//!   eventually serve every row a certified `200` byte-identical to a
+//!   clean server's response; a panicked run's result is never served.
 //!
 //! * **fleet** (`--fleet`) — the `kill -9` certification: a supervised
 //!   fleet of 3 real `modsynd` processes, each with its own crash-safe
@@ -34,7 +31,7 @@
 //!   budget: `/readyz` green, journal frames replayed, and a re-request
 //!   of its work answered as a cache hit.
 //!
-//! With `--corpus N` a fourth leg runs the first `N` seeds of the
+//! With `--corpus N` a further leg runs the first `N` seeds of the
 //! compositional corpus stream through the pipeline fault plans: each
 //! case's fault-free modular baseline (a certified result, or a typed
 //! rejection for probes the flow declines) must be reproduced exactly by
@@ -57,7 +54,6 @@ use modsyn_fleet::{
     sibling_binary, wait_for_200, FleetConfig, FleetEvent, FleetRouter, Supervisor,
 };
 use modsyn_obs::{Json, Tracer};
-use modsyn_par::WorkerPool;
 use modsyn_sat::SolverOptions;
 use modsyn_stg::{benchmarks, write_g, Stg};
 use modsyn_svc::{client, Metrics, Server, ServerConfig};
@@ -175,10 +171,11 @@ const PIPELINE_PLANS: [(&str, &str); 2] = [
     ("sat-storm", "sat.conflict-storm*3"),
 ];
 
-/// The serving-leg chaos plan: svc I/O tears, a slow peer, cache eviction
-/// storms and SAT aborts, all budgeted so the service converges.
+/// The serving-leg chaos plan: svc I/O tears, a slow peer, synthesis
+/// panics, cache eviction storms and SAT aborts, all budgeted so the
+/// service converges.
 const SERVING_PLAN: &str = "svc.accept*2@1/2,svc.read-torn*2@1/2,svc.write-torn*2@1/2,\
-svc.slow-peer*2~25,cache.evict-storm*3@1/2,sat.abort*3@1/2";
+svc.slow-peer*2~25,svc.synth-panic*2@1/2,cache.evict-storm*3@1/2,sat.abort*3@1/2";
 
 fn pipeline_leg(
     rows: &[PaperRow],
@@ -331,66 +328,6 @@ fn corpus_leg(count: u64, seed: u64, violations: &mut Violations) -> Json {
     ])
 }
 
-fn pool_leg(
-    baselines: &[(String, Stg, String)],
-    seed: u64,
-    jobs: usize,
-    violations: &mut Violations,
-) -> Json {
-    let plan = FaultPlan::parse("pool-panic", "pool.enqueue*2,pool.run*2,pool.drain*1", seed)
-        .expect("static plan spec parses");
-    let faults = plan.arm();
-    let pool = WorkerPool::with_tracer_and_faults(jobs, Tracer::disabled(), faults.clone());
-    let mut resubmissions = 0u64;
-    for (name, stg, baseline) in baselines {
-        let mut tries = 0;
-        let result = loop {
-            tries += 1;
-            let stg = stg.clone();
-            let options = table1_options(Faults::none());
-            let handle = pool.submit(&format!("chaos:{name}"), move || {
-                synthesize(&stg, &options).map(|r| fingerprint(&r))
-            });
-            match handle.join() {
-                Ok(r) => break Some(r),
-                // Contained worker panic or vanished job: resubmit, the
-                // supervision the pool's consumers owe their callers.
-                Err(_) if tries < 10 => {
-                    resubmissions += 1;
-                    continue;
-                }
-                Err(_) => break None,
-            }
-        };
-        match result {
-            Some(Ok(fp)) => violations.check(
-                fp == *baseline,
-                &format!("pool/{name}: jobs={jobs} result differs from serial baseline"),
-            ),
-            Some(Err(e)) => violations.check(false, &format!("pool/{name}: synthesis failed: {e}")),
-            None => violations.check(false, &format!("pool/{name}: job kept vanishing")),
-        }
-    }
-    // The pool must still be usable after every injected panic.
-    let alive = pool.submit("chaos:probe", || 21 * 2).join();
-    violations.check(
-        alive == Ok(42),
-        "pool: not usable after injected worker panics",
-    );
-    eprintln!(
-        "chaosmat: pool leg: {} rows on {jobs} workers, {} faults injected, {} resubmissions",
-        baselines.len(),
-        faults.total_injected(),
-        resubmissions,
-    );
-    Json::obj([
-        ("jobs", Json::from(jobs)),
-        ("rows", Json::from(baselines.len())),
-        ("injected_faults", Json::from(faults.total_injected())),
-        ("resubmissions", Json::from(resubmissions)),
-    ])
-}
-
 fn start_server(config: ServerConfig) -> std::io::Result<(SocketAddr, impl FnOnce())> {
     let server = Server::bind(config, Tracer::disabled())?;
     let addr = server.local_addr();
@@ -513,6 +450,7 @@ fn serving_leg(
         .unwrap_or_default();
     let injected_metric =
         Metrics::parse_line(&metrics_text, "modsynd_injected_faults_total").unwrap_or(0);
+    let panics_metric = Metrics::parse_line(&metrics_text, "modsynd_panics_total").unwrap_or(0);
     stop();
     violations.check(
         faults.total_injected() > 0,
@@ -520,7 +458,7 @@ fn serving_leg(
     );
     eprintln!(
         "chaosmat: serving leg: {} rows, {} faults injected ({} visible in /metrics), \
-         {rounds_total} client rounds",
+         {panics_metric} contained synthesis panics, {rounds_total} client rounds",
         baselines.len(),
         faults.total_injected(),
         injected_metric,
@@ -530,6 +468,7 @@ fn serving_leg(
         ("plan", Json::from(SERVING_PLAN)),
         ("injected_faults", Json::from(faults.total_injected())),
         ("injected_faults_metric", Json::from(injected_metric)),
+        ("panics_metric", Json::from(panics_metric)),
         ("client_rounds", Json::from(rounds_total)),
     ])
 }
@@ -852,8 +791,8 @@ fn main() -> ExitCode {
     };
     let mut violations = Violations(Vec::new());
 
-    let (pipeline, pool, serving, fleet) = if args.corpus_only {
-        (Json::Null, Json::Null, Json::Null, Json::Null)
+    let (pipeline, serving, fleet) = if args.corpus_only {
+        (Json::Null, Json::Null, Json::Null)
     } else {
         // Fault-free serial baselines: the reference fingerprints,
         // themselves oracle-certified.
@@ -884,7 +823,6 @@ fn main() -> ExitCode {
 
         (
             pipeline_leg(&rows, &baselines, args.seed, &mut violations),
-            pool_leg(&baselines, args.seed, args.jobs, &mut violations),
             serving_leg(&baselines, args.seed, args.jobs, &mut violations),
             if args.fleet {
                 fleet_leg(
@@ -920,7 +858,6 @@ fn main() -> ExitCode {
             ]),
         ),
         ("pipeline", pipeline),
-        ("pool", pool),
         ("serving", serving),
         ("fleet", fleet),
         ("corpus", corpus),

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Without `--addr`, starts an in-process [`modsyn_svc::Server`] on a free
-//! port (with `--jobs` pool workers) and tears it down afterwards; with
+//! port (running up to `--jobs` syntheses at once) and tears it down
+//! afterwards; with
 //! `--addr`, targets an already running `modsynd`; with `--fleet`, targets
 //! a replica fleet (e.g. one supervised by `modsynfleet`) through the
 //! consistent-hash failover router — each request routes by its STG
@@ -20,7 +21,7 @@
 //! client threads, `--repeat` rounds per pass:
 //!
 //! * **cold** — first contact: every row is a cache miss and synthesises
-//!   on the pool (repeats of the same row within the pass may hit),
+//!   (repeats of the same row within the pass may hit),
 //! * **warm** — same requests again: every row must be a cache hit.
 //!
 //! With `--corpus N` the work set extends by the first `N` seeds of the
@@ -355,7 +356,6 @@ const SCRAPED_HISTOGRAMS: &[&str] = &[
     "request_us:synth:modular",
     "queue_wait_us",
     "synth_cpu_us:modular",
-    "pool_wait_us",
 ];
 
 /// Scrapes the latency histograms. Quantile sketches do not merge, so a

@@ -7,8 +7,8 @@
 //! Run with:
 //! `cargo run -p modsyn-bench --release --bin table1 [limit] [--jobs N] [--small]`
 //!
-//! `--jobs N` (default 1) additionally re-runs the table on an N-worker
-//! pool and reports the wall-clock comparison; `--small` restricts the run
+//! `--jobs N` (default 1) additionally re-runs the table on N threads
+//! and reports the wall-clock comparison; `--small` restricts the run
 //! to the rows with fewer than 80 initial states (the CI smoke subset).
 //!
 //! Besides the text table, writes every measurement as machine-readable
@@ -156,7 +156,7 @@ fn main() -> ExitCode {
 
     let parallel = if args.jobs > 1 {
         println!(
-            "\nparallel: re-running the table on a {}-worker pool...",
+            "\nparallel: re-running the table on {} threads...",
             args.jobs
         );
         let pooled = run_rows(limit, args.jobs, &selected);

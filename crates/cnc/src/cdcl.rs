@@ -24,7 +24,10 @@ use modsyn_sat::{CnfFormula, Lit, Model, Outcome, SearchPoll, SolverStats, Var};
 /// [`Outcome::BacktrackLimit`] exactly like the classic engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CdclOptions {
-    /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts.
+    /// Abort with [`Outcome::BacktrackLimit`] once the instance has met
+    /// more than this many conflicts since construction. The count runs
+    /// across every solve of the instance, so a sequence of assumption
+    /// solves shares this one budget.
     pub max_conflicts: Option<u64>,
 }
 
@@ -297,17 +300,20 @@ impl<'f> Cdcl<'f> {
         self
     }
 
-    /// Statistics of the last solve.
+    /// Statistics since construction: no solve resets them, so after
+    /// several (assumption) solves they are the sums over all of them.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
-    /// CDCL-specific counters of the last solve (LBD, deletions).
+    /// CDCL-specific counters (LBD, deletions) since construction,
+    /// summed over every solve like [`Cdcl::stats`].
     pub fn extra(&self) -> CdclExtra {
         self.extra
     }
 
-    /// Average LBD of the learned clauses, rounded; 0 before any learning.
+    /// Average LBD of the clauses learned since construction, rounded; 0
+    /// before any learning.
     pub fn avg_lbd(&self) -> u64 {
         self.extra
             .lbd_sum
@@ -983,6 +989,50 @@ mod tests {
             },
         );
         assert_eq!(s.solve(), Outcome::BacktrackLimit);
+    }
+
+    #[test]
+    fn counters_and_the_conflict_budget_run_since_construction() {
+        // Two pigeonhole copies on disjoint variables; assuming `select[k]`
+        // switches copy k on, so each assumption solve is UNSAT on its own.
+        let php = pigeonhole(5);
+        let width = php.num_vars() + 1;
+        let mut f = CnfFormula::new(2 * width);
+        let select = [1, 2].map(|k| Lit::positive(Var::new(k * width - 1)));
+        for (k, on) in select.into_iter().enumerate() {
+            let shift = |l: &Lit| {
+                Lit::with_polarity(Var::new(k * width + l.var().index()), l.is_positive())
+            };
+            for clause in php.clauses() {
+                f.add_clause(clause.iter().map(shift).chain([!on]));
+            }
+        }
+        // Each query in turn on one instance: (outcome, conflicts so far).
+        let run = |max_conflicts, queries: &[Lit]| {
+            let mut s = Cdcl::new(&f, CdclOptions { max_conflicts });
+            let steps: Vec<(Outcome, u64)> = queries
+                .iter()
+                .map(|&q| (s.solve_with_assumptions(&[q]), s.stats().conflicts))
+                .collect();
+            steps
+        };
+        let first = run(None, &select[..1])[0].1;
+        let second = run(None, &select[1..])[0].1;
+        assert!(first > 0 && second > 2, "{first} {second}");
+
+        // Room for the first solve and one conflict more: the second solve
+        // starts from the first's count, stops at its own second conflict,
+        // and the counter then holds the sum of both solves.
+        let budget = Some(first + 1);
+        assert_eq!(
+            run(budget, &select),
+            [
+                (Outcome::Unsatisfiable, first),
+                (Outcome::BacktrackLimit, first + 2)
+            ]
+        );
+        // On a fresh instance the second query gets further.
+        assert!(run(budget, &select[1..])[0].1 > 2);
     }
 
     #[test]

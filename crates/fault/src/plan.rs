@@ -7,27 +7,15 @@ use std::time::Duration;
 use crate::rng::{fnv1a64, SplitMix64};
 
 /// Well-known injection sites. The string is the contract between a
-/// [`FaultRule`] and the layer that probes it; layers may define further
-/// sites, but every site wired into the workspace is listed here so plans
-/// and docs have one vocabulary.
+/// [`FaultRule`] and the layer that probes it; every site wired into the
+/// workspace is listed here and in [`site::ALL`], so plans and docs have
+/// one vocabulary and a parsed plan cannot name a site nothing probes.
 pub mod site {
     /// SAT search loop: force an early `Outcome::Aborted`.
     pub const SAT_ABORT: &str = "sat.abort";
     /// SAT search loop: spurious conflict storm — the solver behaves as if
     /// it burned through its whole backtrack budget (`BacktrackLimit`).
     pub const SAT_CONFLICT_STORM: &str = "sat.conflict-storm";
-    /// Worker pool: the job panics as the worker picks it up, before the
-    /// caller's closure runs.
-    pub const POOL_ENQUEUE: &str = "pool.enqueue";
-    /// Worker pool: the job panics after the caller's closure ran,
-    /// discarding its result.
-    pub const POOL_RUN: &str = "pool.run";
-    /// Worker pool: the result channel is dropped before the send, so the
-    /// handle observes a vanished job.
-    pub const POOL_DRAIN: &str = "pool.drain";
-    /// Worker pool: the worker stalls for the rule's delay before running
-    /// the job (queue stall).
-    pub const POOL_STALL: &str = "pool.stall";
     /// Service accept loop: the freshly accepted connection is dropped as
     /// if `accept(2)` had failed.
     pub const SVC_ACCEPT: &str = "svc.accept";
@@ -40,6 +28,9 @@ pub mod site {
     /// Service handler: the response is delayed by the rule's delay
     /// (slow peer).
     pub const SVC_SLOW_PEER: &str = "svc.slow-peer";
+    /// Service synthesis: the run panics after synthesis returned, inside
+    /// the handler's containment, so its result is discarded (a 500).
+    pub const SVC_SYNTH_PANIC: &str = "svc.synth-panic";
     /// Synthesis store: every resident entry is evicted before an insert
     /// (eviction storm).
     pub const CACHE_EVICT_STORM: &str = "cache.evict-storm";
@@ -53,6 +44,22 @@ pub mod site {
     /// Replica fleet supervisor: SIGKILL one replica, as if the OOM killer
     /// got it mid-traffic.
     pub const FLEET_REPLICA_KILL: &str = "fleet.replica-kill";
+
+    /// Every site above: the names [`FaultPlan::parse`](super::FaultPlan::parse)
+    /// accepts.
+    pub const ALL: &[&str] = &[
+        SAT_ABORT,
+        SAT_CONFLICT_STORM,
+        SVC_ACCEPT,
+        SVC_READ_TORN,
+        SVC_WRITE_TORN,
+        SVC_SLOW_PEER,
+        SVC_SYNTH_PANIC,
+        CACHE_EVICT_STORM,
+        STORE_WAL_TORN_WRITE,
+        STORE_SNAPSHOT_CORRUPT,
+        FLEET_REPLICA_KILL,
+    ];
 }
 
 /// One site's injection rule inside a [`FaultPlan`].
@@ -68,8 +75,8 @@ pub struct FaultRule {
     pub num: u32,
     /// See [`FaultRule::num`].
     pub denom: u32,
-    /// Delay carried by stall-style sites (`pool.stall`, `svc.slow-peer`);
-    /// ignored by the boolean sites.
+    /// Delay carried by the stall-style site (`svc.slow-peer`); ignored by
+    /// the boolean sites.
     pub delay: Duration,
 }
 
@@ -184,22 +191,29 @@ impl FaultPlan {
 
     /// Parses a compact plan spec: comma-separated rules of the form
     /// `site[*max][+skip][@num/denom][~delay_ms]`, e.g.
-    /// `sat.abort*2,pool.run@1/4,svc.slow-peer~50`. Used by the `chaosmat`
-    /// matrix and the `modsynd --faults` flag.
+    /// `sat.abort*2,svc.synth-panic@1/4,svc.slow-peer~50`. Used by the
+    /// `chaosmat` matrix and the `modsynd --faults` flag.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first malformed rule.
+    /// A human-readable description of the first malformed rule; a site
+    /// outside [`site::ALL`] is malformed, since nothing would probe it.
     pub fn parse(name: &str, spec: &str, seed: u64) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(name, seed);
         for part in spec.split(',').filter(|p| !p.is_empty()) {
             let mut rest = part;
             let site_end = rest.find(['*', '+', '@', '~']).unwrap_or(rest.len());
-            let site = &rest[..site_end];
-            if site.is_empty() {
+            let at = &rest[..site_end];
+            if at.is_empty() {
                 return Err(format!("rule {part:?}: empty site"));
             }
-            let mut rule = FaultRule::at(site);
+            if !site::ALL.contains(&at) {
+                return Err(format!(
+                    "rule {part:?}: unknown site {at:?} (known: {})",
+                    site::ALL.join(", ")
+                ));
+            }
+            let mut rule = FaultRule::at(at);
             rest = &rest[site_end..];
             while !rest.is_empty() {
                 let (op, tail) = rest.split_at(1);
@@ -294,7 +308,7 @@ pub trait FaultHook: Send + Sync {
 /// carries no state, so probing a disarmed handle is a branch on `None`
 /// and the instrumented hot paths pay nothing when chaos is off. All
 /// clones share the armed plan's counters, so a plan threaded into
-/// several layers (solver + pool + service) draws every decision from one
+/// several layers (solver + store + service) draws every decision from one
 /// deterministic per-site stream.
 #[derive(Clone, Default)]
 pub struct Faults {
@@ -447,7 +461,7 @@ mod tests {
         let faults = Faults::none();
         assert!(!faults.is_armed());
         assert!(!faults.fire(site::SAT_ABORT));
-        assert!(faults.stall(site::POOL_STALL).is_none());
+        assert!(faults.stall(site::SVC_SLOW_PEER).is_none());
         assert_eq!(faults.total_injected(), 0);
         assert_eq!(faults, Faults::default());
     }
@@ -469,23 +483,23 @@ mod tests {
     #[test]
     fn skip_lets_early_probes_pass() {
         let faults = FaultPlan::new("t", 1)
-            .rule(FaultRule::at(site::POOL_RUN).skip(2).times(1))
+            .rule(FaultRule::at(site::SVC_ACCEPT).skip(2).times(1))
             .arm();
-        assert!(!faults.fire(site::POOL_RUN));
-        assert!(!faults.fire(site::POOL_RUN));
-        assert!(faults.fire(site::POOL_RUN));
-        assert!(!faults.fire(site::POOL_RUN), "exhausted after one hit");
+        assert!(!faults.fire(site::SVC_ACCEPT));
+        assert!(!faults.fire(site::SVC_ACCEPT));
+        assert!(faults.fire(site::SVC_ACCEPT));
+        assert!(!faults.fire(site::SVC_ACCEPT), "exhausted after one hit");
     }
 
     #[test]
     fn same_plan_same_decisions() {
         let plan = FaultPlan::new("t", 99)
-            .rule(FaultRule::at(site::POOL_RUN).chance(1, 3))
+            .rule(FaultRule::at(site::SVC_ACCEPT).chance(1, 3))
             .rule(FaultRule::at(site::SAT_ABORT).chance(1, 2));
         let a = plan.arm();
         let b = plan.arm();
         for _ in 0..200 {
-            assert_eq!(a.fire(site::POOL_RUN), b.fire(site::POOL_RUN));
+            assert_eq!(a.fire(site::SVC_ACCEPT), b.fire(site::SVC_ACCEPT));
             assert_eq!(a.fire(site::SAT_ABORT), b.fire(site::SAT_ABORT));
         }
         assert_eq!(a.events(), b.events());
@@ -495,9 +509,11 @@ mod tests {
     fn different_seeds_differ() {
         let mk = |seed| {
             let f = FaultPlan::new("t", seed)
-                .rule(FaultRule::at(site::POOL_RUN).chance(1, 2))
+                .rule(FaultRule::at(site::SVC_ACCEPT).chance(1, 2))
                 .arm();
-            (0..64).map(|_| f.fire(site::POOL_RUN)).collect::<Vec<_>>()
+            (0..64)
+                .map(|_| f.fire(site::SVC_ACCEPT))
+                .collect::<Vec<_>>()
         };
         assert_ne!(mk(1), mk(2));
     }
@@ -507,7 +523,7 @@ mod tests {
         let faults = FaultPlan::new("t", 1)
             .rule(FaultRule::at(site::SAT_ABORT))
             .arm();
-        assert!(!faults.fire(site::POOL_RUN));
+        assert!(!faults.fire(site::SVC_ACCEPT));
         assert!(faults.fire(site::SAT_ABORT));
     }
 
@@ -528,16 +544,16 @@ mod tests {
     fn stall_returns_the_rule_delay() {
         let faults = FaultPlan::new("t", 1)
             .rule(
-                FaultRule::at(site::POOL_STALL)
+                FaultRule::at(site::SVC_SLOW_PEER)
                     .times(1)
                     .delay(Duration::from_millis(7)),
             )
             .arm();
         assert_eq!(
-            faults.stall(site::POOL_STALL),
+            faults.stall(site::SVC_SLOW_PEER),
             Some(Duration::from_millis(7))
         );
-        assert_eq!(faults.stall(site::POOL_STALL), None);
+        assert_eq!(faults.stall(site::SVC_SLOW_PEER), None);
     }
 
     #[test]
@@ -555,7 +571,7 @@ mod tests {
     fn parse_round_trips_the_operators() {
         let plan = FaultPlan::parse(
             "mix",
-            "sat.abort*2,pool.run+3@1/4,svc.slow-peer~50,cache.evict-storm",
+            "sat.abort*2,svc.synth-panic+3@1/4,svc.slow-peer~50,cache.evict-storm",
             7,
         )
         .unwrap();
@@ -572,10 +588,27 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_rules() {
         assert!(FaultPlan::parse("t", "*3", 0).is_err());
-        assert!(FaultPlan::parse("t", "site@1", 0).is_err());
-        assert!(FaultPlan::parse("t", "site@1/0", 0).is_err());
-        assert!(FaultPlan::parse("t", "site~ms", 0).is_err());
-        assert!(FaultPlan::parse("t", "site*many", 0).is_err());
+        assert!(FaultPlan::parse("t", "sat.abort@1", 0).is_err());
+        assert!(FaultPlan::parse("t", "sat.abort@1/0", 0).is_err());
+        assert!(FaultPlan::parse("t", "svc.slow-peer~ms", 0).is_err());
+        assert!(FaultPlan::parse("t", "sat.abort*many", 0).is_err());
+    }
+
+    #[test]
+    fn parse_accepts_every_known_site_and_only_those() {
+        for &at in site::ALL {
+            let plan = FaultPlan::parse("t", at, 0).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(plan.rules[0].site, at);
+        }
+        // A site nothing probes would arm a plan that never fires.
+        for unknown in ["pool.run", "svc.write-tron", "site"] {
+            let err = FaultPlan::parse("t", &format!("sat.abort,{unknown}*1"), 0).unwrap_err();
+            assert!(err.contains(&format!("unknown site {unknown:?}")), "{err}");
+            assert!(
+                err.contains(site::SVC_WRITE_TORN),
+                "lists the known sites: {err}"
+            );
+        }
     }
 
     #[test]

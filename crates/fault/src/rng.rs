@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn fnv_distinguishes_sites() {
-        assert_ne!(fnv1a64(b"sat.abort"), fnv1a64(b"pool.run"));
+        assert_ne!(fnv1a64(b"sat.abort"), fnv1a64(b"svc.synth-panic"));
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

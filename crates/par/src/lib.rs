@@ -1,45 +1,37 @@
 //! Zero-dependency parallel execution substrate for the modsyn pipeline.
 //!
 //! Per the workspace §5 dependency policy this crate uses the standard
-//! library only — no `rayon`, no `crossbeam`, no `tokio`. It provides the
-//! three primitives the synthesis stack parallelises with:
+//! library only — no `rayon`, no `crossbeam`, no `tokio`, and no other
+//! workspace crate. It provides the two primitives the synthesis stack
+//! parallelises and bounds its work with:
 //!
-//! * [`WorkerPool`] — N OS threads over one shared FIFO injector queue,
-//!   with per-job panic containment ([`JobPanic`]) and graceful
-//!   drain-on-drop. The bench harness runs Table-1 rows on it.
 //! * [`CancelToken`] — a cooperative cancellation handle (atomic flag +
 //!   optional deadline). The SAT solver polls it in its
 //!   search loops and returns a clean `Aborted` outcome; the CLI's
-//!   `--timeout-ms` is one of these tokens.
-//! * [`par_map`] — a deterministic parallel map: results come back in
-//!   input order no matter which worker finished first, and `jobs <= 1`
-//!   degenerates to an inline sequential loop. The parallel modular
-//!   synthesis driver leans on this to stay byte-for-byte identical to the
-//!   sequential driver.
-//!
-//! Everything is instrumented through `modsyn-obs` (per-worker spans,
-//! `queue_depth` gauge, `panics` counter) when a pool is built
-//! [`WorkerPool::with_tracer_and_faults`].
+//!   `--timeout-ms` and the daemon's per-request deadlines are such
+//!   tokens.
+//! * [`par_map`] — a deterministic parallel map on scoped threads:
+//!   results come back in input order no matter which thread finished
+//!   first, a panicking item becomes a [`JobPanic`] in its own slot, and
+//!   `jobs <= 1` degenerates to an inline sequential loop. The parallel
+//!   modular synthesis driver leans on this to stay byte-for-byte
+//!   identical to the sequential driver; the bench harness runs Table-1
+//!   rows on it. [`available_jobs`] is the default thread count.
 //!
 //! # Example
 //!
 //! ```
-//! use modsyn_par::{par_map, CancelToken, WorkerPool};
+//! use modsyn_par::{par_map, CancelToken};
 //! use std::time::Duration;
 //!
-//! // Ordered parallel map.
-//! let squares: Vec<u64> = par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x)
-//!     .into_iter()
-//!     .map(Result::unwrap)
-//!     .collect();
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! // A pool with contained panics.
-//! let pool = WorkerPool::new(2);
-//! let ok = pool.submit("fine", || 21 * 2);
-//! let bad = pool.submit("boom", || panic!("contained"));
-//! assert_eq!(ok.join().unwrap(), 42);
-//! assert!(bad.join().is_err());
+//! // Ordered parallel map with a contained panic.
+//! let results = par_map(4, &[1u64, 2, 3, 4], |_, &x| {
+//!     assert!(x != 3, "three is contained");
+//!     x * x
+//! });
+//! assert_eq!(results[1], Ok(4));
+//! assert!(results[2].as_ref().unwrap_err().message.contains("contained"));
+//! assert_eq!(results[3], Ok(16));
 //!
 //! // Cooperative deadline.
 //! let token = CancelToken::with_deadline(Duration::from_millis(1));
@@ -49,8 +41,6 @@
 
 mod cancel;
 mod map;
-mod pool;
 
 pub use cancel::CancelToken;
-pub use map::{par_map, unwrap_or_resume};
-pub use pool::{available_jobs, JobHandle, JobPanic, WorkerPool};
+pub use map::{available_jobs, par_map, unwrap_or_resume, JobPanic};

@@ -4,11 +4,44 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use crate::pool::JobPanic;
+/// The number of threads to use when the caller does not care: the
+/// machine's available parallelism, 1 if it cannot be determined.
+pub fn available_jobs() -> usize {
+    thread::available_parallelism().map_or(1, usize::from)
+}
 
-/// Applies `f` to every item on up to `jobs` scoped worker threads and
-/// returns the results **in input order**, regardless of which worker
-/// finished first. `f` receives the item index alongside the item.
+/// A job panicked; the panic was contained and surfaced as this error
+/// instead of unwinding the thread that ran it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanic {
+    /// The panic payload, stringified (`"<non-string panic payload>"` when
+    /// the payload was neither `&str` nor `String`).
+    pub message: String,
+}
+
+impl JobPanic {
+    /// Extracts a printable message from a `catch_unwind` payload.
+    pub fn from_payload(payload: Box<dyn std::any::Any + Send>) -> JobPanic {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".to_string());
+        JobPanic { message }
+    }
+}
+
+impl std::fmt::Display for JobPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job panicked: {}", self.message)
+    }
+}
+
+impl std::error::Error for JobPanic {}
+
+/// Applies `f` to every item on up to `jobs` scoped threads and returns
+/// the results **in input order**, regardless of which thread finished
+/// first. `f` receives the item index alongside the item.
 ///
 /// Panics inside `f` are contained per item and surfaced as
 /// `Err(JobPanic)` in that item's slot; the remaining items still run.
@@ -52,7 +85,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("par_map worker contained its panics"))
+            .map(|h| h.join().expect("par_map thread contained its panics"))
             .collect()
     });
 
@@ -146,5 +179,10 @@ mod tests {
         let payload = caught.unwrap_err();
         let message = payload.downcast_ref::<String>().unwrap();
         assert!(message.contains("original message"));
+    }
+
+    #[test]
+    fn available_jobs_is_positive() {
+        assert!(available_jobs() >= 1);
     }
 }

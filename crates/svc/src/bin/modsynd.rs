@@ -12,6 +12,8 @@
 //! Binds the address (default `127.0.0.1:7171`), prints one
 //! `listening on http://…` line to stdout (so scripts can wait for
 //! readiness), and serves until `POST /shutdown`, then drains gracefully.
+//! `--jobs` bounds how many syntheses run at once, each on the connection
+//! thread that admitted it; `--queue` more may wait before `/synth` sheds.
 //!
 //! Endpoints: `POST /synth?method=modular|modular-min-area|direct|lavagno
 //! [&timeout_ms=T]` with a `.g` body; `GET /metrics`; `GET /healthz`;
@@ -69,6 +71,8 @@ fn usage() -> &'static str {
      POST /synth/incr (query: base=<digest-hex>), GET /explain (query: digest,\n\
      signal), GET /metrics, GET /healthz, GET /readyz, GET /debug/flight,\n\
      POST /shutdown.\n\
+     --jobs bounds how many syntheses run at once (default: the available\n\
+     parallelism); up to --queue more admitted misses wait for a slot.\n\
      Every 200 is oracle-certified and trace-stamped (X-Modsyn-Trace);\n\
      GET /debug/flight replays the newest 32,768 flight-recorder events.\n\
      --store-bytes bounds the synthesis store (module solves and certified\n\

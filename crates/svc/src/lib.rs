@@ -16,15 +16,16 @@
 //!   per-module solves ([`ServerConfig::store_bytes`]). Reformatted copies
 //!   of the same STG hit the same entry; bodies are deterministic, so hits
 //!   are byte-identical to computed responses.
-//! * **Admission control** — a bounded queue in front of the shared
-//!   [`modsyn_par::WorkerPool`]; when it is full the service sheds load
-//!   with `503` + `Retry-After` instead of queueing unboundedly.
+//! * **Admission control** — a bounded queue in front of the synthesis
+//!   gate ([`ServerConfig::jobs`] syntheses at once, each on its own
+//!   connection thread); when it is full the service sheds load with
+//!   `503` + `Retry-After` instead of queueing unboundedly.
 //! * **Deadlines** — per-request [`modsyn_par::CancelToken`] deadlines
 //!   (server-wide cap, client-shortenable via `timeout_ms`), surfacing as
 //!   `504` with an `aborted` metric.
 //! * **Hardening** — the hand-rolled HTTP/1.1 layer ([`http`]) maps every
-//!   malformed input to a typed 4xx/5xx, and handler panics are contained;
-//!   nothing a client sends kills the accept loop.
+//!   malformed input to a typed 4xx/5xx, and handler and synthesis panics
+//!   are contained; nothing a client sends kills the accept loop.
 //! * **Observability** — `GET /metrics` exposes counters (requests, cache
 //!   hits/misses/evictions, shed, aborted, certified), gauges (queue
 //!   depth, in-flight, connections) and log-scale latency histograms

@@ -22,8 +22,8 @@
 //!
 //! The [`HistogramRegistry`] carried in [`Metrics::hists`] is the same
 //! registry the server attaches to its tracer at bind time, so request
-//! latency (per endpoint × method), queue wait, synthesis cpu time, pool
-//! wait and solver effort all land here and render as
+//! latency (per endpoint × method), queue wait, synthesis cpu time and
+//! solver effort all land here and render as
 //! `modsynd_<metric>{key="…",q="p50|p90|p99|max|count"}` lines. The
 //! standard names are pre-registered in [`Metrics::new`] so a fresh
 //! scrape shows the full (all-zero) set — which is also what lets the
@@ -55,7 +55,6 @@ pub const STANDARD_HISTOGRAMS: &[&str] = &[
     "synth_cpu_us:modular-min-area",
     "synth_cpu_us:direct",
     "synth_cpu_us:lavagno",
-    "pool_wait_us",
     "sat_conflicts",
     "sat_decisions",
     // Average learned-clause LBD per CDCL solve (engine health: rising
@@ -107,9 +106,9 @@ pub struct Metrics {
     /// eviction storms show in `modsynd_cache_evictions_total`). Always 0
     /// in production.
     pub injected_faults: AtomicU64,
-    /// Gauge: admitted `/synth` jobs waiting for a pool worker.
+    /// Gauge: admitted `/synth` misses waiting for a synthesis slot.
     pub queue_depth: AtomicU64,
-    /// Gauge: `/synth` jobs currently executing on the pool.
+    /// Gauge: syntheses running now; the server's synthesis gate owns it.
     pub in_flight: AtomicU64,
     /// Gauge: open connections being handled.
     pub connections: AtomicU64,
@@ -241,13 +240,12 @@ impl Metrics {
     }
 }
 
-/// The three service gauges, for [`GaugeGuard`].
+/// The service gauges [`GaugeGuard`] manages (`modsynd_in_flight` is the
+/// synthesis gate's own count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
     /// `modsynd_queue_depth`.
     QueueDepth,
-    /// `modsynd_in_flight`.
-    InFlight,
     /// `modsynd_connections`.
     Connections,
 }
@@ -256,17 +254,16 @@ impl Gauge {
     fn cell(self, metrics: &Metrics) -> &AtomicU64 {
         match self {
             Gauge::QueueDepth => &metrics.queue_depth,
-            Gauge::InFlight => &metrics.in_flight,
             Gauge::Connections => &metrics.connections,
         }
     }
 }
 
 /// An RAII increment of one service gauge: the decrement runs on drop, so
-/// early returns, contained panics and never-run pool closures all give
-/// the increment back. Every gauge update in the serving path goes
-/// through one of these — a leaked gauge is a drain that never finishes
-/// and an admission queue that slowly chokes.
+/// early returns and contained panics all give the increment back. Every
+/// queue-depth and connection update in the serving path goes through one
+/// of these — a leaked gauge is a drain that never finishes and an
+/// admission queue that slowly chokes.
 #[derive(Debug)]
 pub struct GaugeGuard {
     metrics: Arc<Metrics>,
@@ -428,10 +425,10 @@ modsynd_ready 0
         let m = Arc::new(Metrics::new());
         let metrics = Arc::clone(&m);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _g = GaugeGuard::enter(metrics, Gauge::InFlight);
+            let _g = GaugeGuard::enter(metrics, Gauge::QueueDepth);
             panic!("boom");
         }));
         assert!(result.is_err());
-        assert_eq!(m.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(m.queue_depth.load(Ordering::Relaxed), 0);
     }
 }

@@ -12,20 +12,24 @@
 //! 3. The request is assigned a **trace id** — the client's
 //!    `X-Modsyn-Trace` header when it sent one, a fresh id otherwise. The
 //!    id is stamped on every flight-recorder event the request produces
-//!    (svc accept → pool run → retry ladder → SAT solve), echoed back as
+//!    (svc request → svc synth → retry ladder → SAT solve), echoed back as
 //!    an `X-Modsyn-Trace` response header, written to the JSON access log,
 //!    and queryable via `GET /debug/flight?trace=<hex>`.
 //! 4. The body is parsed as a `.g` STG and keyed by its
 //!    [`modsyn_stg::stg_digest`] and method ([`record_key`]) into the
 //!    synthesis store. A hit returns the previously certified body
-//!    verbatim (`X-Modsyn-Cache: hit`) without touching the pool.
+//!    verbatim (`X-Modsyn-Cache: hit`) without synthesising.
 //! 5. A miss passes **admission control**: at most
-//!    [`ServerConfig::queue_capacity`] jobs may be admitted-but-unstarted;
+//!    [`ServerConfig::queue_capacity`] misses may be admitted-but-unstarted;
 //!    beyond that the request is shed with `503` + `Retry-After` instead
 //!    of queueing unboundedly. The admission ticket is an RAII
-//!    [`GaugeGuard`], so a job the pool never runs (injected panic,
-//!    dropped closure) still gives its slot back.
-//! 6. Admitted jobs run on the shared [`WorkerPool`] under a
+//!    [`GaugeGuard`], so a miss that never starts still gives its slot
+//!    back.
+//! 6. The admitted miss then waits at the synthesis gate — at most
+//!    [`ServerConfig::jobs`] syntheses run at once, counted in
+//!    `modsynd_in_flight` — and runs on the connection thread that
+//!    admitted it, under one `catch_unwind` (a panic is a `500`, a
+//!    `modsynd_panics_total` count and a breaker failure) and a
 //!    [`CancelToken`] deadline — the smaller of the server-wide
 //!    [`ServerConfig::request_timeout`] and the client's `timeout_ms`
 //!    query parameter. A deadline that fires surfaces as `504`. Capacity
@@ -51,30 +55,29 @@
 //! [`FlightRecorder`] (the newest 32,768 events in one ring behind one
 //! mutex; dumped by `GET /debug/flight`) and the metrics block's histogram
 //! registry (per-endpoint × per-method request latency, queue wait,
-//! synthesis cpu time, pool wait, solver effort — rendered as quantile
-//! lines on `GET /metrics`). Both stay on in production. Every flight
-//! event takes the ring's lock and every histogram observation the
-//! registry's, and each synthesis job formats its `synth_cpu_us:<method>`
-//! histogram name.
+//! synthesis cpu time, solver effort — rendered as quantile lines on
+//! `GET /metrics`). Both stay on in production. Every flight event takes
+//! the ring's lock and every histogram observation the registry's, and
+//! each synthesis formats its `synth_cpu_us:<method>` histogram name.
 //!
 //! ## Drain
 //!
 //! [`ServerHandle::shutdown`] (wired to `POST /shutdown`) stops the accept
-//! loop, then [`Server::run`] waits for open connections and admitted jobs
-//! to finish before returning — SIGTERM-style semantics without signal
-//! handlers, which `std` does not expose.
+//! loop, then [`Server::run`] waits for open connections, and with them
+//! every admitted synthesis, to finish before returning — SIGTERM-style
+//! semantics without signal handlers, which `std` does not expose.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use modsyn::{certify_report, Method, Rejection, RetryPolicy, SynthesisError, SynthesisOptions};
 use modsyn_fault::{site, FaultHook, Faults, SplitMix64};
 use modsyn_obs::{FlightEvent, FlightKind, FlightRecorder, Json, Tracer};
-use modsyn_par::{CancelToken, WorkerPool};
+use modsyn_par::{CancelToken, JobPanic};
 use modsyn_petri::NetClass;
 use modsyn_stg::{parse_g, stg_digest, Stg};
 use modsyn_store::{
@@ -103,9 +106,10 @@ pub enum AccessLog {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Synthesis pool workers.
+    /// How many syntheses may run at once (at least one); further
+    /// admitted misses wait for a slot on their connection threads.
     pub jobs: usize,
-    /// Admitted-but-unstarted job bound; beyond it `/synth` sheds with 503.
+    /// Admitted-but-unstarted miss bound; beyond it `/synth` sheds with 503.
     pub queue_capacity: usize,
     /// Open-connection bound; beyond it the listener answers 503 inline.
     pub max_connections: usize,
@@ -177,8 +181,12 @@ enum AccessSink {
 
 struct Shared {
     config: ServerConfig,
-    pool: WorkerPool,
     metrics: Arc<Metrics>,
+    /// The synthesis gate: the running count is `metrics.in_flight`,
+    /// changed only under this lock so no more than `config.jobs` run;
+    /// `synth_freed` wakes one waiter each time a synthesis finishes.
+    synth_lock: Mutex<()>,
+    synth_freed: Condvar,
     tracer: Tracer,
     flight: FlightRecorder,
     shutting_down: AtomicBool,
@@ -223,6 +231,25 @@ impl Shared {
         }
     }
 
+    /// Waits until fewer than [`ServerConfig::jobs`] syntheses run, then
+    /// takes a slot; dropping the returned slot (unwinding included) gives
+    /// it back and wakes a waiter.
+    fn enter_synthesis(&self) -> SynthSlot<'_> {
+        let slots = self.config.jobs.max(1) as u64;
+        let mut held = self
+            .synth_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while self.metrics.in_flight.load(Ordering::Acquire) >= slots {
+            held = self
+                .synth_freed
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.metrics.in_flight.fetch_add(1, Ordering::AcqRel);
+        SynthSlot(self)
+    }
+
     /// The `/metrics` exposition, read from each value's owner.
     fn render_metrics(&self) -> String {
         self.metrics.render(&self.store, self.unready().is_none())
@@ -263,12 +290,25 @@ impl Shared {
             AccessSink::Stderr => eprintln!("{line}"),
             AccessSink::File(file) => {
                 use std::io::Write as _;
-                let mut file = file
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
                 let _ = writeln!(file, "{line}");
             }
         }
+    }
+}
+
+/// One running synthesis's slot at the gate ([`Shared::enter_synthesis`]).
+struct SynthSlot<'a>(&'a Shared);
+
+impl Drop for SynthSlot<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        let _held = shared
+            .synth_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
+        shared.synth_freed.notify_one();
     }
 }
 
@@ -327,10 +367,10 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds `config.addr` and builds the pool, store, metrics and flight
+    /// Binds `config.addr` and builds the store, metrics and flight
     /// recorder. The given tracer is extended with the recorder and the
-    /// metrics histograms, so the pool, retry ladder and solver all feed
-    /// the always-on planes whether or not the event sink is enabled.
+    /// metrics histograms, so the handler, retry ladder and solver all
+    /// feed the always-on planes whether or not the event sink is enabled.
     ///
     /// # Errors
     ///
@@ -343,8 +383,6 @@ impl Server {
         let tracer = tracer
             .with_flight(flight.clone())
             .with_histograms(metrics.hists.clone());
-        let pool =
-            WorkerPool::with_tracer_and_faults(config.jobs, tracer.clone(), config.faults.clone());
         let store = Arc::new(
             SynthStore::with_capacity(config.store_bytes).with_faults(config.faults.clone()),
         );
@@ -369,8 +407,9 @@ impl Server {
         let durable_config = config.durable.clone();
         let shared = Arc::new(Shared {
             config,
-            pool,
             metrics,
+            synth_lock: Mutex::new(()),
+            synth_freed: Condvar::new(),
             tracer,
             flight,
             shutting_down: AtomicBool::new(false),
@@ -417,8 +456,8 @@ impl Server {
     }
 
     /// Runs the accept loop until [`ServerHandle::shutdown`] (or `POST
-    /// /shutdown`), then drains: waits for open connections and admitted
-    /// jobs, bounded by [`ServerConfig::drain_timeout`].
+    /// /shutdown`), then drains: waits for open connections and the
+    /// syntheses they admitted, bounded by [`ServerConfig::drain_timeout`].
     ///
     /// # Errors
     ///
@@ -500,7 +539,8 @@ impl Server {
             }
         }
 
-        // Drain: connections first (each may still admit a job), then jobs.
+        // Drain: every admitted synthesis runs on its connection's thread,
+        // so open connections bound the queued and running ones too.
         let deadline = Instant::now() + self.shared.config.drain_timeout;
         let m = &self.shared.metrics;
         while Instant::now() < deadline {
@@ -514,8 +554,8 @@ impl Server {
         }
         self.shared.tracer.note("shutdown", "drained");
 
-        // Final checkpoint, only after the drain: every admitted job has
-        // finished, so the snapshot is a consistent post-quiescence view
+        // Final checkpoint, only after the drain: every admitted synthesis
+        // has finished, so the snapshot is a consistent post-quiescence view
         // and the next start recovers from it alone, with an (ideally)
         // empty journal suffix to replay.
         if let Some(d) = self.shared.store.durable() {
@@ -1078,8 +1118,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
             return error_response(400, "Bad Request", "parse", &e.to_string());
         }
     };
-    // Structural class, computed up front (the STG moves into the pool
-    // closure below): 422 rejections advertise how far outside the
+    // Structural class: 422 rejections advertise how far outside the
     // supported theory the input sat via X-Modsyn-Class, so clients can
     // tell a class rejection from a capacity one without re-classifying.
     let net_class = stg.net().classify();
@@ -1124,7 +1163,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
 
     // Circuit breaker: a method that keeps failing server-side (panics,
     // deadline aborts, oracle rejections) is rejected up front for the
-    // cooldown instead of burning pool capacity. Cache hits above are
+    // cooldown instead of burning synthesis slots. Cache hits above are
     // always served — the breaker only guards fresh synthesis.
     let breaker = &shared.breakers[method_tag(method) as usize];
     let admission = breaker.admit(Instant::now());
@@ -1167,9 +1206,8 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
             .count(&shared.metrics.shed, &shared.tracer, "shed");
         return shed_response();
     }
-    // The admission ticket travels into the pool closure as an RAII
-    // guard: if the job never runs (injected enqueue panic, dropped
-    // closure), dropping the closure still releases the slot.
+    // The admission ticket is an RAII guard: it is released when the
+    // synthesis starts, or on any early exit before that.
     let queue_guard = GaugeGuard::adopt(Arc::clone(&shared.metrics), Gauge::QueueDepth);
 
     // Deadline: the tighter of the server-wide and the client's budget.
@@ -1188,7 +1226,7 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
 
     let mut options = SynthesisOptions::for_method(method);
     options.cancel = cancel;
-    options.jobs = 1; // the pool provides cross-request parallelism
+    options.jobs = 1; // the gate bounds cross-request parallelism
     options.faults = shared.config.faults.clone();
     options.store = session
         .as_ref()
@@ -1211,28 +1249,30 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
         max_attempts: 4,
     };
 
-    let metrics = Arc::clone(&shared.metrics);
-    let job_tracer = tracer.clone();
     let started = Instant::now();
-    let handle = shared
-        .pool
-        .submit(&format!("synth:{}", stg.name()), move || {
-            drop(queue_guard);
-            let _in_flight = GaugeGuard::enter(Arc::clone(&metrics), Gauge::InFlight);
-            let wait_us = started.elapsed().as_micros() as u64;
-            job_tracer.record_hist("queue_wait_us", wait_us);
-            job_tracer.flight_event(FlightKind::Counter, "svc.queue_wait_us", wait_us);
-            let _run_span = job_tracer.flight_span("pool.run");
-            let cpu_started = Instant::now();
-            let outcome = run_synthesis(&stg, &options, &policy, &job_tracer);
-            job_tracer.record_hist(
-                &format!("synth_cpu_us:{method}"),
-                cpu_started.elapsed().as_micros() as u64,
-            );
-            outcome
-        });
-
-    let outcome = handle.join();
+    let slot = shared.enter_synthesis();
+    drop(queue_guard);
+    let wait_us = started.elapsed().as_micros() as u64;
+    tracer.record_hist("queue_wait_us", wait_us);
+    tracer.flight_event(FlightKind::Counter, "svc.queue_wait_us", wait_us);
+    // One containment for the whole run: a panic anywhere in it, the
+    // injected one included, discards the result.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _synth_span = tracer.flight_span("svc.synth");
+        let cpu_started = Instant::now();
+        let outcome = run_synthesis(&stg, &options, &policy, tracer);
+        tracer.record_hist(
+            &format!("synth_cpu_us:{method}"),
+            cpu_started.elapsed().as_micros() as u64,
+        );
+        if shared.config.faults.fire(site::SVC_SYNTH_PANIC) {
+            shared.injected_fault(site::SVC_SYNTH_PANIC);
+            panic!("injected fault: {}", site::SVC_SYNTH_PANIC);
+        }
+        outcome
+    }))
+    .map_err(JobPanic::from_payload);
+    drop(slot);
     // Breaker verdict: server-side trouble (panic, deadline abort, oracle
     // rejection) is failure; an unsolvable STG (422) is the *client's*
     // problem and counts as success, so bad inputs cannot lock the method.
@@ -1296,11 +1336,10 @@ fn synth(shared: &Shared, request: &Request, tracer: &Tracer, incr_base: Option<
             }
             // The body and its provenance enter the store as one entry (one
             // journal frame) before the 200 is written, so `/explain` and
-            // later `/synth/incr` base checks find them. The handler stores
-            // it, not the pool job: a job whose result is discarded (a
-            // worker panic after the closure) must leave nothing a later
-            // request could serve. Then compact if the journal has grown
-            // past the checkpoint cadence.
+            // later `/synth/incr` base checks find them. It is stored only
+            // here, after the run's containment: a result discarded by a
+            // panic must leave nothing a later request could serve. Then
+            // compact if the journal has grown past the checkpoint cadence.
             let body = record.body.clone().into_bytes();
             shared.store.put_record(key, record);
             if let Some(d) = shared.store.durable() {

@@ -1,14 +1,13 @@
-//! Cross-crate chaos integration tests: the fault plane driving the pool,
-//! the supervised retry ladder, the service circuit breaker and the
-//! backoff client, all through public APIs and (for the service) a real
-//! loopback listener.
+//! Cross-crate chaos integration tests: the fault plane driving the
+//! supervised retry ladder, the service circuit breaker and the backoff
+//! client, all through public APIs and (for the service) a real loopback
+//! listener.
 
 use std::time::{Duration, Instant};
 
 use modsyn::{synthesize, synthesize_with_retry, RetryPolicy, SynthesisOptions};
 use modsyn_fault::{site, FaultPlan, FaultRule, Faults};
 use modsyn_obs::Tracer;
-use modsyn_par::WorkerPool;
 use modsyn_svc::client::{self, BackoffPolicy};
 use modsyn_svc::{BreakerConfig, Server, ServerConfig, ServerHandle};
 
@@ -46,69 +45,6 @@ fn metric(handle: &ServerHandle, name: &str) -> u64 {
         client::request(handle.addr(), "GET", "/metrics", b"", TIMEOUT).expect("metrics request");
     modsyn_svc::Metrics::parse_line(&response.text(), name)
         .unwrap_or_else(|| panic!("metric {name} missing from:\n{}", response.text()))
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool: contained panics at every site, gauges drain to zero.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn pool_contains_injected_panics_at_every_site_and_gauges_drain() {
-    // One rule per panic site, one hit each. A job that panics at enqueue
-    // never reaches the run probe, so the run rule needs no skip; the
-    // drain site is probed by every job (even panicked ones), so skipping
-    // two probes lands that hit on the third job. A single worker keeps
-    // the queue_depth gauge on one span so "drains to zero" is a
-    // well-defined last-write assertion.
-    let faults = FaultPlan::new("chaos", 7)
-        .rule(FaultRule::at(site::POOL_ENQUEUE).times(1))
-        .rule(FaultRule::at(site::POOL_RUN).times(1))
-        .rule(FaultRule::at(site::POOL_DRAIN).times(1).skip(2))
-        .arm();
-    let tracer = Tracer::enabled();
-    let survivors = {
-        let pool = WorkerPool::with_tracer_and_faults(1, tracer.clone(), faults.clone());
-
-        // Job 1 dies at enqueue (closure never runs), job 2 at run (result
-        // discarded), job 3 at drain (channel dropped); all surface as
-        // errors on their own handles only.
-        let errors: Vec<String> = (0..3)
-            .map(|i| {
-                pool.submit("doomed", move || i)
-                    .join()
-                    .expect_err("fault must surface")
-                    .message
-            })
-            .collect();
-        assert!(errors[0].contains(site::POOL_ENQUEUE), "{errors:?}");
-        assert!(errors[1].contains(site::POOL_RUN), "{errors:?}");
-        assert!(
-            errors[2].contains("dropped before completion"),
-            "{errors:?}"
-        );
-        assert_eq!(faults.total_injected(), 3);
-
-        // Budgets spent: the same pool keeps serving ordinary work.
-        let alive: Vec<usize> = (0..8)
-            .map(|i| {
-                pool.submit("alive", move || i * i)
-                    .join()
-                    .expect("healthy job")
-            })
-            .collect();
-        assert_eq!(alive, (0..8).map(|i| i * i).collect::<Vec<_>>());
-        alive.len()
-    }; // drop the pool: workers drained and joined
-    assert_eq!(survivors, 8);
-
-    let report = tracer.report();
-    assert_eq!(report.total_counter("injected_faults"), 3);
-    assert!(report.total_counter("panics") >= 2, "enqueue + run panics");
-    // The worker samples queue depth after every pop; once everything
-    // drained its last sample must be zero.
-    let workers = report.spans_with_prefix("worker:");
-    assert_eq!(workers.len(), 1);
-    assert_eq!(workers[0].gauge("queue_depth"), Some(0.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -207,16 +143,16 @@ fn the_ladder_returns_the_clean_circuit_under_a_conflict_storm_for_each_engine()
 
 #[test]
 fn breaker_opens_under_injected_failures_then_recovers_through_half_open() {
-    // A persistent pool.run panic plan makes every synthesis fail (500) —
-    // a worker panic is the one failure the server's retry ladder cannot
-    // absorb, unlike sat.abort which the fault-free rung recovers. A
+    // A persistent svc.synth-panic plan makes every synthesis fail (500) —
+    // a synthesis panic is the one failure the server's retry ladder
+    // cannot absorb, unlike sat.abort which the fault-free rung recovers. A
     // threshold of 1.5 (trips on the second quick failure — the score
     // decays slightly between records, so 2.0 would never be reached) and
     // a short cooldown keep the test fast. We hold a clone of the armed
     // handle so the "fault cleared" transition is an explicit switch, not
     // a budget coincidence.
     let faults = FaultPlan::new("chaos", 3)
-        .rule(FaultRule::at(site::POOL_RUN))
+        .rule(FaultRule::at(site::SVC_SYNTH_PANIC))
         .arm();
     let cooldown = Duration::from_millis(200);
     let (handle, thread) = start(ServerConfig {

@@ -7,7 +7,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use modsyn_obs::Tracer;
+use modsyn_obs::{FlightKind, Tracer};
 use modsyn_stg::{Frag, SignalKind, StgBuilder};
 use modsyn_svc::client::{self, ClientResponse};
 use modsyn_svc::{Limits, Server, ServerConfig, ServerHandle};
@@ -290,7 +290,7 @@ fn malformed_requests_get_typed_errors_and_the_accept_loop_survives() {
 
 #[test]
 fn saturated_admission_queue_sheds_with_503() {
-    // queue_capacity 0: every cache miss is shed before touching the pool.
+    // queue_capacity 0: every cache miss is shed before it synthesises.
     let (handle, thread) = start(ServerConfig {
         jobs: 1,
         queue_capacity: 0,
@@ -384,11 +384,11 @@ fn state_graph_rejections_use_the_rejection_tags() {
 }
 
 #[test]
-fn injected_pool_panic_is_a_500_and_gauges_return_to_zero() {
-    // One injected panic at pool.enqueue: the admitted job's closure is
-    // dropped during unwinding without ever running, so the queue-depth
-    // ticket is released by RAII, not by the (never-reached) closure body.
-    let faults = modsyn_fault::FaultPlan::parse("test", "pool.enqueue*1", 7)
+fn injected_synth_panic_is_a_500_and_gauges_return_to_zero() {
+    // One injected panic after synthesis returned: the containment around
+    // the run discards its certified result, and the RAII queue ticket and
+    // synthesis slot are released while the panic unwinds.
+    let faults = modsyn_fault::FaultPlan::parse("test", "svc.synth-panic*1", 7)
         .expect("fault spec")
         .arm();
     let (handle, thread) = start(ServerConfig {
@@ -409,9 +409,12 @@ fn injected_pool_panic_is_a_500_and_gauges_return_to_zero() {
     // The RAII guards gave every slot back…
     assert_eq!(metric(&handle, "modsynd_queue_depth"), 0);
     assert_eq!(metric(&handle, "modsynd_in_flight"), 0);
-    // …and the server still synthesises (the fault budget is spent).
+    // …and the server still synthesises (the fault budget is spent). The
+    // discarded result was never stored: the retry is a fresh miss.
     let retry = post_synth(&handle, &benchmark_g("vbe-ex1"));
     assert_eq!(retry.status, 200, "{}", retry.text());
+    assert_eq!(retry.header("x-modsyn-cache"), Some("miss"));
+    assert!(retry.text().contains("\"certified\":true"));
 
     stop(&handle, thread);
     assert_eq!(handle.metrics().queue_depth.load(Ordering::Acquire), 0);
@@ -420,10 +423,51 @@ fn injected_pool_panic_is_a_500_and_gauges_return_to_zero() {
 }
 
 #[test]
+fn a_one_slot_gate_runs_concurrent_misses_one_at_a_time() {
+    let (handle, thread) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    // Three distinct cold posts at once: all are admitted, and the gate
+    // lets them synthesise one after another.
+    let start_line = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        for name in ["vbe-ex1", "sendr-done", "nouse"] {
+            let (handle, start_line, body) = (&handle, &start_line, benchmark_g(name));
+            scope.spawn(move || {
+                start_line.wait();
+                let response = post_synth(handle, &body);
+                assert_eq!(response.status, 200, "{name}: {}", response.text());
+                assert_eq!(response.header("x-modsyn-cache"), Some("miss"), "{name}");
+                assert!(response.text().contains("\"certified\":true"), "{name}");
+            });
+        }
+    });
+
+    // Across all three traces, no two svc.synth spans were ever open at
+    // once (the ring is in time order).
+    let (mut open, mut spans) = (0, 0);
+    for event in handle.flight().snapshot() {
+        match (event.name, event.kind) {
+            ("svc.synth", FlightKind::SpanOpen) => {
+                (open, spans) = (open + 1, spans + 1);
+                assert_eq!(open, 1, "two syntheses ran at once");
+            }
+            ("svc.synth", FlightKind::SpanClose) => open -= 1,
+            _ => {}
+        }
+    }
+    assert_eq!((spans, open), (3, 0));
+    assert_eq!(metric(&handle, "modsynd_in_flight"), 0);
+    assert_eq!(metric(&handle, "modsynd_queue_depth"), 0);
+    stop(&handle, thread);
+}
+
+#[test]
 fn trace_id_retrieves_the_span_chain_from_the_flight_recorder() {
     // One injected solver abort: rung 1 of the retry ladder fails, the
-    // fault-free rung recovers, and the whole chain — svc accept, pool
-    // run, retry ladder, SAT solve — lands in the flight recorder under
+    // fault-free rung recovers, and the whole chain — svc request, svc
+    // synth, retry ladder, SAT solve — lands in the flight recorder under
     // the caller-chosen trace id.
     let faults = modsyn_fault::FaultPlan::parse("test", "sat.abort*1", 3)
         .expect("fault spec")
@@ -461,7 +505,7 @@ fn trace_id_retrieves_the_span_chain_from_the_flight_recorder() {
     assert!(dump.contains(&format!("\"trace\":\"{trace}\"")), "{dump}");
     for span in [
         "svc.request",
-        "pool.run",
+        "svc.synth",
         "retry.ladder",
         "retry.attempt",
         "sat.solve",
