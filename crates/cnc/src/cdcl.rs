@@ -263,8 +263,7 @@ impl<'f> Cdcl<'f> {
             poll: SearchPoll::default(),
             prop_tick: 0,
         };
-        for clause in formula.clauses() {
-            let lits = clause.as_slice();
+        for lits in formula.clauses() {
             match lits.len() {
                 0 => s.root_unsat = true,
                 1 => match s.lit_value(lits[0]) {

@@ -30,7 +30,7 @@ pub fn direct_resolve_traced(
     let _span = tracer.span("direct");
     tracer.gauge("states", initial.state_count() as f64);
     tracer.gauge("signals", initial.signals().len() as f64);
-    let solution = solve_csc_scoped_traced(initial, options, 0, ResolveScope::All, tracer)?;
+    let solution = solve_csc_scoped_traced(initial, options, 0, ResolveScope::All, 1, tracer)?;
     tracer.counter("inserted", solution.assignments.len() as u64);
     let graph = insert_state_signals(initial, &solution.assignments)?;
     debug_assert!(graph.csc_analysis().satisfies_csc());

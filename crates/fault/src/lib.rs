@@ -7,7 +7,7 @@
 //! workspace uses to prove it survives all of them without ever serving
 //! a wrong or uncertified answer.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`FaultPlan`] — inert, named, seeded data describing which
 //!   [`site`]s fail, how often, and for how long. Plans parse from a
@@ -21,9 +21,8 @@
 //!   chaos is off. Decisions are drawn from per-site SplitMix64 streams
 //!   (seed ⊕ FNV-1a(site)), so a plan's injection sequence is a pure
 //!   function of the plan — chaos failures printed in CI replay locally.
-//! - [`FaultHook`] — the two-method trait (`fire`, `stall`) the
-//!   instrumented layers are generic over, so tests can script hooks
-//!   without building plans.
+//!   Layers probe it with [`Faults::fire`] (inject now?) and
+//!   [`Faults::stall`] (stall now, and for how long?).
 //!
 //! This crate sits *below* everything else in the workspace graph (it
 //! depends on nothing, not even `modsyn-obs`): the solver, service, store
@@ -34,5 +33,5 @@
 mod plan;
 mod rng;
 
-pub use plan::{site, FaultEvent, FaultHook, FaultPlan, FaultRule, Faults};
+pub use plan::{site, FaultEvent, FaultPlan, FaultRule, Faults};
 pub use rng::{fnv1a64, SplitMix64};

@@ -290,18 +290,6 @@ struct Armed {
     log: Mutex<Vec<FaultEvent>>,
 }
 
-/// Anything that can decide whether a named site should fail right now.
-///
-/// [`Faults`] is the standard implementation; the trait exists so tests
-/// can substitute scripted hooks without building a plan.
-pub trait FaultHook: Send + Sync {
-    /// Probes `site`; `true` means inject the site's fault now.
-    fn fire(&self, site: &str) -> bool;
-
-    /// Probes a stall-style `site`; `Some(delay)` means stall for `delay`.
-    fn stall(&self, site: &str) -> Option<Duration>;
-}
-
 /// A cloneable handle to an armed [`FaultPlan`] — or to nothing.
 ///
 /// Mirrors the `CancelToken` idiom: [`Faults::none`] (the `Default`)
@@ -374,7 +362,8 @@ impl Faults {
         armed.rules.iter().find(|r| r.rule.site == site)
     }
 
-    fn probe(&self, site: &str) -> bool {
+    /// Probes `site`; `true` means inject the site's fault now.
+    pub fn fire(&self, site: &str) -> bool {
         let Some(rule_state) = self.decide(site) else {
             return false;
         };
@@ -408,18 +397,13 @@ impl Faults {
             .push(event);
         true
     }
-}
 
-impl FaultHook for Faults {
-    fn fire(&self, site: &str) -> bool {
-        self.probe(site)
-    }
-
-    fn stall(&self, site: &str) -> Option<Duration> {
-        if !self.probe(site) {
+    /// Probes a stall-style `site`; `Some(delay)` means stall for `delay`.
+    pub fn stall(&self, site: &str) -> Option<Duration> {
+        if !self.fire(site) {
             return None;
         }
-        let rule_state = self.decide(site).expect("probe hit implies a rule");
+        let rule_state = self.decide(site).expect("a fired probe has a rule");
         Some(rule_state.rule.delay)
     }
 }

@@ -29,7 +29,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::{site, Faults};
 use modsyn_svc::client;
 
 /// How a replica's health is judged, beyond "the process is running".

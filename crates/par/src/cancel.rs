@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 struct Inner {
     flag: AtomicBool,
     deadline: Option<Instant>,
+    parent: Option<Arc<Inner>>,
 }
 
 impl Inner {
@@ -21,7 +22,7 @@ impl Inner {
             // Latch the flag so later checks skip the clock read.
             self.flag.store(true, Ordering::Release);
         }
-        expired
+        expired || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 
@@ -37,6 +38,10 @@ impl Inner {
 /// [`CancelToken::never`] (the `Default`) carries no state at all: polling
 /// it is a branch on `None`, so hot loops instrumented with a token pay
 /// nothing when cancellation is unused.
+///
+/// [`CancelToken::child`] makes a token that trips with its parent but
+/// can also be cancelled alone: the CSC loop cancels the signal counts it
+/// no longer needs this way without touching the caller's deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
@@ -49,6 +54,7 @@ impl CancelToken {
             inner: Some(Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline: None,
+                parent: None,
             })),
         }
     }
@@ -69,6 +75,20 @@ impl CancelToken {
             inner: Some(Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline: Some(deadline),
+                parent: None,
+            })),
+        }
+    }
+
+    /// A child token: cancelled when this token is, but cancelling the
+    /// child does not touch this token. On a [`CancelToken::never`] parent
+    /// this is a plain [`CancelToken::new`].
+    pub fn child(&self) -> CancelToken {
+        CancelToken {
+            inner: Some(Arc::new(Inner {
+                flag: AtomicBool::new(false),
+                deadline: None,
+                parent: self.inner.clone(),
             })),
         }
     }
@@ -80,7 +100,8 @@ impl CancelToken {
         }
     }
 
-    /// Whether the token has been cancelled or its deadline has passed.
+    /// Whether the token has been cancelled or its deadline (or an
+    /// ancestor's) has passed.
     pub fn is_cancelled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.is_cancelled())
     }
@@ -141,6 +162,22 @@ mod tests {
     fn already_expired_deadline_is_cancelled_immediately() {
         let t = CancelToken::with_deadline_at(Instant::now());
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn child_follows_parent_but_not_vice_versa() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled(), "child cancel must not leak upward");
+
+        let child2 = parent.child();
+        parent.cancel();
+        assert!(child2.is_cancelled(), "parent cancel reaches children");
+
+        let orphan = CancelToken::never().child();
+        assert!(orphan.is_cancellable() && !orphan.is_cancelled());
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! parallelises and bounds its work with:
 //!
 //! * [`CancelToken`] — a cooperative cancellation handle (atomic flag +
-//!   optional deadline). The SAT solver polls it in its
-//!   search loops and returns a clean `Aborted` outcome; the CLI's
-//!   `--timeout-ms` and the daemon's per-request deadlines are such
-//!   tokens.
+//!   optional deadline, plus child tokens that trip with their parent).
+//!   The SAT solver polls it in its search loops and returns a clean
+//!   `Aborted` outcome; the CLI's `--timeout-ms` and the daemon's
+//!   per-request deadlines are such tokens.
 //! * [`par_map`] — a deterministic parallel map on scoped threads:
 //!   results come back in input order no matter which thread finished
 //!   first, a panicking item becomes a [`JobPanic`] in its own slot, and

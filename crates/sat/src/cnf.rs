@@ -4,13 +4,14 @@ use std::fmt;
 
 use crate::{Lit, Var};
 
-/// One disjunction of literals.
+/// One disjunction of literals, as [`CnfFormula::extend`] takes it.
 pub type Clause = Vec<Lit>;
 
 /// A formula in conjunctive normal form.
 ///
 /// Clauses are normalised on insertion: duplicate literals are removed and
-/// tautological clauses (containing `x` and `!x`) are dropped.
+/// tautological clauses (containing `x` and `!x`) are dropped. All clauses
+/// share one literal arena, so a formula of any size is two allocations.
 ///
 /// ```
 /// use modsyn_sat::{CnfFormula, Lit, Var};
@@ -19,12 +20,15 @@ pub type Clause = Vec<Lit>;
 /// f.add_clause([Lit::positive(x), Lit::positive(x)]);   // dedupes to unit
 /// f.add_clause([Lit::positive(x), Lit::negative(x)]);   // tautology, dropped
 /// assert_eq!(f.clause_count(), 1);
-/// assert_eq!(f.clauses()[0].len(), 1);
+/// assert_eq!(f.clauses().next().unwrap().len(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, clause after clause.
+    lits: Vec<Lit>,
+    /// Clause `c` is `lits[ends[c - 1]..ends[c]]` (from 0 for the first).
+    ends: Vec<usize>,
     contains_empty_clause: bool,
 }
 
@@ -33,7 +37,8 @@ impl CnfFormula {
     pub fn new(num_vars: usize) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
             contains_empty_clause: false,
         }
     }
@@ -55,8 +60,10 @@ impl CnfFormula {
     ///
     /// Panics if a literal mentions a variable outside the formula.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let mut clause: Clause = lits.into_iter().collect();
-        for l in &clause {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        let clause = &mut self.lits[start..];
+        for l in clause.iter() {
             assert!(
                 l.var().index() < self.num_vars,
                 "literal {l} out of range for {} variables",
@@ -64,16 +71,26 @@ impl CnfFormula {
             );
         }
         clause.sort_unstable();
-        clause.dedup();
+        // Dedup in place: keep each literal that differs from the last kept.
+        let mut kept = 0;
+        for i in 0..clause.len() {
+            if kept == 0 || clause[i] != clause[kept - 1] {
+                clause[kept] = clause[i];
+                kept += 1;
+            }
+        }
         // Tautology: adjacent sorted literals of the same var with opposite
         // polarity.
-        if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
+        let tautology = clause[..kept].windows(2).any(|w| w[0].var() == w[1].var());
+        if tautology {
+            self.lits.truncate(start);
             return;
         }
-        if clause.is_empty() {
+        self.lits.truncate(start + kept);
+        if kept == 0 {
             self.contains_empty_clause = true;
         }
-        self.clauses.push(clause);
+        self.ends.push(self.lits.len());
     }
 
     /// Number of variables.
@@ -83,17 +100,20 @@ impl CnfFormula {
 
     /// Number of clauses (empty clauses included).
     pub fn clause_count(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences across all clauses.
     pub fn literal_count(&self) -> usize {
-        self.clauses.iter().map(|c| c.len()).sum()
+        self.lits.len()
     }
 
-    /// The clauses.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The clauses, in insertion order, each sorted and deduplicated.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        (0..self.ends.len()).map(|c| {
+            let start = c.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+            &self.lits[start..self.ends[c]]
+        })
     }
 
     /// Whether an empty clause was added (formula trivially unsatisfiable).
@@ -110,7 +130,7 @@ impl CnfFormula {
     /// Panics if `assignment` is shorter than [`CnfFormula::num_vars`].
     pub fn evaluate(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars);
-        self.clauses.iter().all(|c| {
+        self.clauses().all(|c| {
             c.iter()
                 .any(|l| assignment[l.var().index()] != l.is_negative())
         })
@@ -131,7 +151,7 @@ impl fmt::Display for CnfFormula {
             f,
             "cnf: {} vars, {} clauses",
             self.num_vars,
-            self.clauses.len()
+            self.clause_count()
         )
     }
 }
@@ -185,6 +205,25 @@ mod tests {
     fn out_of_range_literal_panics() {
         let mut f = CnfFormula::new(1);
         f.add_clause([Lit::positive(Var::new(5))]);
+    }
+
+    #[test]
+    fn clauses_come_back_sorted_deduplicated_in_insertion_order() {
+        let mut f = CnfFormula::new(4);
+        let l = |v: usize, positive: bool| Lit::with_polarity(Var::new(v), positive);
+        f.add_clause([l(3, true), l(0, false), l(3, true), l(1, true)]);
+        f.add_clause([l(2, true), l(2, false)]); // tautology, dropped
+        f.add_clause([l(2, false), l(2, false)]);
+        f.add_clause([]);
+        f.add_clause([l(1, true), l(0, true)]);
+        let clauses: Vec<Vec<Lit>> = f.clauses().map(<[Lit]>::to_vec).collect();
+        let mut first = vec![l(0, false), l(1, true), l(3, true)];
+        first.sort_unstable();
+        let mut last = vec![l(0, true), l(1, true)];
+        last.sort_unstable();
+        assert_eq!(clauses, [first, vec![l(2, false)], vec![], last]);
+        assert_eq!(f.literal_count(), 6);
+        assert!(f.contains_empty_clause());
     }
 
     #[test]

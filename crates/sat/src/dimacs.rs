@@ -144,7 +144,7 @@ mod tests {
     fn clause_may_span_lines() {
         let f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n").unwrap();
         assert_eq!(f.clause_count(), 1);
-        assert_eq!(f.clauses()[0].len(), 3);
+        assert_eq!(f.clauses().next().unwrap().len(), 3);
     }
 
     #[test]

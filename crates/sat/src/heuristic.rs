@@ -44,7 +44,6 @@ pub(crate) fn static_scores(formula: &CnfFormula, heuristic: Heuristic) -> Vec<(
         Heuristic::Moms => {
             let min_len = formula
                 .clauses()
-                .iter()
                 .map(|c| c.len())
                 .filter(|&n| n > 0)
                 .min()

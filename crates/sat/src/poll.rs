@@ -1,7 +1,7 @@
 //! The cancel and fault poll both search cores run once per search-loop
 //! iteration: [`Solver`](crate::Solver) here and `modsyn-cnc`'s `Cdcl`.
 
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::{site, Faults};
 use modsyn_par::CancelToken;
 
 use crate::Outcome;

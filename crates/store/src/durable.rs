@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::{site, Faults};
 
 use crate::snapshot::{snapshot_doc, snapshot_from_json, SnapshotData};
 use crate::store::SynthStore;

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use modsyn_fault::fnv1a64;
-use modsyn_fault::{site, FaultHook, Faults};
+use modsyn_fault::{site, Faults};
 use modsyn_sg::{EdgeLabel, StateGraph};
 
 use crate::durable::DurableStore;

@@ -81,5 +81,5 @@ mod server;
 
 pub use breaker::{Admission, BreakerConfig, CircuitBreaker};
 pub use http::{HttpError, Limits, Request, Response};
-pub use metrics::{Gauge, GaugeGuard, Metrics};
+pub use metrics::Metrics;
 pub use server::{render_report, AccessLog, Server, ServerConfig, ServerHandle};

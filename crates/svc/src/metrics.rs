@@ -243,7 +243,7 @@ impl Metrics {
 /// The service gauges [`GaugeGuard`] manages (`modsynd_in_flight` is the
 /// synthesis gate's own count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
+pub(crate) enum Gauge {
     /// `modsynd_queue_depth`.
     QueueDepth,
     /// `modsynd_connections`.
@@ -265,22 +265,16 @@ impl Gauge {
 /// of these — a leaked gauge is a drain that never finishes and an
 /// admission queue that slowly chokes.
 #[derive(Debug)]
-pub struct GaugeGuard {
+pub(crate) struct GaugeGuard {
     metrics: Arc<Metrics>,
     gauge: Gauge,
 }
 
 impl GaugeGuard {
-    /// Increments `gauge` now; decrements it on drop.
-    pub fn enter(metrics: Arc<Metrics>, gauge: Gauge) -> GaugeGuard {
-        gauge.cell(&metrics).fetch_add(1, Ordering::AcqRel);
-        GaugeGuard { metrics, gauge }
-    }
-
     /// Adopts an increment the caller already made (e.g. via a bounded
     /// `fetch_update`), decrementing it on drop without a second
     /// increment.
-    pub fn adopt(metrics: Arc<Metrics>, gauge: Gauge) -> GaugeGuard {
+    pub(crate) fn adopt(metrics: Arc<Metrics>, gauge: Gauge) -> GaugeGuard {
         GaugeGuard { metrics, gauge }
     }
 }
@@ -409,8 +403,9 @@ modsynd_ready 0
     fn gauge_guards_enter_adopt_and_release() {
         let m = Arc::new(Metrics::new());
         {
-            let _a = GaugeGuard::enter(Arc::clone(&m), Gauge::Connections);
-            let _b = GaugeGuard::enter(Arc::clone(&m), Gauge::Connections);
+            m.connections.fetch_add(2, Ordering::AcqRel);
+            let _a = GaugeGuard::adopt(Arc::clone(&m), Gauge::Connections);
+            let _b = GaugeGuard::adopt(Arc::clone(&m), Gauge::Connections);
             assert_eq!(m.connections.load(Ordering::Relaxed), 2);
         }
         assert_eq!(m.connections.load(Ordering::Relaxed), 0);
@@ -425,7 +420,8 @@ modsynd_ready 0
         let m = Arc::new(Metrics::new());
         let metrics = Arc::clone(&m);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _g = GaugeGuard::enter(metrics, Gauge::QueueDepth);
+            metrics.queue_depth.fetch_add(1, Ordering::AcqRel);
+            let _g = GaugeGuard::adopt(metrics, Gauge::QueueDepth);
             panic!("boom");
         }));
         assert!(result.is_err());

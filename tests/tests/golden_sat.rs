@@ -9,6 +9,10 @@
 //! activity rescale. A change to a decision order, a tie-break, a watch
 //! move or a learned clause shows here even when the verdicts and covers
 //! stay the same; `golden_logic` is the cover-side twin of this file.
+//!
+//! Every digest is also computed at `jobs = 2`, where the modular flow
+//! tries the signal counts after an unsatisfiable first one several at a
+//! time: the attempts it records, and so the digests, must not move.
 
 use modsyn::{synthesize, Engine, Method, SynthesisOptions, SynthesisReport};
 use modsyn_bench::{small_rows, TABLE1_BACKTRACK_LIMIT};
@@ -48,9 +52,10 @@ fn digest(result: &Result<SynthesisReport, modsyn::SynthesisError>) -> u64 {
     fnv1a(text.as_bytes())
 }
 
-fn options(method: Method, engine: Engine, limit: u64) -> SynthesisOptions {
+fn options(method: Method, engine: Engine, limit: u64, jobs: usize) -> SynthesisOptions {
     let mut options = SynthesisOptions::for_method(method);
     options.engine = engine;
+    options.jobs = jobs;
     options.solver = SolverOptions {
         max_backtracks: Some(limit),
         ..SolverOptions::default()
@@ -260,29 +265,54 @@ const CORPUS: [(u64, u64); 9] = [
     (40, 0xb5ea_ff71_8101_f19b),
 ];
 
-#[test]
-fn table1_small_rows_keep_their_searches() {
-    let rows = small_rows();
-    assert_eq!(rows.len(), TABLE1_SMALL.len());
-    let got: Vec<(&str, [u64; 4])> = rows
+/// The small rows' digests under every [`CONFIGS`] entry at `jobs`.
+fn table1_small_digests(jobs: usize) -> Vec<(&'static str, [u64; 4])> {
+    small_rows()
         .iter()
         .map(|row| {
             let stg = benchmarks::by_name(row.name).expect("known benchmark");
             let digests = CONFIGS.map(|(method, engine)| {
-                digest_of(&stg, &options(method, engine, TABLE1_BACKTRACK_LIMIT))
+                digest_of(&stg, &options(method, engine, TABLE1_BACKTRACK_LIMIT, jobs))
             });
             (row.name, digests)
         })
-        .collect();
-    assert_eq!(got, TABLE1_SMALL, "search digests moved");
+        .collect()
+}
+
+/// The corpus cases' digests at `jobs`.
+fn corpus_digests(jobs: usize) -> Vec<(u64, u64)> {
+    let options = options(Method::Modular, Engine::Dpll, 40_000, jobs);
+    CORPUS
+        .iter()
+        .map(|&(seed, _)| (seed, digest_of(&corpus_case(seed).0, &options)))
+        .collect()
+}
+
+#[test]
+fn table1_small_rows_keep_their_searches() {
+    assert_eq!(small_rows().len(), TABLE1_SMALL.len());
+    assert_eq!(
+        table1_small_digests(1),
+        TABLE1_SMALL,
+        "search digests moved"
+    );
 }
 
 #[test]
 fn corpus_cases_keep_their_searches() {
-    let options = options(Method::Modular, Engine::Dpll, 40_000);
-    let got: Vec<(u64, u64)> = CORPUS
-        .iter()
-        .map(|&(seed, _)| (seed, digest_of(&corpus_case(seed).0, &options)))
-        .collect();
-    assert_eq!(got, CORPUS, "search digests moved");
+    assert_eq!(corpus_digests(1), CORPUS, "search digests moved");
+}
+
+#[test]
+fn table1_small_rows_keep_their_searches_at_two_jobs() {
+    assert_eq!(
+        table1_small_digests(2),
+        TABLE1_SMALL,
+        "search digests moved"
+    );
+}
+
+#[test]
+fn corpus_cases_keep_their_searches_at_two_jobs() {
+    assert_eq!(corpus_digests(2), CORPUS, "search digests moved");
 }

@@ -15,7 +15,7 @@ use modsyn_stg::benchmarks;
 
 #[test]
 fn an_inseparable_pair_fails_the_vbe4a_edit_after_one_attempt() {
-    // The edit the `serve` workload sends for vbe4a: its first module has
+    // The edit the `serve` workload sends for vbe4a: its third module has
     // a conflict pair no single signal can separate.
     let stg = choose_edit(&benchmarks::by_name("vbe4a").expect("known benchmark"), 0).stg;
     let mut options = SynthesisOptions::for_method(Method::Modular);
