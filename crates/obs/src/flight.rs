@@ -173,6 +173,19 @@ impl FlightRecorder {
         ring.events.push_back(event);
     }
 
+    /// Records every event `other` holds here, oldest first, and empties
+    /// `other`. Each is stamped anew, so ring order stays time order; a
+    /// `SpanClose` keeps the duration it measured.
+    pub fn absorb(&self, other: &FlightRecorder) {
+        if Arc::ptr_eq(&self.inner, &other.inner) {
+            return;
+        }
+        let events = std::mem::take(&mut other.lock().events);
+        for e in events {
+            self.record(e.kind, e.name, e.trace, e.value);
+        }
+    }
+
     /// The held events, oldest first. May be called at any moment,
     /// including while writers are recording.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
@@ -220,6 +233,25 @@ mod tests {
         assert_eq!(events[1].kind, FlightKind::Counter);
         assert_eq!(events[1].value, 42);
         assert!(events.iter().all(|e| e.trace == 7));
+        assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
+    }
+
+    #[test]
+    fn absorbed_events_are_recorded_anew() {
+        let rec = FlightRecorder::with_capacity(16);
+        let side = FlightRecorder::with_capacity(16);
+        side.record(FlightKind::SpanOpen, "s", 5, 0);
+        rec.record(FlightKind::Counter, "c", 7, 1);
+        side.record(FlightKind::SpanClose, "s", 5, 9);
+        rec.absorb(&side);
+        rec.absorb(&rec);
+        assert!(side.snapshot().is_empty(), "absorbing drains the source");
+        let events = rec.snapshot();
+        let seen: Vec<_> = events
+            .iter()
+            .map(|e| (e.seq, e.name, e.trace, e.value))
+            .collect();
+        assert_eq!(seen, [(0, "c", 7, 1), (1, "s", 5, 0), (2, "s", 5, 9)]);
         assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
     }
 
