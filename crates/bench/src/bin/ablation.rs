@@ -20,11 +20,10 @@
 use modsyn::{
     encode_csc, modular_resolve, synthesize, CscSolveOptions, Engine, Method, SynthesisOptions,
 };
-use modsyn_cnc::solve_with_engine;
 use modsyn_fault::Faults;
 use modsyn_obs::Json;
 use modsyn_par::{par_map, unwrap_or_resume, CancelToken};
-use modsyn_sat::{Heuristic, Outcome, SolverOptions};
+use modsyn_sat::{solve_with_engine, Heuristic, Outcome, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::benchmarks;
 

@@ -406,7 +406,7 @@ pub const PAPER_TABLE1: [PaperRow; 23] = [
 /// budget in Table-1 runs: a deterministic stand-in chosen just above the
 /// largest search any Table-1 row needs with the default CDCL engine.
 ///
-/// Re-audited for the `modsyn-cnc` CDCL core (the previous 40 k was set
+/// Re-audited for the CDCL core (`modsyn_sat::Cdcl`) (the previous 40 k was set
 /// just above the classic engine's hardest *modular* search). Per-row CDCL
 /// conflict needs, measured at an effectively unbounded limit (worst
 /// single SAT attempt per row; full audit table in `EXPERIMENTS.md`):

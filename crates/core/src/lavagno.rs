@@ -17,16 +17,15 @@
 //!   the older, less informed search.
 //!
 //! Each formula goes through the same engine dispatch as the other methods
-//! ([`modsyn_cnc::solve_with_engine_traced`], classic engine), so its
+//! ([`modsyn_sat::solve_with_engine_traced`], classic engine), so its
 //! solves are observed the same way: `sat.solve` spans under a `lavagno`
 //! span, and the `sat_*` histograms.
 
-use modsyn_cnc::{solve_with_engine_traced, Engine};
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
 use modsyn_petri::NetClass;
-use modsyn_sat::{Heuristic, Lit, Outcome, SolverOptions};
+use modsyn_sat::{solve_with_engine_traced, Engine, Heuristic, Lit, Outcome, SolverOptions};
 use modsyn_sg::{insert_state_signals, StateGraph};
 use modsyn_stg::Stg;
 

@@ -70,8 +70,8 @@ pub use solve::{solve_csc_scoped_traced, CscOutcome, CscSolution, CscSolveOption
 pub use synth::{synthesize, synthesize_traced, Method, SynthesisOptions, SynthesisReport};
 
 /// Re-exported so callers selecting a SAT engine (`modsyn --engine`,
-/// `modsat --engine`) need not depend on `modsyn-cnc` directly.
-pub use modsyn_cnc::Engine;
+/// `modsat --engine`) need not depend on `modsyn-sat` directly.
+pub use modsyn_sat::Engine;
 
 // Store types surfaced through the options/report API, re-exported so
 // callers need not depend on modsyn-store directly. `FormulaStat` is the

@@ -6,11 +6,12 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
-use modsyn_cnc::{solve_with_engine_traced, Cdcl, CdclOptions, Engine};
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::{unwrap_or_resume, CancelToken, JobPanic};
-use modsyn_sat::{Lit, Model, Outcome, SolverOptions, SolverStats};
+use modsyn_sat::{
+    solve_with_engine_traced, Cdcl, Engine, Lit, Model, Outcome, SolverOptions, SolverStats,
+};
 use modsyn_sg::{CscAnalysis, StateGraph, StateSignalAssignment};
 use modsyn_store::{ClauseFamilies, FormulaStat, Provenance, StoreLink};
 
@@ -52,7 +53,7 @@ pub struct CscSolveOptions {
     /// SAT solver configuration (heuristic, backtrack limit).
     pub solver: SolverOptions,
     /// Which SAT core decides the CSC formulas. Defaults to the
-    /// `modsyn-cnc` CDCL core; [`Engine::Dpll`] restores the classic
+    /// CDCL core ([`modsyn_sat::Cdcl`]); [`Engine::Dpll`] restores the classic
     /// paper-faithful engine.
     pub engine: Engine,
     /// How many state signals beyond the lower bound to try before giving
@@ -177,13 +178,7 @@ fn separability(
     tracer.gauge("pairs", resolve.len() as f64);
     let encoding = encode_signal_families(graph, 1);
     let (a, b) = (|s| encoding.a(s, 0), |s| encoding.b(s, 0));
-    let mut solver = Cdcl::new(
-        &encoding.formula,
-        CdclOptions {
-            max_conflicts: budget,
-        },
-    )
-    .with_cancel(cancel.clone());
+    let mut solver = Cdcl::new(&encoding.formula, budget).with_cancel(cancel.clone());
     let mut separated = vec![false; resolve.len()];
     for (at, &(i, j)) in resolve.iter().enumerate() {
         if separated[at] {

@@ -2,11 +2,10 @@
 
 use std::time::Instant;
 
-use modsyn_cnc::Engine;
 use modsyn_fault::Faults;
 use modsyn_obs::Tracer;
 use modsyn_par::CancelToken;
-use modsyn_sat::SolverOptions;
+use modsyn_sat::{Engine, SolverOptions};
 use modsyn_sg::{derive_traced, DeriveOptions};
 use modsyn_stg::Stg;
 use modsyn_store::StoreLink;

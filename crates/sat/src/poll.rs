@@ -1,5 +1,5 @@
 //! The cancel and fault poll both search cores run once per search-loop
-//! iteration: [`Solver`](crate::Solver) here and `modsyn-cnc`'s `Cdcl`.
+//! iteration: [`Solver`](crate::Solver) and [`Cdcl`](crate::Cdcl).
 
 use modsyn_fault::{site, Faults};
 use modsyn_par::CancelToken;
@@ -22,11 +22,11 @@ const POLL_MASK: u64 = 0xFF;
 /// A counter advances only while its handle can fire, so an inert poll
 /// costs one branch.
 #[derive(Debug, Default)]
-pub struct SearchPoll {
+pub(crate) struct SearchPoll {
     /// Cooperative cancellation. Inert by default.
-    pub cancel: CancelToken,
+    pub(crate) cancel: CancelToken,
     /// Fault-injection handle. Inert by default.
-    pub faults: Faults,
+    pub(crate) faults: Faults,
     tick: u64,
     fault_tick: u64,
 }
@@ -34,7 +34,7 @@ pub struct SearchPoll {
 impl SearchPoll {
     /// Whether the cancel token should abort the search now.
     #[inline]
-    pub fn poll_cancelled(&mut self) -> bool {
+    pub(crate) fn poll_cancelled(&mut self) -> bool {
         if !self.cancel.is_cancellable() {
             return false;
         }
@@ -47,7 +47,7 @@ impl SearchPoll {
     /// the search just burned through its whole backtrack budget
     /// ([`Outcome::BacktrackLimit`]).
     #[inline]
-    pub fn poll_injected(&mut self) -> Option<Outcome> {
+    pub(crate) fn poll_injected(&mut self) -> Option<Outcome> {
         if !self.faults.is_armed() {
             return None;
         }

@@ -13,12 +13,11 @@ use modsyn::{
     Engine, Method, ResolveScope, SynthesisError, SynthesisOptions, SynthesisReport,
 };
 use modsyn_bench::{incr::choose_edit, TABLE1_BACKTRACK_LIMIT};
-use modsyn_cnc::solve_with_engine;
 use modsyn_corpus::corpus_case;
 use modsyn_fault::Faults;
 use modsyn_obs::{Event, Tracer};
 use modsyn_par::CancelToken;
-use modsyn_sat::SolverOptions;
+use modsyn_sat::{solve_with_engine, SolverOptions};
 use modsyn_sg::{derive, DeriveOptions};
 use modsyn_stg::{benchmarks, parse_g, write_g, Stg};
 
