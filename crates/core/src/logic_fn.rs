@@ -55,7 +55,8 @@ pub fn derive_logic(graph: &StateGraph) -> Result<Vec<SignalFunction>, Synthesis
 /// `jobs` value. The stage runs under a `logic` observability span: one
 /// `logic:<signal>` child per derived function (nesting the `espresso` span
 /// in heuristic mode) plus a `literals` gauge with the total area metric.
-/// With `jobs > 1` the `logic:<signal>` spans root on their worker threads.
+/// With `jobs > 1` the `logic:<signal>` spans the calling thread runs nest
+/// under `logic`, and those a scoped thread runs root on that thread.
 ///
 /// # Errors
 ///

@@ -169,8 +169,8 @@ fn solve_module_via_store(
 /// `module:<output>` span carrying the paper's headline metrics (kept
 /// signals, module states, conflicts, peak formula vars/clauses, inserted
 /// signals), and the final cleanup a `residual` span. With `jobs > 1` the
-/// per-output derivation spans root on their worker threads instead of
-/// nesting under `select`.
+/// per-output derivations the calling thread runs nest under `select`,
+/// and those a scoped thread runs root on that thread.
 ///
 /// # Errors
 ///

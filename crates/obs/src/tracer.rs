@@ -71,8 +71,9 @@ struct State {
     events: Vec<Event>,
     /// Open-span stacks, one per thread; metrics recorded by a thread
     /// attach to the top of *that thread's* stack. Keeping the stacks
-    /// per-thread is what lets worker-pool threads trace concurrently
-    /// without corrupting each other's span nesting.
+    /// per-thread is what lets scoped threads (a `par_map` fan-out, a
+    /// speculated signal count) trace concurrently without corrupting
+    /// each other's span nesting.
     stacks: HashMap<ThreadId, Vec<u64>>,
     next_span: u64,
 }

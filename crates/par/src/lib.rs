@@ -10,9 +10,9 @@
 //!   The SAT solver polls it in its search loops and returns a clean
 //!   `Aborted` outcome; the CLI's `--timeout-ms` and the daemon's
 //!   per-request deadlines are such tokens.
-//! * [`par_map`] — a deterministic parallel map on scoped threads:
-//!   results come back in input order no matter which thread finished
-//!   first, a panicking item becomes a [`JobPanic`] in its own slot, and
+//! * [`par_map`] — a deterministic parallel map: the calling thread and
+//!   up to `jobs - 1` scoped threads share the items, results come back
+//!   in input order no matter which thread finished first, a panicking item becomes a [`JobPanic`] in its own slot, and
 //!   `jobs <= 1` degenerates to an inline sequential loop. The parallel
 //!   modular synthesis driver leans on this to stay byte-for-byte
 //!   identical to the sequential driver; the bench harness runs Table-1

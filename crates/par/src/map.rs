@@ -39,9 +39,10 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// Applies `f` to every item on up to `jobs` scoped threads and returns
-/// the results **in input order**, regardless of which thread finished
-/// first. `f` receives the item index alongside the item.
+/// Applies `f` to every item on up to `jobs` threads and returns the
+/// results **in input order**, regardless of which thread finished first.
+/// `f` receives the item index alongside the item. The calling thread
+/// takes items like the others, so only `jobs - 1` scoped threads start.
 ///
 /// Panics inside `f` are contained per item and surfaced as
 /// `Err(JobPanic)` in that item's slot; the remaining items still run.
@@ -66,27 +67,28 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    // Claims items until none is left, on every thread the map uses.
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break local;
+            }
+            let result =
+                catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(JobPanic::from_payload);
+            local.push((i, result));
+        }
+    };
     let buckets: Vec<Vec<(usize, Result<R, JobPanic>)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break local;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
-                            .map_err(JobPanic::from_payload);
-                        local.push((i, result));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map thread contained its panics"))
-            .collect()
+        let handles: Vec<_> = (1..jobs).map(|_| scope.spawn(work)).collect();
+        let mut buckets = vec![work()];
+        buckets.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("par_map thread contained its panics")),
+        );
+        buckets
     });
 
     let mut out: Vec<Option<Result<R, JobPanic>>> = Vec::new();
@@ -140,6 +142,23 @@ mod tests {
             .map(Result::unwrap)
             .collect();
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn the_calling_thread_takes_items_too() {
+        // Each item waits for the other, so the two run on two threads at
+        // once; at `jobs = 2` only one thread is spawned, and the caller
+        // must run the other item.
+        let caller = std::thread::current().id();
+        let meet = std::sync::Barrier::new(2);
+        let ran_on = par_map(2, &[0, 1], |_, _| {
+            meet.wait();
+            std::thread::current().id()
+        });
+        assert!(ran_on
+            .into_iter()
+            .map(Result::unwrap)
+            .any(|id| id == caller));
     }
 
     #[test]
