@@ -268,6 +268,22 @@ fn explain_reports_provenance_for_certified_synthesis() {
 }
 
 #[test]
+fn explain_tells_an_unknown_method_from_a_non_modular_one() {
+    let (handle, thread) = start(ServerConfig::default());
+    for (method, tag) in [("quantum", "unknown-method"), ("direct", "incr-method")] {
+        let path = format!("/explain?digest=0123456789abcdef&signal=csc0&method={method}");
+        let response = request(&handle, "GET", &path, "");
+        assert_eq!(response.status, 400, "{method}: {}", response.text());
+        let body = parse_json(&response.text()).expect("error body");
+        let error = body.get("error").and_then(modsyn_obs::Json::as_str);
+        assert_eq!(error, Some(tag), "{method}");
+        let lists_choices = response.text().contains(&modsyn::Method::choices());
+        assert_eq!(lists_choices, tag == "unknown-method", "{method}");
+    }
+    stop(&handle, thread);
+}
+
+#[test]
 fn store_snapshot_survives_restart_with_full_cache_warmth() {
     let dir = temp_dir("restart-warmth");
     let config = || ServerConfig {
