@@ -398,8 +398,23 @@ mod tests {
         }
     }
 
+    /// The keys of the module solves `store` holds, in ascending order.
+    fn module_keys(store: &modsyn_store::SynthStore) -> Vec<u64> {
+        let mut keys: Vec<u64> = store
+            .entries()
+            .into_iter()
+            .filter_map(|e| match e {
+                modsyn_store::StoreMutation::Module { key, .. } => Some(key),
+                modsyn_store::StoreMutation::Record { .. } => None,
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn store_replays_modules_byte_identically() {
+        use modsyn_sat::{Engine, Heuristic, SolverOptions};
         use modsyn_store::{StoreLink, StoreSession, SynthStore};
         use std::sync::Arc;
 
@@ -423,6 +438,45 @@ mod tests {
             assert_ne!(p.module_key, 0);
             assert!(p.clauses > 0);
             assert_eq!(p.families.total(), p.clauses);
+        }
+        // A module key hashes the graph and the `Debug` text of the solver
+        // options, so renaming an option field or variant would move every
+        // key, and every module a durable store journalled would miss.
+        assert_eq!(
+            module_keys(&store),
+            [0x270e_393f_9608_e705],
+            "module keys moved"
+        );
+        for (solver, keys) in [
+            (
+                SolverOptions {
+                    heuristic: Heuristic::Moms,
+                    max_backtracks: Some(40_000),
+                    learning: false,
+                },
+                [0x4c6e_a391_f127_8885],
+            ),
+            (
+                SolverOptions {
+                    heuristic: Heuristic::FirstUnassigned,
+                    max_backtracks: None,
+                    learning: true,
+                },
+                [0x4bf4_acbe_6be0_0988],
+            ),
+        ] {
+            let classic = Arc::new(SynthStore::new());
+            modular_resolve(
+                &sg,
+                &CscSolveOptions {
+                    solver,
+                    engine: Engine::Dpll,
+                    store: StoreLink::to(StoreSession::new(classic.clone())),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(module_keys(&classic), keys, "{solver:?}: module keys moved");
         }
 
         let warm_session = StoreSession::new(store);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono]
-//!        [--heuristic first|jw|moms|activity] [--max-backtracks N]
+//!        [--heuristic first|jw|moms] [--max-backtracks N]
 //!        [--timeout-ms T] [--stats]
 //! ```
 //!
@@ -15,9 +15,11 @@
 //! conflict-driven core, `dpll` the classic engine. `--chrono` and
 //! `--heuristic` configure the classic engine only, so either one without
 //! `--engine dpll` is a usage error. Without `--chrono` the classic engine
-//! learns clauses and, for every heuristic but `first`, branches on
-//! activity seeded from Jeroslow–Wang, so `--heuristic moms` needs
-//! `--chrono`. `--timeout-ms` aborts cooperatively after `T` milliseconds.
+//! learns clauses and, unless the heuristic is `first`, branches on
+//! activity seeded from Jeroslow–Wang (the default `jw` search), so
+//! `--heuristic moms` needs `--chrono`. With `--chrono` it backtracks
+//! chronologically under any of the three heuristics. `--timeout-ms`
+//! aborts cooperatively after `T` milliseconds.
 
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -30,7 +32,7 @@ use modsyn_sat::{
 };
 
 const USAGE: &str = "usage: modsat <file.cnf | -> [--engine dpll|cdcl] [--chrono] \
-                     [--heuristic first|jw|moms|activity] [--max-backtracks N] [--timeout-ms T] \
+                     [--heuristic first|jw|moms] [--max-backtracks N] [--timeout-ms T] \
                      [--stats]\n\
                      --chrono and --heuristic configure the classic engine: they need --engine dpll";
 
@@ -73,7 +75,6 @@ fn main() -> ExitCode {
                     "first" => Heuristic::FirstUnassigned,
                     "jw" => Heuristic::JeroslowWang,
                     "moms" => Heuristic::Moms,
-                    "activity" => Heuristic::Activity,
                     other => {
                         eprintln!("unknown heuristic {other:?}");
                         return ExitCode::FAILURE;

@@ -17,10 +17,8 @@ use modsyn_par::CancelToken;
 
 use crate::heap::{Key, VarHeap};
 use crate::poll::SearchPoll;
-use crate::{CnfFormula, Lit, Model, Outcome, SolverStats, Var};
-
-const UNASSIGNED: u8 = 2;
-const NO_REASON: u32 = u32::MAX;
+use crate::trail::{Trail, NO_REASON};
+use crate::{CnfFormula, Lit, Outcome, SolverStats, Var};
 
 /// Propagations between in-propagation cancel polls: long implication
 /// chains inside one conflict window stay responsive to deadlines.
@@ -64,16 +62,10 @@ pub struct Cdcl<'f> {
     arena: Vec<Lit>,
     clauses: Vec<Header>,
     watches: Vec<Vec<Watcher>>,
-    values: Vec<u8>,
-    levels: Vec<u32>,
-    reasons: Vec<u32>,
-    trail: Vec<Lit>,
-    level_starts: Vec<usize>,
-    qhead: usize,
+    trail: Trail,
     activity: Vec<f64>,
     activity_inc: f64,
     order: VarHeap<Key>,
-    saved_phase: Vec<bool>,
     cla_inc: f64,
     /// Live (non-deleted) learned clause count, driving DB reduction.
     learnt_live: usize,
@@ -98,19 +90,20 @@ pub struct Cdcl<'f> {
     prop_tick: u64,
 }
 
-/// Counters specific to the CDCL core, beyond the shared [`SolverStats`].
+/// Counters specific to the CDCL core, beyond the shared [`SolverStats`];
+/// the engine dispatch reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CdclExtra {
+pub(crate) struct CdclExtra {
     /// Learned clauses deleted by DB reduction.
-    pub deleted_clauses: u64,
+    pub(crate) deleted_clauses: u64,
     /// DB reduction passes.
-    pub reductions: u64,
+    pub(crate) reductions: u64,
     /// Sum of learned-clause LBDs (avg = `lbd_sum / learned_clauses`).
-    pub lbd_sum: u64,
+    pub(crate) lbd_sum: u64,
     /// Learned glue clauses (LBD ≤ 2, never deleted).
-    pub glue_clauses: u64,
+    pub(crate) glue_clauses: u64,
     /// Literals removed by learned-clause minimisation.
-    pub minimized_literals: u64,
+    pub(crate) minimized_literals: u64,
 }
 
 impl<'f> Cdcl<'f> {
@@ -144,16 +137,10 @@ impl<'f> Cdcl<'f> {
             arena: Vec::with_capacity(formula.literal_count()),
             clauses: Vec::with_capacity(formula.clause_count()),
             watches: vec![Vec::new(); 2 * n],
-            values: vec![UNASSIGNED; n],
-            levels: vec![0; n],
-            reasons: vec![NO_REASON; n],
-            trail: Vec::new(),
-            level_starts: Vec::new(),
-            qhead: 0,
+            trail: Trail::new(phase_bias.iter().map(|&b| b > 0.0).collect()),
             activity,
             activity_inc: 1.0,
             order: VarHeap::new(n),
-            saved_phase: phase_bias.iter().map(|&b| b > 0.0).collect(),
             cla_inc: 1.0,
             learnt_live: 0,
             max_learnts: (formula.clause_count() as f64 / 3.0).max(2000.0),
@@ -173,11 +160,7 @@ impl<'f> Cdcl<'f> {
         for lits in formula.clauses() {
             match lits.len() {
                 0 => s.root_unsat = true,
-                1 => match s.lit_value(lits[0]) {
-                    0 => s.root_unsat = true,
-                    1 => {}
-                    _ => s.assign(lits[0], NO_REASON),
-                },
+                1 => s.root_unsat |= !s.trail.enqueue(lits[0]),
                 _ => {
                     s.attach_clause(lits, false, 0);
                 }
@@ -215,45 +198,17 @@ impl<'f> Cdcl<'f> {
 
     /// CDCL-specific counters (LBD, deletions) since construction,
     /// summed over every solve like [`Cdcl::stats`].
-    pub fn extra(&self) -> CdclExtra {
+    pub(crate) fn extra(&self) -> CdclExtra {
         self.extra
     }
 
     /// Average LBD of the clauses learned since construction, rounded; 0
     /// before any learning.
-    pub fn avg_lbd(&self) -> u64 {
+    pub(crate) fn avg_lbd(&self) -> u64 {
         self.extra
             .lbd_sum
             .checked_div(self.stats.learned_clauses)
             .unwrap_or(0)
-    }
-
-    fn lit_value(&self, lit: Lit) -> u8 {
-        let v = self.values[lit.var().index()];
-        if v == UNASSIGNED {
-            UNASSIGNED
-        } else if lit.is_negative() {
-            v ^ 1
-        } else {
-            v
-        }
-    }
-
-    fn current_level(&self) -> u32 {
-        self.level_starts.len() as u32
-    }
-
-    fn assign(&mut self, lit: Lit, reason: u32) {
-        let idx = lit.var().index();
-        debug_assert_eq!(self.values[idx], UNASSIGNED);
-        self.values[idx] = u8::from(lit.is_positive());
-        self.levels[idx] = self.current_level();
-        self.reasons[idx] = reason;
-        self.trail.push(lit);
-        let level = self.current_level() as usize;
-        if level > self.stats.max_level {
-            self.stats.max_level = level;
-        }
     }
 
     fn attach_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> u32 {
@@ -296,9 +251,7 @@ impl<'f> Cdcl<'f> {
     /// conflicting clause id, or `None` when a fixpoint is reached.
     /// `Err(())` means the cancel token fired mid-chain.
     fn propagate(&mut self) -> Result<Option<u32>, ()> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
+        while let Some(p) = self.trail.next_unpropagated() {
             if self.poll.cancel.is_cancellable() {
                 self.prop_tick = self.prop_tick.wrapping_add(1);
                 if (self.prop_tick & PROP_POLL_MASK) == 1 && self.poll.cancel.is_cancelled() {
@@ -312,7 +265,7 @@ impl<'f> Cdcl<'f> {
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
-                if self.lit_value(w.blocker) == 1 {
+                if self.trail.value(w.blocker) == Some(true) {
                     ws[j] = w;
                     i += 1;
                     j += 1;
@@ -328,17 +281,8 @@ impl<'f> Cdcl<'f> {
                 }
                 debug_assert_eq!(lits[1], false_lit);
                 let first = lits[0];
-                let first_val = {
-                    let v = self.values[first.var().index()];
-                    if v == UNASSIGNED {
-                        UNASSIGNED
-                    } else if first.is_negative() {
-                        v ^ 1
-                    } else {
-                        v
-                    }
-                };
-                if first_val == 1 {
+                let first_val = self.trail.value(first);
+                if first_val == Some(true) {
                     ws[j] = Watcher {
                         clause: cid,
                         blocker: first,
@@ -348,10 +292,7 @@ impl<'f> Cdcl<'f> {
                     continue;
                 }
                 for k in 2..len {
-                    let cand = lits[k];
-                    let v = self.values[cand.var().index()];
-                    let cand_false = v != UNASSIGNED && (v == 0) != cand.is_negative();
-                    if !cand_false {
+                    if self.trail.value(lits[k]) != Some(false) {
                         lits.swap(1, k);
                         let new_watch = lits[1];
                         self.watches[new_watch.index()].push(Watcher {
@@ -369,7 +310,7 @@ impl<'f> Cdcl<'f> {
                 };
                 i += 1;
                 j += 1;
-                if first_val == 0 {
+                if first_val == Some(false) {
                     conflict = Some(cid);
                     // Keep the remaining watchers before bailing out.
                     while i < ws.len() {
@@ -377,10 +318,10 @@ impl<'f> Cdcl<'f> {
                         i += 1;
                         j += 1;
                     }
-                    self.qhead = self.trail.len();
+                    self.trail.skip_propagation();
                     break;
                 }
-                self.assign(first, cid);
+                self.trail.assign(first, cid);
                 self.stats.propagations += 1;
             }
             ws.truncate(j);
@@ -418,37 +359,13 @@ impl<'f> Cdcl<'f> {
         }
     }
 
-    /// Unassigns the trail back to `target` length, saving phases and
-    /// re-inserting variables into the decision order.
-    fn unassign_to(&mut self, target: usize) {
-        while self.trail.len() > target {
-            let lit = self.trail.pop().expect("non-empty trail");
-            let idx = lit.var().index();
-            self.saved_phase[idx] = self.values[idx] == 1;
-            self.values[idx] = UNASSIGNED;
-            self.reasons[idx] = NO_REASON;
-            self.order.insert(idx, &self.activity);
-        }
-        self.qhead = target;
-    }
-
-    /// Backtracks to decision level `level`.
-    fn cancel_until(&mut self, level: u32) {
-        if self.current_level() <= level {
-            return;
-        }
-        let target = self.level_starts[level as usize];
-        self.unassign_to(target);
-        self.level_starts.truncate(level as usize);
-    }
-
     /// Number of distinct decision levels among `lits` (the literal block
     /// distance of a learned clause).
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
         self.level_stamp += 1;
         let mut lbd = 0;
         for &lit in lits {
-            let l = self.levels[lit.var().index()] as usize;
+            let l = self.trail.level_of(lit.var().index()) as usize;
             if self.level_seen[l] != self.level_stamp {
                 self.level_seen[l] = self.level_stamp;
                 lbd += 1;
@@ -466,9 +383,9 @@ impl<'f> Cdcl<'f> {
         learned.push(Lit::positive(Var::new(0))); // placeholder
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
-        let mut index = self.trail.len();
+        let mut index = self.trail.lits().len();
         let mut cid = conflict;
-        let current = self.current_level();
+        let current = self.trail.level();
         self.to_clear.clear();
 
         loop {
@@ -483,13 +400,13 @@ impl<'f> Cdcl<'f> {
                     continue;
                 }
                 let vi = q.var().index();
-                if self.seen[vi] || self.levels[vi] == 0 {
+                if self.seen[vi] || self.trail.level_of(vi) == 0 {
                     continue;
                 }
                 self.seen[vi] = true;
                 self.to_clear.push(vi as u32);
                 self.bump_var(q.var());
-                if self.levels[vi] >= current {
+                if self.trail.level_of(vi) >= current {
                     counter += 1;
                 } else {
                     learned.push(q);
@@ -498,17 +415,17 @@ impl<'f> Cdcl<'f> {
             // Walk the trail back to the next marked literal.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if self.seen[self.trail.lits()[index].var().index()] {
                     break;
                 }
             }
-            let lit = self.trail[index];
+            let lit = self.trail.lits()[index];
             p = Some(lit);
             counter -= 1;
             if counter == 0 {
                 break;
             }
-            cid = self.reasons[lit.var().index()];
+            cid = self.trail.reason(lit.var().index());
             debug_assert_ne!(cid, NO_REASON);
         }
         let uip = p.expect("1-UIP exists");
@@ -518,13 +435,13 @@ impl<'f> Cdcl<'f> {
         // the rest of the clause through the implication graph.
         let mut abstract_levels = 0u32;
         for &lit in &learned[1..] {
-            abstract_levels |= 1 << (self.levels[lit.var().index()] & 31);
+            abstract_levels |= 1 << (self.trail.level_of(lit.var().index()) & 31);
         }
         let before = learned.len();
         let mut kept = 1;
         for i in 1..learned.len() {
             let lit = learned[i];
-            if self.reasons[lit.var().index()] == NO_REASON
+            if self.trail.reason(lit.var().index()) == NO_REASON
                 || !self.lit_redundant(lit, abstract_levels)
             {
                 learned[kept] = lit;
@@ -538,15 +455,15 @@ impl<'f> Cdcl<'f> {
         let backjump = if learned.len() == 1 {
             0
         } else {
+            let level = |l: Lit| self.trail.level_of(l.var().index());
             let mut max_i = 1;
             for i in 2..learned.len() {
-                if self.levels[learned[i].var().index()] > self.levels[learned[max_i].var().index()]
-                {
+                if level(learned[i]) > level(learned[max_i]) {
                     max_i = i;
                 }
             }
             learned.swap(1, max_i);
-            self.levels[learned[1].var().index()]
+            level(learned[1])
         };
 
         for &vi in &self.to_clear {
@@ -566,7 +483,7 @@ impl<'f> Cdcl<'f> {
         let undo_from = self.to_clear.len();
         let mut redundant = true;
         'probe: while let Some(q) = stack.pop() {
-            let reason = self.reasons[q.var().index()];
+            let reason = self.trail.reason(q.var().index());
             debug_assert_ne!(reason, NO_REASON);
             let h = self.clauses[reason as usize];
             let start = h.start as usize;
@@ -574,11 +491,11 @@ impl<'f> Cdcl<'f> {
             for k in 0..len {
                 let l = self.arena[start + k];
                 let vi = l.var().index();
-                if vi == q.var().index() || self.seen[vi] || self.levels[vi] == 0 {
+                if vi == q.var().index() || self.seen[vi] || self.trail.level_of(vi) == 0 {
                     continue;
                 }
-                if self.reasons[vi] != NO_REASON
-                    && (1u32 << (self.levels[vi] & 31)) & abstract_levels != 0
+                if self.trail.reason(vi) != NO_REASON
+                    && (1u32 << (self.trail.level_of(vi) & 31)) & abstract_levels != 0
                 {
                     self.seen[vi] = true;
                     self.to_clear.push(vi as u32);
@@ -632,8 +549,7 @@ impl<'f> Cdcl<'f> {
     }
 
     fn is_reason(&self, cid: u32) -> bool {
-        let first = self.clause_lits(cid)[0];
-        self.values[first.var().index()] != UNASSIGNED && self.reasons[first.var().index()] == cid
+        self.trail.reason(self.clause_lits(cid)[0].var().index()) == cid
     }
 
     fn detach_clause(&mut self, cid: u32) {
@@ -682,7 +598,7 @@ impl<'f> Cdcl<'f> {
         }
         self.assumptions.clear();
         self.assumptions.extend_from_slice(assumptions);
-        self.cancel_until(0);
+        self.trail.backtrack(0, &mut self.order, &self.activity);
         match self.propagate() {
             Err(()) => return Outcome::Aborted,
             Ok(Some(_)) => {
@@ -716,7 +632,7 @@ impl<'f> Cdcl<'f> {
                         return Outcome::BacktrackLimit;
                     }
                 }
-                if self.current_level() == 0 {
+                if self.trail.level() == 0 {
                     self.root_unsat = true;
                     return Outcome::Unsatisfiable;
                 }
@@ -726,9 +642,10 @@ impl<'f> Cdcl<'f> {
                 self.stats.learned_literals += learned.len() as u64;
                 self.activity_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
-                self.cancel_until(backjump);
+                self.trail
+                    .backtrack(backjump, &mut self.order, &self.activity);
                 if learned.len() == 1 {
-                    self.assign(learned[0], NO_REASON);
+                    self.trail.assign(learned[0], NO_REASON);
                 } else {
                     let lbd = self.compute_lbd(&learned);
                     self.extra.lbd_sum += lbd as u64;
@@ -736,7 +653,7 @@ impl<'f> Cdcl<'f> {
                         self.extra.glue_clauses += 1;
                     }
                     let cid = self.attach_clause(&learned, true, lbd);
-                    self.assign(learned[0], cid);
+                    self.trail.assign(learned[0], cid);
                 }
                 self.learnt = learned;
                 if self.learnt_live as f64 >= self.max_learnts {
@@ -751,22 +668,20 @@ impl<'f> Cdcl<'f> {
                 restart_limit = Self::luby(restart_num) * LUBY_UNIT;
                 conflicts_since_restart = 0;
                 self.stats.restarts += 1;
-                self.cancel_until(0);
+                self.trail.backtrack(0, &mut self.order, &self.activity);
                 continue;
             }
 
             // Re-assume the assumption prefix, then free decisions.
             let mut next_decision = None;
-            while (self.current_level() as usize) < self.assumptions.len() {
-                let p = self.assumptions[self.current_level() as usize];
-                match self.lit_value(p) {
-                    1 => {
-                        // Already true: open an empty pseudo-level so the
-                        // prefix indices keep lining up.
-                        self.level_starts.push(self.trail.len());
-                    }
-                    0 => return Outcome::Unsatisfiable,
-                    _ => {
+            while (self.trail.level() as usize) < self.assumptions.len() {
+                let p = self.assumptions[self.trail.level() as usize];
+                match self.trail.value(p) {
+                    // Already true: open an empty pseudo-level so the
+                    // prefix indices keep lining up.
+                    Some(true) => self.trail.new_level(),
+                    Some(false) => return Outcome::Unsatisfiable,
+                    None => {
                         next_decision = Some(p);
                         break;
                     }
@@ -774,31 +689,15 @@ impl<'f> Cdcl<'f> {
             }
             let decision = match next_decision {
                 Some(p) => p,
-                None => {
-                    let mut picked = None;
-                    while let Some(v) = self.order.pop(&self.activity) {
-                        if self.values[v] == UNASSIGNED {
-                            picked = Some(v);
-                            break;
-                        }
-                    }
-                    match picked {
-                        Some(v) => Lit::with_polarity(Var::new(v), self.saved_phase[v]),
-                        None => return Outcome::Satisfiable(self.build_model()),
-                    }
-                }
+                None => match self.trail.pop_free(&mut self.order, &self.activity) {
+                    Some(v) => Lit::with_polarity(Var::new(v), self.trail.phase(v)),
+                    None => return Outcome::Satisfiable(self.trail.model(self.formula)),
+                },
             };
             self.stats.decisions += 1;
-            self.level_starts.push(self.trail.len());
-            self.assign(decision, NO_REASON);
+            self.trail.decide(decision);
+            self.stats.max_level = self.stats.max_level.max(self.trail.level() as usize);
         }
-    }
-
-    fn build_model(&self) -> Model {
-        let values = self.values.iter().map(|&v| v == 1).collect();
-        let model = Model::from_values(values);
-        debug_assert!(model.check(self.formula));
-        model
     }
 }
 

@@ -8,12 +8,13 @@ use crate::{CnfFormula, Lit, SatError};
 /// Parses a DIMACS CNF document.
 ///
 /// Comment lines (`c …`) are ignored; the `p cnf <vars> <clauses>` header is
-/// required; clauses are zero-terminated literal lists and may span lines.
+/// required, once, and the clause count may be left out; clauses are
+/// zero-terminated literal lists and may span lines.
 ///
 /// # Errors
 ///
-/// Returns [`SatError`] on a missing/malformed header, unparsable literal, or
-/// a literal outside the declared variable range.
+/// Returns [`SatError`] on a missing, malformed or repeated header, an
+/// unparsable literal, or a literal outside the declared variable range.
 ///
 /// ```
 /// use modsyn_sat::parse_dimacs;
@@ -38,9 +39,11 @@ pub fn parse_dimacs(input: &str) -> Result<CnfFormula, SatError> {
             let _p = it.next();
             let kind = it.next();
             let vars = it.next().and_then(|v| v.parse::<usize>().ok());
-            let _clauses = it.next().and_then(|v| v.parse::<usize>().ok());
+            let clauses_ok = it.next().is_none_or(|c| c.parse::<usize>().is_ok());
             match (kind, vars) {
-                (Some("cnf"), Some(v)) => formula = Some(CnfFormula::new(v)),
+                (Some("cnf"), Some(v)) if clauses_ok && formula.is_none() => {
+                    formula = Some(CnfFormula::new(v));
+                }
                 _ => {
                     return Err(SatError::MalformedHeader {
                         line: line.to_string(),

@@ -6,7 +6,8 @@ use modsyn_fault::{site, Faults};
 use modsyn_obs::{FlightKind, Tracer};
 use modsyn_par::CancelToken;
 
-use crate::{Cdcl, CdclExtra, CnfFormula, Outcome, Solver, SolverOptions, SolverStats};
+use crate::cdcl::CdclExtra;
+use crate::{Cdcl, CnfFormula, Outcome, Solver, SolverOptions, SolverStats};
 
 /// Which SAT core decides the CSC formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

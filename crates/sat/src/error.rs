@@ -7,7 +7,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SatError {
-    /// The `p cnf <vars> <clauses>` header is missing or malformed.
+    /// The `p cnf <vars> <clauses>` header is missing, malformed or repeated.
     MalformedHeader {
         /// The offending line.
         line: String,

@@ -2,7 +2,12 @@
 
 use crate::CnfFormula;
 
-/// Decision heuristic used by the [`crate::Solver`].
+/// Decision heuristic of the classic engine ([`crate::Solver`]).
+///
+/// Without learning each heuristic fixes the decision order. With
+/// learning, [`Heuristic::JeroslowWang`] and [`Heuristic::Moms`] both
+/// branch on conflict-driven activity seeded from Jeroslow–Wang scores
+/// (see [`crate::SolverOptions::heuristic`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Heuristic {
     /// Pick the lowest-indexed unassigned variable, phase `true`.
@@ -16,17 +21,13 @@ pub enum Heuristic {
     JeroslowWang,
     /// Static MOMS (maximum occurrences in minimum-size clauses).
     Moms,
-    /// Dynamic activity: variables in conflicting clauses are bumped and
-    /// scores decay geometrically (a chronological-backtracking take on
-    /// VSIDS), with phase saving.
-    Activity,
 }
 
 /// Per-variable static scores: `(positive, negative)` literal scores.
 pub(crate) fn static_scores(formula: &CnfFormula, heuristic: Heuristic) -> Vec<(f64, f64)> {
     let mut scores = vec![(0.0f64, 0.0f64); formula.num_vars()];
     match heuristic {
-        Heuristic::FirstUnassigned | Heuristic::Activity => {}
+        Heuristic::FirstUnassigned => {}
         Heuristic::JeroslowWang => {
             for clause in formula.clauses() {
                 // Cap the exponent so tiny weights do not underflow to zero.

@@ -6,9 +6,9 @@
 //! solve its CSC constraint formulas. The crate provides:
 //!
 //! * [`CnfFormula`] — product-of-sums formulas over [`Var`]/[`Lit`],
-//! * [`Solver`] — the classic engine: iterative DPLL with two-watched-literal
-//!   propagation, chronological backtracking (or light clause learning)
-//!   and selectable decision [`Heuristic`]s,
+//! * [`Solver`] — the classic engine: one iterative DPLL loop with
+//!   two-watched-literal propagation, light clause learning (or
+//!   chronological backtracking) and three decision [`Heuristic`]s,
 //! * a configurable **backtrack limit** ([`SolverOptions::max_backtracks`]),
 //!   reproducing the paper's "SAT Backtrack Limit" aborts on the direct
 //!   (no-decomposition) method,
@@ -23,10 +23,11 @@
 //! * DIMACS import/export for interoperability, and the exhaustive
 //!   reference decider the property tests check both cores against.
 //!
-//! Both cores draw decisions from one indexed activity heap, each under
-//! its own comparison, and share one cancel and fault poll: the cancel
-//! token and the `sat.abort` / `sat.conflict-storm` sites are read every
-//! 256 search-loop iterations, so chaos plans cover either core.
+//! Both cores keep their assignment on one trail, draw decisions from one
+//! indexed activity heap, each under its own comparison, and share one
+//! cancel and fault poll: the cancel token and the `sat.abort` /
+//! `sat.conflict-storm` sites are read every 256 search-loop iterations,
+//! so chaos plans cover either core.
 //!
 //! # Example
 //!
@@ -62,8 +63,9 @@ mod model;
 mod poll;
 mod solver;
 mod stats;
+mod trail;
 
-pub use cdcl::{Cdcl, CdclExtra};
+pub use cdcl::Cdcl;
 pub use cnf::{Clause, CnfFormula};
 pub use dimacs::{parse_dimacs, write_dimacs};
 pub use engine::{solve_with_engine, solve_with_engine_traced, Engine};

@@ -1,6 +1,6 @@
-//! The search engines: conflict-driven clause learning (default) and
-//! classic chronological DPLL (the branch-and-bound mode of the original
-//! SIS solver, kept for baselines and ablations).
+//! The classic engine: one search loop that learns clauses and backjumps
+//! (the default) or backtracks chronologically (the branch-and-bound mode
+//! of the original SIS solver, kept for baselines and ablations).
 
 use modsyn_fault::Faults;
 use modsyn_par::CancelToken;
@@ -8,6 +8,7 @@ use modsyn_par::CancelToken;
 use crate::heap::{KeyThenIndex, VarHeap};
 use crate::heuristic::static_scores;
 use crate::poll::SearchPoll;
+use crate::trail::{Trail, NO_REASON};
 use crate::{CnfFormula, Heuristic, Lit, Model, SolverStats, Var};
 
 /// Search limits and heuristic selection for a [`Solver`].
@@ -15,16 +16,18 @@ use crate::{CnfFormula, Heuristic, Lit, Model, SolverStats, Var};
 pub struct SolverOptions {
     /// Branching heuristic. With learning enabled, every heuristic but
     /// [`Heuristic::FirstUnassigned`] branches on conflict-driven activity
-    /// seeded from Jeroslow–Wang scores, so [`Heuristic::Moms`] takes
-    /// effect only with learning off.
+    /// seeded from Jeroslow–Wang scores: [`Heuristic::JeroslowWang`] and
+    /// [`Heuristic::Moms`] are one search there, and MOMS takes effect
+    /// only with learning off.
     pub heuristic: Heuristic,
     /// Abort with [`Outcome::BacktrackLimit`] after this many conflicts,
     /// mirroring the backtrack limit of the SIS branch-and-bound SAT
     /// program the paper used.
     pub max_backtracks: Option<u64>,
     /// Enable conflict-driven clause learning with non-chronological
-    /// backjumping and restarts. Disabled, the solver backtracks
-    /// chronologically like the original branch-and-bound program.
+    /// backjumping and restarts. Disabled, a conflict flips the latest
+    /// decision not yet flipped, backtracking chronologically like the
+    /// original branch-and-bound program, and the search never restarts.
     pub learning: bool,
 }
 
@@ -73,24 +76,13 @@ impl Outcome {
     }
 }
 
-const UNASSIGNED: u8 = 2;
-const NO_REASON: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct ChronoFrame {
-    trail_len: usize,
-    lit: Lit,
-    flipped: bool,
-}
-
 /// What ranks the free variables at a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rank {
     /// [`Heuristic::FirstUnassigned`]: the lowest index.
     Index,
-    /// The activity array: conflict-driven with learning or
-    /// [`Heuristic::Activity`], and the static JW/MOMS scores otherwise
-    /// (nothing bumps them then).
+    /// The activity array: conflict-driven with learning, and the static
+    /// JW/MOMS scores otherwise (nothing bumps them then).
     Activity,
 }
 
@@ -100,10 +92,9 @@ enum Rank {
 /// [`Solver::solve`].
 ///
 /// A decision takes the free variable of highest score, ties to the lowest
-/// index: the activity with learning or [`Heuristic::Activity`], the static
-/// JW/MOMS score otherwise, and the index alone for
-/// [`Heuristic::FirstUnassigned`]. An indexed heap keeps that order, so a
-/// decision costs O(log n).
+/// index: the activity with learning, the static JW/MOMS score otherwise,
+/// and the index alone for [`Heuristic::FirstUnassigned`]. An indexed heap
+/// keeps that order, so a decision costs O(log n).
 #[derive(Debug)]
 pub struct Solver<'f> {
     formula: &'f CnfFormula,
@@ -114,25 +105,16 @@ pub struct Solver<'f> {
     /// Clause `c` is `lits[starts[c]..starts[c + 1]]`.
     starts: Vec<u32>,
     watches: Vec<Vec<u32>>,
-    /// Per-variable values: 0 = false, 1 = true, 2 = unassigned.
-    values: Vec<u8>,
-    /// Per-variable decision level.
-    levels: Vec<u32>,
-    /// Per-variable reason clause (NO_REASON for decisions/unset).
-    reasons: Vec<u32>,
-    trail: Vec<Lit>,
-    /// Trail indices where each decision level starts (learning mode).
-    level_starts: Vec<usize>,
-    qhead: usize,
-    /// Chronological-mode decision stack.
-    frames: Vec<ChronoFrame>,
+    trail: Trail,
+    /// Without learning: whether each decision level's decision has been
+    /// flipped, for the levels up to the latest flip.
+    flipped: Vec<bool>,
     scores: Vec<(f64, f64)>,
     rank: Rank,
     activity: Vec<f64>,
     activity_inc: f64,
     /// Every unassigned variable (and, lazily, some assigned ones).
     order: VarHeap<KeyThenIndex>,
-    saved_phase: Vec<bool>,
     /// Scratch for conflict analysis: marks the variables of the clause
     /// being learned.
     seen: Vec<bool>,
@@ -167,19 +149,13 @@ impl<'f> Solver<'f> {
             lits: Vec::with_capacity(formula.literal_count()),
             starts: Vec::with_capacity(formula.clause_count() + 1),
             watches: vec![Vec::new(); 2 * n],
-            values: vec![UNASSIGNED; n],
-            levels: vec![0; n],
-            reasons: vec![NO_REASON; n],
-            trail: Vec::new(),
-            level_starts: Vec::new(),
-            qhead: 0,
-            frames: Vec::new(),
+            trail: Trail::new(vec![false; n]),
+            flipped: Vec::new(),
             scores,
             rank,
             activity: vec![0.0; n],
             activity_inc: 1.0,
             order: VarHeap::new(n),
-            saved_phase: vec![false; n],
             seen: vec![false; n],
             learned: Vec::new(),
             stats: SolverStats::default(),
@@ -187,8 +163,8 @@ impl<'f> Solver<'f> {
         }
     }
 
-    /// Attaches a cancellation token: the search loops poll it
-    /// periodically and return [`Outcome::Aborted`] once it fires. Keeping
+    /// Attaches a cancellation token: the search loop polls it
+    /// periodically and returns [`Outcome::Aborted`] once it fires. Keeping
     /// this off [`SolverOptions`] preserves that type's `Copy` contract
     /// (DESIGN.md §7).
     #[must_use]
@@ -197,9 +173,9 @@ impl<'f> Solver<'f> {
         self
     }
 
-    /// Attaches a fault-injection handle: the search loops probe the
+    /// Attaches a fault-injection handle: the search loop probes the
     /// `sat.abort` and `sat.conflict-storm` sites at the cancellation
-    /// cadence and return the corresponding outcome when a rule fires.
+    /// cadence and returns the corresponding outcome when a rule fires.
     /// Like [`Solver::with_cancel`], this lives off [`SolverOptions`] to
     /// preserve that type's `Copy` contract; a disarmed handle costs one
     /// branch per poll window.
@@ -212,21 +188,6 @@ impl<'f> Solver<'f> {
     /// Statistics of the last [`Solver::solve`] run.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    fn lit_value(&self, lit: Lit) -> u8 {
-        let v = self.values[lit.var().index()];
-        if v == UNASSIGNED {
-            UNASSIGNED
-        } else if lit.is_negative() {
-            v ^ 1
-        } else {
-            v
-        }
-    }
-
-    fn current_level(&self) -> u32 {
-        self.level_starts.len() as u32
     }
 
     /// The arena range of clause `cid`.
@@ -243,32 +204,15 @@ impl<'f> Solver<'f> {
         }
     }
 
-    fn assign(&mut self, lit: Lit, reason: u32) {
-        let idx = lit.var().index();
-        debug_assert_eq!(self.values[idx], UNASSIGNED);
-        self.values[idx] = u8::from(lit.is_positive());
-        self.levels[idx] = self.current_level();
-        self.reasons[idx] = reason;
-        self.trail.push(lit);
-    }
-
-    /// Enqueue for chronological mode (no reason tracking needed).
-    fn enqueue(&mut self, lit: Lit) -> bool {
-        match self.lit_value(lit) {
-            0 => false,
-            1 => true,
-            _ => {
-                self.assign(lit, NO_REASON);
-                true
-            }
-        }
+    /// Unassigns every decision level above `level`.
+    fn backtrack(&mut self, level: u32) {
+        let keys = Self::order_keys(self.rank, &self.activity);
+        self.trail.backtrack(level, &mut self.order, keys);
     }
 
     /// Propagates all pending assignments; returns the conflicting clause.
     fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
-            let lit = self.trail[self.qhead];
-            self.qhead += 1;
+        while let Some(lit) = self.trail.next_unpropagated() {
             let false_lit = !lit;
             let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut i = 0usize;
@@ -281,26 +225,14 @@ impl<'f> Solver<'f> {
                 }
                 debug_assert_eq!(clause[1], false_lit);
                 let first = clause[0];
-                let first_val = {
-                    let v = self.values[first.var().index()];
-                    if v == UNASSIGNED {
-                        UNASSIGNED
-                    } else if first.is_negative() {
-                        v ^ 1
-                    } else {
-                        v
-                    }
-                };
-                if first_val == 1 {
+                let first_val = self.trail.value(first);
+                if first_val == Some(true) {
                     i += 1;
                     continue;
                 }
                 let mut moved = false;
                 for k in 2..clause.len() {
-                    let cand = clause[k];
-                    let v = self.values[cand.var().index()];
-                    let cand_false = v != UNASSIGNED && (v == 0) != cand.is_negative();
-                    if !cand_false {
+                    if self.trail.value(clause[k]) != Some(false) {
                         clause.swap(1, k);
                         let new_watch = clause[1];
                         self.watches[new_watch.index()].push(cid);
@@ -312,11 +244,11 @@ impl<'f> Solver<'f> {
                 if moved {
                     continue;
                 }
-                if first_val == 0 {
+                if first_val == Some(false) {
                     self.watches[false_lit.index()] = ws;
                     return Some(cid);
                 }
-                self.assign(first, cid);
+                self.trail.assign(first, cid);
                 self.stats.propagations += 1;
                 i += 1;
             }
@@ -342,24 +274,16 @@ impl<'f> Solver<'f> {
     }
 
     /// The free variable the decision order ranks first, with its phase:
-    /// the saved phase under activity, the better-scored phase under a
+    /// the saved phase with learning, the better-scored phase under a
     /// static score, and `true` under [`Heuristic::FirstUnassigned`].
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         let keys = Self::order_keys(self.rank, &self.activity);
-        let pick = loop {
-            let Some(v) = self.order.pop(keys) else {
-                break None;
-            };
-            if self.values[v] == UNASSIGNED {
-                break Some(v);
-            }
-        }
-        .map(|i| {
+        let pick = self.trail.pop_free(&mut self.order, keys).map(|i| {
             let var = Var::new(i);
             if self.rank == Rank::Index {
                 Lit::positive(var)
-            } else if self.options.learning || self.options.heuristic == Heuristic::Activity {
-                Lit::with_polarity(var, self.saved_phase[i])
+            } else if self.options.learning {
+                Lit::with_polarity(var, self.trail.phase(i))
             } else {
                 let (p, q) = self.scores[i];
                 Lit::with_polarity(var, p >= q)
@@ -374,29 +298,16 @@ impl<'f> Solver<'f> {
         pick
     }
 
-    fn unassign_to(&mut self, trail_len: usize) {
-        let keys = Self::order_keys(self.rank, &self.activity);
-        while self.trail.len() > trail_len {
-            let l = self.trail.pop().expect("trail shrinks to trail_len");
-            let idx = l.var().index();
-            self.saved_phase[idx] = l.is_positive();
-            self.values[idx] = UNASSIGNED;
-            self.reasons[idx] = NO_REASON;
-            self.order.insert(idx, keys);
-        }
-        self.qhead = self.trail.len();
-    }
-
     /// 1-UIP conflict analysis. Leaves the learned clause in
     /// `self.learned` (asserting literal first) and returns the backjump
     /// level.
     fn analyze(&mut self, conflict: u32) -> u32 {
-        let current = self.current_level();
+        let current = self.trail.level();
         let mut learned = std::mem::take(&mut self.learned);
         learned.clear();
         learned.push(Lit::positive(Var::new(0))); // placeholder slot 0
         let mut counter = 0usize;
-        let mut index = self.trail.len();
+        let mut index = self.trail.lits().len();
         let mut reason = conflict;
         let mut resolve_lit: Option<Lit> = None;
 
@@ -409,12 +320,12 @@ impl<'f> Solver<'f> {
                     continue;
                 }
                 let vi = l.var().index();
-                if self.seen[vi] || self.levels[vi] == 0 {
+                if self.seen[vi] || self.trail.level_of(vi) == 0 {
                     continue;
                 }
                 self.seen[vi] = true;
                 self.bump(l.var());
-                if self.levels[vi] >= current {
+                if self.trail.level_of(vi) >= current {
                     counter += 1;
                 } else {
                     learned.push(l);
@@ -423,7 +334,7 @@ impl<'f> Solver<'f> {
             // Find the next trail literal to resolve on.
             loop {
                 index -= 1;
-                let l = self.trail[index];
+                let l = self.trail.lits()[index];
                 if self.seen[l.var().index()] {
                     resolve_lit = Some(l);
                     break;
@@ -436,7 +347,7 @@ impl<'f> Solver<'f> {
                 learned[0] = !l;
                 break;
             }
-            reason = self.reasons[l.var().index()];
+            reason = self.trail.reason(l.var().index());
             debug_assert_ne!(reason, NO_REASON, "resolved literal must be implied");
         }
 
@@ -450,11 +361,11 @@ impl<'f> Solver<'f> {
         let mut kept = 1;
         for i in 1..learned.len() {
             let l = learned[i];
-            let reason = self.reasons[l.var().index()];
+            let reason = self.trail.reason(l.var().index());
             let redundant = reason != NO_REASON
                 && self.lits[self.clause_range(reason)].iter().all(|&rl| {
                     rl.var() == l.var()
-                        || self.levels[rl.var().index()] == 0
+                        || self.trail.level_of(rl.var().index()) == 0
                         || self.seen[rl.var().index()]
                 });
             if !redundant {
@@ -473,7 +384,7 @@ impl<'f> Solver<'f> {
         let mut backjump = 0u32;
         let mut second = 1usize;
         for (i, l) in learned.iter().enumerate().skip(1) {
-            let level = self.levels[l.var().index()];
+            let level = self.trail.level_of(l.var().index());
             if level > backjump {
                 backjump = level;
                 second = i;
@@ -484,6 +395,42 @@ impl<'f> Solver<'f> {
         }
         self.learned = learned;
         backjump
+    }
+
+    /// The conflict step with learning: learns the conflict's clause,
+    /// backjumps and asserts the clause's first literal.
+    fn learn(&mut self, conflict: u32) {
+        let backjump = self.analyze(conflict);
+        self.stats.learned_clauses += 1;
+        self.stats.learned_literals += self.learned.len() as u64;
+        self.activity_inc *= 1.0 / 0.95;
+        self.backtrack(backjump);
+        let learned = std::mem::take(&mut self.learned);
+        let reason = if learned.len() == 1 {
+            NO_REASON
+        } else {
+            self.attach_clause(&learned)
+        };
+        self.trail.assign(learned[0], reason);
+        self.learned = learned;
+    }
+
+    /// The conflict step without learning: undoes the search to the latest
+    /// decision not yet flipped and asserts its negation at the same level.
+    /// False when every decision has been flipped.
+    fn flip(&mut self) -> bool {
+        // Levels past the recorded ones were opened by plain decisions.
+        self.flipped.resize(self.trail.level() as usize, false);
+        let Some(index) = self.flipped.iter().rposition(|&f| !f) else {
+            return false;
+        };
+        let level = index as u32 + 1;
+        let decision = self.trail.decision(level);
+        self.backtrack(level - 1);
+        self.flipped.truncate(index);
+        self.flipped.push(true);
+        self.trail.decide(!decision);
+        true
     }
 
     fn attach_clause(&mut self, lits: &[Lit]) -> u32 {
@@ -506,7 +453,7 @@ impl<'f> Solver<'f> {
             match clause.len() {
                 0 => return Some(Outcome::Unsatisfiable),
                 1 => {
-                    if !self.enqueue(clause[0]) {
+                    if !self.trail.enqueue(clause[0]) {
                         return Some(Outcome::Unsatisfiable);
                     }
                 }
@@ -523,13 +470,8 @@ impl<'f> Solver<'f> {
     /// false, and every variable in the decision heap.
     fn reset(&mut self) {
         self.stats = SolverStats::default();
-        self.trail.clear();
-        self.frames.clear();
-        self.level_starts.clear();
-        self.qhead = 0;
-        self.values.fill(UNASSIGNED);
-        self.reasons.fill(NO_REASON);
-        self.levels.fill(0);
+        self.trail.reset();
+        self.flipped.clear();
         for w in &mut self.watches {
             w.clear();
         }
@@ -542,36 +484,23 @@ impl<'f> Solver<'f> {
             *a = p + q;
         }
         self.activity_inc = 1.0;
-        self.saved_phase.fill(false);
         self.order.fill(Self::order_keys(self.rank, &self.activity));
         self.poll.reset();
     }
 
     /// Runs the search to completion or to a limit. Repeated calls restart
     /// the search from scratch.
+    ///
+    /// Both modes share one loop: a conflict either learns a clause and
+    /// backjumps or flips the latest unflipped decision, per
+    /// [`SolverOptions::learning`], and only learning restarts.
     pub fn solve(&mut self) -> Outcome {
         self.reset();
         if let Some(early) = self.install_problem_clauses() {
             return early;
         }
-        if self.options.learning {
-            self.solve_cdcl()
-        } else {
-            self.solve_chronological()
-        }
-    }
-
-    fn build_model(&self) -> Model {
-        let values = self.values.iter().map(|&v| v == 1).collect();
-        let model = Model::from_values(values);
-        debug_assert!(model.check(self.formula));
-        model
-    }
-
-    fn solve_cdcl(&mut self) -> Outcome {
         let mut restart_limit = 100u64;
         let mut conflicts_since_restart = 0u64;
-
         loop {
             if self.poll.poll_cancelled() {
                 return Outcome::Aborted;
@@ -588,112 +517,31 @@ impl<'f> Solver<'f> {
                         return Outcome::BacktrackLimit;
                     }
                 }
-                if self.current_level() == 0 {
+                if self.trail.level() == 0 {
                     return Outcome::Unsatisfiable;
                 }
-                let backjump = self.analyze(conflict);
-                self.stats.learned_clauses += 1;
-                self.stats.learned_literals += self.learned.len() as u64;
-                self.activity_inc *= 1.0 / 0.95;
-                // Backjump.
-                let target = self.level_starts[backjump as usize];
-                self.unassign_to(target);
-                self.level_starts.truncate(backjump as usize);
-                let assert_lit = self.learned[0];
-                if self.learned.len() == 1 {
-                    debug_assert_eq!(self.current_level(), backjump);
-                    if !self.enqueue(assert_lit) {
-                        return Outcome::Unsatisfiable;
-                    }
-                } else {
-                    let learned = std::mem::take(&mut self.learned);
-                    let cid = self.attach_clause(&learned);
-                    self.learned = learned;
-                    self.assign(assert_lit, cid);
+                if self.options.learning {
+                    self.learn(conflict);
+                } else if !self.flip() {
+                    return Outcome::Unsatisfiable;
                 }
                 continue;
             }
 
-            if conflicts_since_restart >= restart_limit {
+            if self.options.learning && conflicts_since_restart >= restart_limit {
                 conflicts_since_restart = 0;
                 self.stats.restarts += 1;
                 restart_limit = restart_limit + restart_limit / 2;
-                self.unassign_to(
-                    self.level_starts
-                        .first()
-                        .copied()
-                        .unwrap_or(self.trail.len()),
-                );
-                self.level_starts.clear();
+                self.backtrack(0);
                 continue;
             }
 
             let Some(lit) = self.pick_branch_lit() else {
-                return Outcome::Satisfiable(self.build_model());
+                return Outcome::Satisfiable(self.trail.model(self.formula));
             };
             self.stats.decisions += 1;
-            self.level_starts.push(self.trail.len());
-            self.stats.max_level = self.stats.max_level.max(self.level_starts.len());
-            self.assign(lit, NO_REASON);
-        }
-    }
-
-    fn solve_chronological(&mut self) -> Outcome {
-        loop {
-            if self.poll.poll_cancelled() {
-                return Outcome::Aborted;
-            }
-            if let Some(injected) = self.poll.poll_injected() {
-                return injected;
-            }
-            if let Some(conflict) = self.propagate() {
-                self.stats.backtracks += 1;
-                self.stats.conflicts += 1;
-                if self.options.heuristic == Heuristic::Activity {
-                    for k in self.clause_range(conflict) {
-                        self.bump(self.lits[k].var());
-                    }
-                }
-                if let Some(limit) = self.options.max_backtracks {
-                    if self.stats.backtracks > limit {
-                        return Outcome::BacktrackLimit;
-                    }
-                }
-                loop {
-                    let Some(frame) = self.frames.pop() else {
-                        return Outcome::Unsatisfiable;
-                    };
-                    self.unassign_to(frame.trail_len);
-                    self.level_starts.truncate(self.frames.len());
-                    if !frame.flipped {
-                        let flipped_lit = !frame.lit;
-                        self.frames.push(ChronoFrame {
-                            trail_len: frame.trail_len,
-                            lit: flipped_lit,
-                            flipped: true,
-                        });
-                        self.level_starts.push(self.trail.len());
-                        let ok = self.enqueue(flipped_lit);
-                        debug_assert!(ok, "flipped decision literal was already false");
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            let Some(lit) = self.pick_branch_lit() else {
-                return Outcome::Satisfiable(self.build_model());
-            };
-            self.stats.decisions += 1;
-            self.frames.push(ChronoFrame {
-                trail_len: self.trail.len(),
-                lit,
-                flipped: false,
-            });
-            self.level_starts.push(self.trail.len());
-            self.stats.max_level = self.stats.max_level.max(self.frames.len());
-            let ok = self.enqueue(lit);
-            debug_assert!(ok, "decision literal was already assigned");
+            self.trail.decide(lit);
+            self.stats.max_level = self.stats.max_level.max(self.trail.level() as usize);
         }
     }
 }
@@ -724,17 +572,16 @@ mod tests {
     /// order: in test builds every pick of every solve is checked against
     /// it.
     pub(super) fn scan_pick(s: &Solver) -> Option<Lit> {
+        let n = s.formula.num_vars();
         if s.options.heuristic == Heuristic::FirstUnassigned {
-            return s
-                .values
-                .iter()
-                .position(|&v| v == UNASSIGNED)
+            return (0..n)
+                .position(|i| s.trail.is_free(i))
                 .map(|i| Lit::positive(Var::new(i)));
         }
-        if s.options.learning || s.options.heuristic == Heuristic::Activity {
+        if s.options.learning {
             let mut best: Option<(f64, usize)> = None;
-            for (i, &v) in s.values.iter().enumerate() {
-                if v != UNASSIGNED {
+            for i in 0..n {
+                if !s.trail.is_free(i) {
                     continue;
                 }
                 let a = s.activity[i];
@@ -742,11 +589,11 @@ mod tests {
                     best = Some((a, i));
                 }
             }
-            return best.map(|(_, i)| Lit::with_polarity(Var::new(i), s.saved_phase[i]));
+            return best.map(|(_, i)| Lit::with_polarity(Var::new(i), s.trail.phase(i)));
         }
         let mut best: Option<(f64, usize)> = None;
-        for (i, &v) in s.values.iter().enumerate() {
-            if v != UNASSIGNED {
+        for i in 0..n {
+            if !s.trail.is_free(i) {
                 continue;
             }
             let (p, q) = s.scores[i];
@@ -890,13 +737,13 @@ mod tests {
 
     /// Every option combination a decision order depends on.
     fn all_orders() -> Vec<SolverOptions> {
-        use Heuristic::{Activity, FirstUnassigned, JeroslowWang, Moms};
+        use Heuristic::{FirstUnassigned, JeroslowWang, Moms};
         let with = |heuristic, learning| SolverOptions {
             heuristic,
             learning,
             ..Default::default()
         };
-        [FirstUnassigned, JeroslowWang, Moms, Activity]
+        [FirstUnassigned, JeroslowWang, Moms]
             .into_iter()
             .flat_map(|h| [with(h, true), with(h, false)])
             .collect()
@@ -953,7 +800,7 @@ mod tests {
         let mut picks = Vec::new();
         while let Some(lit) = solver.pick_branch_lit() {
             picks.push(lit.var().index());
-            solver.values[lit.var().index()] = 1;
+            solver.trail.assign(lit, NO_REASON);
         }
         let mut expected = vec![3];
         expected.extend((0..16).filter(|&v| v != 3));

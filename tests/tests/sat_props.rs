@@ -39,7 +39,6 @@ fn dpll_agrees_with_exhaustive_search_on_500_random_cnfs() {
             Heuristic::FirstUnassigned,
             Heuristic::JeroslowWang,
             Heuristic::Moms,
-            Heuristic::Activity,
         ] {
             for learning in [false, true] {
                 let opts = SolverOptions {
@@ -89,7 +88,7 @@ fn cdcl_agrees_with_exhaustive_search_on_500_random_cnfs() {
 }
 
 /// Each engine configuration's digest in [`random_cnf_search_digests_are_pinned`].
-const SEARCH_DIGESTS: [(&str, u64); 9] = [
+const SEARCH_DIGESTS: [(&str, u64); 7] = [
     ("cdcl", 0x13bb_fa35_6315_00c2),
     ("dpll first chrono", 0xd876_a212_3ffe_6643),
     ("dpll first learning", 0xd83e_7779_8244_dd1e),
@@ -97,8 +96,6 @@ const SEARCH_DIGESTS: [(&str, u64); 9] = [
     ("dpll jw learning", 0xaf17_4a0c_2f15_5235),
     ("dpll moms chrono", 0xd7fd_dcad_a959_044e),
     ("dpll moms learning", 0xaf17_4a0c_2f15_5235),
-    ("dpll activity chrono", 0xfda2_c4c0_03e2_db2c),
-    ("dpll activity learning", 0xaf17_4a0c_2f15_5235),
 ];
 
 /// Pins the search itself, not just the verdicts: an FNV-1a digest of
@@ -129,7 +126,6 @@ fn random_cnf_search_digests_are_pinned() {
         Heuristic::FirstUnassigned,
         Heuristic::JeroslowWang,
         Heuristic::Moms,
-        Heuristic::Activity,
     ] {
         for learning in [false, true] {
             configs.push((
@@ -225,6 +221,8 @@ fn dimacs_parser_rejects_malformed_documents_with_typed_errors() {
         "p cnf x 2\n",
         "p dnf 2 2\n1 2 0\n",
         "p cnf -3 2\n",
+        "p cnf 2 x\n",
+        "p cnf 1 2\n1 0\np cnf 1 1\n-1 0\n",
     ] {
         match parse_dimacs(input) {
             Err(SatError::MalformedHeader { .. }) => {}
