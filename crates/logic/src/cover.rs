@@ -176,23 +176,39 @@ impl Cover {
         }
     }
 
-    /// Removes cubes single-cube-contained in another cube of the cover.
+    /// Removes cubes single-cube-contained in another cube of the cover:
+    /// in order, what stays is each cube no other cube strictly contains,
+    /// plus the first copy of each duplicate.
+    ///
+    /// Containment is a subset test on the slot bits, so only a cube with
+    /// more set bits can strictly contain another. The cubes are visited
+    /// from most bits to fewest, equal cubes side by side with the first
+    /// copy leading, and each is tested only against the survivors with
+    /// more bits: an ON-set of distinct minterms costs one sort.
     pub fn drop_contained(&mut self) {
-        let mut keep = vec![true; self.cubes.len()];
-        for i in 0..self.cubes.len() {
-            if !keep[i] {
-                continue;
+        let cubes = &self.cubes;
+        let bits: Vec<u32> = cubes.iter().map(Cube::set_bits).collect();
+        let mut order: Vec<usize> = (0..cubes.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            bits[b]
+                .cmp(&bits[a])
+                .then_with(|| cubes[a].cmp(&cubes[b]))
+                .then(a.cmp(&b))
+        });
+        let mut keep = vec![false; cubes.len()];
+        let mut kept: Vec<usize> = Vec::new();
+        // `kept[..wider]` have more set bits than the cube at hand.
+        let mut wider = 0;
+        let mut prev: Option<usize> = None;
+        for &i in &order {
+            match prev.replace(i) {
+                Some(p) if bits[p] != bits[i] => wider = kept.len(),
+                Some(p) if cubes[p] == cubes[i] => continue,
+                _ => {}
             }
-            for j in 0..self.cubes.len() {
-                if i == j || !keep[j] {
-                    continue;
-                }
-                if self.cubes[j].contains(&self.cubes[i])
-                    && (self.cubes[i] != self.cubes[j] || i > j)
-                {
-                    keep[i] = false;
-                    break;
-                }
+            if !kept[..wider].iter().any(|&j| cubes[j].contains(&cubes[i])) {
+                keep[i] = true;
+                kept.push(i);
             }
         }
         let mut it = keep.iter();
@@ -326,6 +342,93 @@ mod tests {
         f.drop_contained();
         assert_eq!(f.cube_count(), 1);
         assert_eq!(f.cubes()[0].literal_count(), 1);
+    }
+
+    /// The quadratic loop [`Cover::drop_contained`] replaced, kept as its
+    /// reference: each surviving cube is tested against every other
+    /// survivor, and of two equal cubes the later one goes.
+    fn drop_contained_reference(cubes: &[Cube]) -> Vec<Cube> {
+        let mut keep = vec![true; cubes.len()];
+        for i in 0..cubes.len() {
+            if !keep[i] {
+                continue;
+            }
+            for j in 0..cubes.len() {
+                if i == j || !keep[j] {
+                    continue;
+                }
+                if cubes[j].contains(&cubes[i]) && (cubes[i] != cubes[j] || i > j) {
+                    keep[i] = false;
+                    break;
+                }
+            }
+        }
+        let mut it = keep.iter();
+        let mut kept = cubes.to_vec();
+        kept.retain(|_| *it.next().expect("keep has one entry per cube"));
+        kept
+    }
+
+    #[test]
+    fn drop_contained_matches_the_quadratic_reference() {
+        let mut seed = 0x0dd5_c0de_5eed_f00du64;
+        let mut next = move |below: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % below as u64) as usize
+        };
+        // One-word and two-word universes; literals sit on a few variables
+        // at both ends of each word, so containment is common.
+        for n in [5, 32, 33, 64] {
+            let active = [0, 1, n / 2, n - 2, n - 1];
+            for round in 0..300 {
+                let mut cubes: Vec<Cube> = Vec::new();
+                for _ in 0..next(40) {
+                    let var = active[next(active.len())];
+                    let pick = (!cubes.is_empty()).then(|| cubes[next(cubes.len())].clone());
+                    let cube = match (next(5), pick) {
+                        (0, Some(c)) => c,
+                        (1, Some(mut c)) => {
+                            if c.literal(var).is_none() {
+                                c.set_literal(var, Some(next(2) == 0));
+                            }
+                            c
+                        }
+                        (2, Some(mut c)) => {
+                            c.set_literal(var, None);
+                            c
+                        }
+                        (3, Some(c)) => {
+                            let pol = c.literal(var).unwrap_or(true);
+                            c.intersection(&Cube::from_literals(n, &[(var, !pol)]))
+                        }
+                        _ => {
+                            let mut c = Cube::full(n);
+                            for &v in &active {
+                                match next(3) {
+                                    0 => c.set_literal(v, Some(true)),
+                                    1 => c.set_literal(v, Some(false)),
+                                    _ => {}
+                                }
+                            }
+                            c
+                        }
+                    };
+                    cubes.push(cube);
+                }
+                let mut cover = Cover {
+                    num_vars: n,
+                    cubes: cubes.clone(),
+                };
+                cover.drop_contained();
+                assert_eq!(
+                    cover.cubes,
+                    drop_contained_reference(&cubes),
+                    "{n} variables, round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -216,6 +216,12 @@ impl Cube {
             .sum()
     }
 
+    /// Number of set slot bits: [`Cube::contains`] is a subset test on
+    /// these bits, so a cube strictly contains only cubes with fewer.
+    pub(crate) fn set_bits(&self) -> u32 {
+        self.words().iter().map(|w| w.count_ones()).sum()
+    }
+
     /// Bitwise intersection; empty if the cubes conflict on some variable.
     pub fn intersection(&self, other: &Cube) -> Cube {
         self.zip_with(other, |a, b| a & b)
