@@ -99,10 +99,13 @@ enum Rank {
 pub struct Solver<'f> {
     formula: &'f CnfFormula,
     options: SolverOptions,
-    /// Every clause's literals back to back, problem clauses first and
-    /// learned clauses appended. Positions 0 and 1 of a clause are watched.
-    lits: Vec<Lit>,
-    /// Clause `c` is `lits[starts[c]..starts[c + 1]]`.
+    /// Each clause's two watched literals, its positions 0 and 1. Most
+    /// watch visits find the other watch true and read nothing else.
+    watched: Vec<[Lit; 2]>,
+    /// Every clause's other literals back to back, problem clauses first
+    /// and learned clauses appended: clause `c` is `watched[c]` followed
+    /// by `rest[starts[c]..starts[c + 1]]`.
+    rest: Vec<Lit>,
     starts: Vec<u32>,
     watches: Vec<Vec<u32>>,
     trail: Trail,
@@ -146,7 +149,8 @@ impl<'f> Solver<'f> {
         Solver {
             formula,
             options,
-            lits: Vec::with_capacity(formula.literal_count()),
+            watched: Vec::with_capacity(formula.clause_count()),
+            rest: Vec::with_capacity(formula.literal_count()),
             starts: Vec::with_capacity(formula.clause_count() + 1),
             watches: vec![Vec::new(); 2 * n],
             trail: Trail::new(vec![false; n]),
@@ -190,9 +194,22 @@ impl<'f> Solver<'f> {
         self.stats
     }
 
-    /// The arena range of clause `cid`.
-    fn clause_range(&self, cid: u32) -> std::ops::Range<usize> {
+    /// The range of `rest` holding clause `cid`'s unwatched literals.
+    fn rest_range(&self, cid: u32) -> std::ops::Range<usize> {
         self.starts[cid as usize] as usize..self.starts[cid as usize + 1] as usize
+    }
+
+    /// Number of literals of clause `cid`.
+    fn clause_len(&self, cid: u32) -> usize {
+        2 + self.rest_range(cid).len()
+    }
+
+    /// Literal `k` of clause `cid`: the watched pair, then the rest.
+    fn clause_lit(&self, cid: u32, k: usize) -> Lit {
+        match k {
+            0 | 1 => self.watched[cid as usize][k],
+            _ => self.rest[self.starts[cid as usize] as usize + k - 2],
+        }
     }
 
     /// The keys the decision heap is ordered by: none for
@@ -216,33 +233,28 @@ impl<'f> Solver<'f> {
             let false_lit = !lit;
             let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut i = 0usize;
-            while i < ws.len() {
+            'watches: while i < ws.len() {
                 let cid = ws[i];
-                let range = self.clause_range(cid);
-                let clause = &mut self.lits[range];
-                if clause[0] == false_lit {
-                    clause.swap(0, 1);
+                let pair = &mut self.watched[cid as usize];
+                if pair[0] == false_lit {
+                    pair.swap(0, 1);
                 }
-                debug_assert_eq!(clause[1], false_lit);
-                let first = clause[0];
+                debug_assert_eq!(pair[1], false_lit);
+                let first = pair[0];
                 let first_val = self.trail.value(first);
                 if first_val == Some(true) {
                     i += 1;
                     continue;
                 }
-                let mut moved = false;
-                for k in 2..clause.len() {
-                    if self.trail.value(clause[k]) != Some(false) {
-                        clause.swap(1, k);
-                        let new_watch = clause[1];
-                        self.watches[new_watch.index()].push(cid);
+                for k in self.rest_range(cid) {
+                    let other = self.rest[k];
+                    if self.trail.value(other) != Some(false) {
+                        self.rest[k] = false_lit;
+                        self.watched[cid as usize][1] = other;
+                        self.watches[other.index()].push(cid);
                         ws.swap_remove(i);
-                        moved = true;
-                        break;
+                        continue 'watches;
                     }
-                }
-                if moved {
-                    continue;
                 }
                 if first_val == Some(false) {
                     self.watches[false_lit.index()] = ws;
@@ -277,8 +289,7 @@ impl<'f> Solver<'f> {
     /// the saved phase with learning, the better-scored phase under a
     /// static score, and `true` under [`Heuristic::FirstUnassigned`].
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        let keys = Self::order_keys(self.rank, &self.activity);
-        let pick = self.trail.pop_free(&mut self.order, keys).map(|i| {
+        let pick = self.trail.pop_free(&mut self.order).map(|i| {
             let var = Var::new(i);
             if self.rank == Rank::Index {
                 Lit::positive(var)
@@ -314,8 +325,8 @@ impl<'f> Solver<'f> {
         loop {
             // Skip the literal we resolved on (position irrelevant).
             let skip = resolve_lit.map(|l| l.var());
-            for k in self.clause_range(reason) {
-                let l = self.lits[k];
+            for k in 0..self.clause_len(reason) {
+                let l = self.clause_lit(reason, k);
                 if Some(l.var()) == skip {
                     continue;
                 }
@@ -363,11 +374,14 @@ impl<'f> Solver<'f> {
             let l = learned[i];
             let reason = self.trail.reason(l.var().index());
             let redundant = reason != NO_REASON
-                && self.lits[self.clause_range(reason)].iter().all(|&rl| {
-                    rl.var() == l.var()
-                        || self.trail.level_of(rl.var().index()) == 0
-                        || self.seen[rl.var().index()]
-                });
+                && self.watched[reason as usize]
+                    .iter()
+                    .chain(&self.rest[self.rest_range(reason)])
+                    .all(|&rl| {
+                        rl.var() == l.var()
+                            || self.trail.level_of(rl.var().index()) == 0
+                            || self.seen[rl.var().index()]
+                    });
             if !redundant {
                 learned.swap(kept, i);
                 kept += 1;
@@ -438,8 +452,9 @@ impl<'f> Solver<'f> {
         let cid = (self.starts.len() - 1) as u32;
         self.watches[lits[0].index()].push(cid);
         self.watches[lits[1].index()].push(cid);
-        self.lits.extend_from_slice(lits);
-        self.starts.push(self.lits.len() as u32);
+        self.watched.push([lits[0], lits[1]]);
+        self.rest.extend_from_slice(&lits[2..]);
+        self.starts.push(self.rest.len() as u32);
         self.stats.peak_clauses = self.stats.peak_clauses.max(cid as usize + 1);
         cid
     }
@@ -475,7 +490,8 @@ impl<'f> Solver<'f> {
         for w in &mut self.watches {
             w.clear();
         }
-        self.lits.clear();
+        self.watched.clear();
+        self.rest.clear();
         self.starts.clear();
         self.starts.push(0);
         // Seed dynamic activity with the static scores so early decisions
