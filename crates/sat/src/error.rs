@@ -24,6 +24,14 @@ pub enum SatError {
         /// Declared variable count.
         declared: usize,
     },
+    /// The header declared a clause count the document does not hold (a
+    /// truncated or concatenated file).
+    ClauseCountMismatch {
+        /// Clause count of the header.
+        declared: usize,
+        /// Clauses the document holds.
+        read: usize,
+    },
 }
 
 impl fmt::Display for SatError {
@@ -39,6 +47,12 @@ impl fmt::Display for SatError {
                 write!(
                     f,
                     "variable {variable} out of range, header declared {declared}"
+                )
+            }
+            SatError::ClauseCountMismatch { declared, read } => {
+                write!(
+                    f,
+                    "clause count mismatch: header declared {declared}, document holds {read}"
                 )
             }
         }

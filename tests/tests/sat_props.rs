@@ -222,6 +222,7 @@ fn dimacs_parser_rejects_malformed_documents_with_typed_errors() {
         "p dnf 2 2\n1 2 0\n",
         "p cnf -3 2\n",
         "p cnf 2 x\n",
+        "p cnf 2 1 junk\n1 0\n",
         "p cnf 1 2\n1 0\np cnf 1 1\n-1 0\n",
     ] {
         match parse_dimacs(input) {
@@ -251,11 +252,28 @@ fn dimacs_parser_rejects_malformed_documents_with_typed_errors() {
             other => panic!("{input:?}: expected VariableOutOfRange, got {other:?}"),
         }
     }
+    // A declared clause count the document does not hold: a concatenated
+    // file read as one, and a truncated one.
+    for (input, declared, read) in [
+        ("p cnf 2 1\n1 0\n-1 0\n2 0\n", 1, 3),
+        ("p cnf 3 3\n1 -2 0\n3 0\n", 3, 2),
+    ] {
+        match parse_dimacs(input) {
+            Err(SatError::ClauseCountMismatch {
+                declared: d,
+                read: r,
+            }) if (d, r) == (declared, read) => {}
+            other => panic!("{input:?}: expected ClauseCountMismatch, got {other:?}"),
+        }
+    }
     // Benign edge cases that must parse: comments anywhere, blank lines,
     // clauses spanning lines, and a trailing clause missing its 0.
     let f = parse_dimacs("c head\np cnf 3 2\n\n1 -2\n3 0\nc mid\n-1 -3\n").unwrap();
     assert_eq!(f.num_vars(), 3);
     assert_eq!(f.clause_count(), 2);
+    // A header without a clause count reads every clause that follows.
+    let f = parse_dimacs("p cnf 2\n1 0\n-2 0\n1 2 0\n").unwrap();
+    assert_eq!(f.clause_count(), 3);
 }
 
 #[test]
