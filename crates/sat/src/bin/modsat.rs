@@ -9,7 +9,9 @@
 //! Prints `s SATISFIABLE` + a `v` model line, `s UNSATISFIABLE`, or
 //! `s UNKNOWN` (limit reached or timed out), following the
 //! SAT-competition output conventions. Exit codes follow suit: 10 for
-//! SAT, 20 for UNSAT, 0 for UNKNOWN, 1 for usage or input errors.
+//! SAT, 20 for UNSAT, 0 for UNKNOWN, 1 for usage or input errors. A
+//! header's clause count, when given, must match the clauses the file
+//! holds, so a truncated or concatenated file is an input error.
 //!
 //! `--engine` selects the SAT core: `cdcl` (default) is the modern
 //! conflict-driven core, `dpll` the classic engine. `--chrono` and
